@@ -94,7 +94,7 @@ def cmd_mn_schur(args: argparse.Namespace) -> int:
 
 def cmd_mn_schubert(args: argparse.Namespace) -> int:
     w = parse_perm_arg(args.w)
-    result = schubert.mn_schubert(w, args.k, args.r, args.max_support)
+    result = schubert.mn_schubert(w, args.k, args.r)
     _emit(args, schubert.schubert_expansion_to_json(result), render_schubert(result))
     if args.verify:
         product = symfun.power_sum_poly(args.r, args.k) * schubert.schubert_poly(w)
@@ -136,7 +136,7 @@ def cmd_pieri(args: argparse.Namespace) -> int:
 
 def cmd_monk(args: argparse.Namespace) -> int:
     w = parse_perm_arg(args.w)
-    result = schubert.monk(w, args.k, args.max_support)
+    result = schubert.monk(w, args.k)
     _emit(args, schubert.schubert_expansion_to_json(result), render_schubert(result))
     return 0
 
@@ -286,7 +286,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--w", required=True, help="one-line permutation, 34165278 or 3,4,1,6,5,2,7,8")
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--r", type=int, required=True)
-    p.add_argument("--max-support", type=int, default=None, dest="max_support")
     p.add_argument("--verify", action="store_true", help="cross-check against polynomial arithmetic")
     add_json(p)
     p.set_defaults(func=cmd_mn_schubert)
@@ -311,7 +310,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("monk", help="(x1+...+xk) times a Schubert polynomial")
     p.add_argument("--w", required=True)
     p.add_argument("--k", type=int, required=True)
-    p.add_argument("--max-support", type=int, default=None, dest="max_support")
     add_json(p)
     p.set_defaults(func=cmd_monk)
 

@@ -188,17 +188,39 @@ class LabeledCover:
 def k_bruhat_covers(w: Permutation, k: int, max_support: int) -> list[LabeledCover]:
     """Covers w -> w(i, j) with i <= k < j <= max_support and length up by 1.
 
-    Ordered by (i, j).
+    Ordered by (i, j).  For each i the scan keeps ``best``, the smallest
+    value above w(i) at positions i+1..j-1; (i, j) is a cover exactly when
+    w(i) < w(j) < best (Bergeron-Sottile, Duke 1998).  Past the stored word
+    each position holds its own index, which is above every earlier value,
+    so the scan ends at the first such position after i; it also ends at
+    w(j) = w(i) + 1.  With m = max(len(w), k), a call costs O(k * m)
+    however large ``max_support`` is.
+
+    >>> [(c.end, c.label) for c in k_bruhat_covers((2, 1), 2, 4)]
+    [((3, 1, 2), 2), ((2, 3, 1), 1)]
     """
     w = canonical(w)
     if k < 1:
         raise ValueError(f"k must be positive, got {k}")
+    size = len(w)
+    word = list(w) + list(range(size + 1, max(size, k) + 2))
+    top = len(word) + 1
     covers = []
-    for i in range(1, k + 1):
-        label = apply(w, i)
-        for j in range(k + 1, max_support + 1):
-            if i < j and is_cover_transposition(w, i, j):
-                covers.append(LabeledCover(w, right_transposed(w, i, j), label))
+    for i in range(k):
+        wi = word[i]
+        best = top
+        for j in range(i + 1, min(max(size, i + 1) + 1, max_support)):
+            wj = word[j]
+            if wi < wj < best:
+                best = wj
+                if j >= k:
+                    # Swapping keeps a permutation, and the swapped word ends
+                    # in a moved point at max(len(w), j + 1): no canonical().
+                    word[i], word[j] = wj, wi
+                    covers.append(LabeledCover(w, tuple(word[: max(size, j + 1)]), wi))
+                    word[i], word[j] = wi, wj
+                if wj == wi + 1:
+                    break
     return covers
 
 

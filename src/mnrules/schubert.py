@@ -171,14 +171,13 @@ def expand_in_schubert(f: SparsePoly) -> SchubertExpansion:
     return {u: c for u, c in out.items() if c}
 
 
-def monk(w: Permutation, k: int, max_support: int | None = None) -> SchubertExpansion:
+def monk(w: Permutation, k: int) -> SchubertExpansion:
     """Multiply the Schubert polynomial of w by x_1 + ... + x_k.
 
     One term S_u for every k-Bruhat cover w -> u; all coefficients are 1.
     """
     w = canonical(w)
-    bound = default_max_support(w, k, 1) if max_support is None else max_support
-    return {c.end: 1 for c in k_bruhat_covers(w, k, bound)}
+    return {c.end: 1 for c in k_bruhat_covers(w, k, default_max_support(w, k, 1))}
 
 
 def transition_xi(w: Permutation, i: int, max_support: int | None = None) -> SchubertExpansion:
@@ -201,9 +200,7 @@ def transition_xi(w: Permutation, i: int, max_support: int | None = None) -> Sch
     return out
 
 
-def mn_schubert(
-    w: Permutation, k: int, r: int, max_support: int | None = None
-) -> SchubertExpansion:
+def mn_schubert(w: Permutation, k: int, r: int) -> SchubertExpansion:
     """Multiply the Schubert polynomial of w by the power sum p_r(x_1..x_k).
 
     Endpoints u of length-r saturated k-Bruhat chains from w contribute
@@ -216,23 +213,21 @@ def mn_schubert(
         raise ValueError(f"need k, r >= 1, got k={k}, r={r}")
     w_inv = inverse(w)
     out: SchubertExpansion = {}
-    for u in chain_endpoints(w, k, r, max_support):
+    for u in chain_endpoints(w, k, r):
         eta = compose(w_inv, u)
         if cycle_type_check(eta, r + 1):
             out[u] = 1 if het(eta, k) % 2 else -1
     return out
 
 
-def hook_times_schubert(
-    w: Permutation, k: int, a: int, b: int, max_support: int | None = None
-) -> SchubertExpansion:
+def hook_times_schubert(w: Permutation, k: int, a: int, b: int) -> SchubertExpansion:
     """Multiply the Schubert polynomial of w by s_(b, 1^(a-1))(x_1..x_k).
 
     The coefficient of S_u is the number of peakless chains of shape (a, b)
     from w to u: labels strictly decreasing for a steps, then strictly
     increasing.
     """
-    return dict(peakless_endpoints(w, k, a, b, max_support))
+    return dict(peakless_endpoints(w, k, a, b))
 
 
 def grassmannian_permutation(lam: Partition, k: int) -> Permutation:

@@ -4,7 +4,8 @@ Everything here is deliberately written from different definitions than the
 code under test: rim hooks via edge connectivity instead of diagonals,
 n-cores via the abacus instead of hook removal, Schubert polynomials via
 reduced words instead of divided differences, Schur polynomials via a
-Jacobi-Trudi determinant instead of tableaux.
+Jacobi-Trudi determinant instead of tableaux, k-Bruhat covers via one
+interval scan per pair instead of a running minimum.
 """
 
 from __future__ import annotations
@@ -120,6 +121,26 @@ def removal_observables(lam: Partition, n: int) -> frozenset[tuple[Partition, in
         for core, s, parity in removal_observables(rec.inner, n):
             out.add((core, s + 1, (parity + rec.height) % 2))
     return frozenset(out)
+
+
+def oracle_k_bruhat_covers(
+    w: perm.Permutation, k: int, max_support: int
+) -> list[perm.LabeledCover]:
+    """k-Bruhat covers by testing every pair (i, j) on its own.
+
+    Each pair rescans the positions between i and j, and each endpoint is
+    rebuilt and re-validated, so a state costs O(k * m^2).
+    """
+    w = perm.canonical(w)
+    if k < 1:
+        raise ValueError(f"k must be positive, got {k}")
+    covers = []
+    for i in range(1, k + 1):
+        label = perm.apply(w, i)
+        for j in range(k + 1, max_support + 1):
+            if i < j and perm.is_cover_transposition(w, i, j):
+                covers.append(perm.LabeledCover(w, perm.right_transposed(w, i, j), label))
+    return covers
 
 
 @functools.cache

@@ -167,6 +167,21 @@ def test_error_paths_exit_2(capsys):
     assert code == 2 and "error:" in err
 
 
+def test_max_support_option_is_gone(capsys):
+    # a bound below the proven one used to truncate the answer to 0
+    for argv in (
+        ["mn-schubert", "--w", "21", "--k", "1", "--r", "3", "--max-support", "2"],
+        ["monk", "--w", "21", "--k", "1", "--max-support", "1"],
+    ):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        assert exc.value.code == 2
+        assert "--max-support" in capsys.readouterr().err
+    code, out, _ = run(capsys, "mn-schubert", "--w", "21", "--k", "1", "--r", "3")
+    assert code == 0
+    assert out.strip() == "S[5,1,2,3,4]"
+
+
 def test_selfcheck_passes(capsys):
     code, out, _ = run(capsys, "selfcheck")
     assert code == 0

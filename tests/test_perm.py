@@ -1,3 +1,6 @@
+import itertools
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -24,6 +27,7 @@ from mnrules.perm import (
     transposition,
     up_set,
 )
+from oracles import oracle_k_bruhat_covers
 
 random_perms = st.permutations(range(1, 7)).map(lambda p: canonical(tuple(p)))
 
@@ -123,6 +127,36 @@ def test_covers_small_frozen():
     assert got == [LabeledCover((2, 1), (3, 1, 2), 2)]
     got2 = k_bruhat_covers((2, 1), 2, 4)
     assert {c.end for c in got2} == {(3, 1, 2), (2, 3, 1)}
+
+
+def test_covers_match_pairwise_oracle_exhaustively():
+    # every bound from 1 up, so bounds below len(w) and below k are included
+    compared = 0
+    for n in range(7):
+        for word in itertools.permutations(range(1, n + 1)):
+            for k in range(1, n + 3):
+                for bound in range(1, n + 4):
+                    got = k_bruhat_covers(word, k, bound)
+                    assert got == oracle_k_bruhat_covers(word, k, bound), (word, k, bound)
+                    compared += 1
+    assert compared == 59806
+
+
+def test_covers_match_pairwise_oracle_on_s12_chain_states():
+    rng = random.Random(1507)
+    k, r = 6, 5
+    for _ in range(2):
+        w = canonical(rng.sample(range(1, 13), 12))
+        bound = default_max_support(w, k, r)
+        level = {w}
+        for _ in range(r):
+            nxt = set()
+            for v in sorted(level):
+                got = k_bruhat_covers(v, k, bound)
+                assert got == oracle_k_bruhat_covers(v, k, bound), v
+                nxt.update(c.end for c in got)
+            level = nxt
+        assert level == chain_endpoints(w, k, r)
 
 
 def test_chain_endpoints_and_saturated_chains_agree():

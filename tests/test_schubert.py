@@ -261,6 +261,20 @@ def test_mn_schubert_matches_polynomial_oracle(w, k, r):
     assert mn_schubert(w, k, r) == expand_in_schubert(product)
 
 
+def test_mn_schubert_matches_polynomial_oracle_on_sampled_s6_s7():
+    from mnrules.symfun import power_sum_poly
+
+    rng = random.Random(6507)
+    for n, count, max_k, max_r in ((6, 200, 5, 5), (7, 100, 6, 4)):
+        perms = all_perms(n)
+        for _ in range(count):
+            w = rng.choice(perms)
+            k = rng.randint(1, max_k)
+            r = rng.randint(1, max_r)
+            product = power_sum_poly(r, k) * schubert_poly(w)
+            assert mn_schubert(w, k, r) == expand_in_schubert(product), (w, k, r)
+
+
 # --- hook products ----------------------------------------------------------
 
 

@@ -111,13 +111,7 @@ def cmd_mn_quantum(args: argparse.Namespace) -> int:
     result = quantum.quantum_mn_extended(lam, args.r, ctx)
     _emit(args, quantum.quantum_class_to_json(result), render_quantum(result))
     if args.verify:
-        wraps, base = divmod(args.r, ctx.n)
-        sign = 1 if (ctx.k * wraps) % 2 == 0 else -1
-        oracle = {
-            (d + wraps, mu): sign * c
-            for (d, mu), c in quantum.oracle_quantum_mn(lam, base, ctx).items()
-        }
-        if oracle != result:
+        if quantum.wrap_power_sum(quantum.oracle_quantum_mn, lam, args.r, ctx) != result:
             print("verify: MISMATCH", file=sys.stderr)
             return 1
         print("verify: MATCH", file=sys.stderr)
@@ -161,7 +155,7 @@ def cmd_core(args: argparse.Namespace) -> int:
         f"  height_sum={res.height_sum}"
     )
     if args.k is not None:
-        sign = -1 if (args.k * res.hooks_removed - res.height_sum) % 2 else 1
+        sign = quantum.psi_sign(res, args.k)
         payload["sign"] = sign
         text += f"  sign(k={args.k})={'+1' if sign > 0 else '-1'}"
     _emit(args, payload, text)

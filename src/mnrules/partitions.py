@@ -4,12 +4,19 @@ Partitions are tuples of weakly decreasing positive integers; the empty tuple
 is the empty partition.  Cells of the Young diagram are (row, col) pairs with
 0-based indices, and the diagonal of a cell is col - row.  Everything here is
 a pure function on immutable values.
+
+Adding a rim hook, removing one, and stripping down to the n-core all run on
+one beta-number (abacus) kernel, :func:`_bead_moves`: with m beads, row i of
+lam sits at lam_i + m - 1 - i, and an r-hook is one bead moving r places to
+an empty position (James-Kerber, The Representation Theory of the Symmetric
+Group, ch. 2).  :func:`is_rim_hook` and :func:`rim_hook_height` work from the
+cells instead, so tests can use them as certificates.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Literal
+from typing import Iterable, Iterator, Literal
 
 Partition = tuple[int, ...]
 
@@ -119,30 +126,37 @@ def rim_hook_record_to_json(rec: RimHookRecord) -> dict:
     }
 
 
-def _hook_candidate_valid(inner: Partition, mu: list[int], r: int) -> Partition | None:
-    """Canonicalize ``mu`` and accept it only if mu/inner is an r-cell rim hook."""
-    while mu and mu[-1] == 0:
-        mu.pop()
-    if any(mu[i] < mu[i + 1] for i in range(len(mu) - 1)):
-        return None
-    outer = tuple(mu)
-    if min(mu, default=1) < 1 or not leq(inner, outer):
-        return None
-    if sum(outer) - sum(inner) != r or not is_rim_hook(inner, outer):
-        return None
-    return outer
+def _bead_moves(lam: Partition, shift: int, beads: int) -> Iterator[tuple[Partition, int]]:
+    """Move one bead of lam's abacus by ``shift``: yield (new shape, hook height).
+
+    With m = ``beads`` >= len(lam), row i of lam puts a bead at
+    lam_i + m - 1 - i.  A bead at b moving to an empty b + shift >= 0 adds
+    (shift > 0) or removes (shift < 0) a rim hook of |shift| cells, and the
+    hook's height is 1 + the number of beads strictly between b and
+    b + shift.  Moves come largest bead first, which is the hook whose top
+    row is highest.
+    """
+    pos = [part(lam, i) + beads - 1 - i for i in range(beads)]
+    taken = set(pos)
+    for b in pos:
+        c = b + shift
+        if c < 0 or c in taken:
+            continue
+        lo, hi = min(b, c), max(b, c)
+        moved = sorted(taken - {b} | {c}, reverse=True)
+        shape = tuple(x - (beads - 1 - i) for i, x in enumerate(moved))
+        yield tuple(p for p in shape if p), 1 + sum(lo < x < hi for x in pos)
 
 
 def add_rim_hooks(lam: Partition, r: int, max_rows: int) -> list[RimHookRecord]:
     """All ways to grow ``lam`` by a rim hook of ``r`` cells within ``max_rows`` rows.
 
-    A rim hook is determined by the rows it occupies: below its top row it
-    hugs the old boundary (row a gains the cells from one past row a-1's old
-    end down to row a's old end), and the top row absorbs whatever cells are
-    left over.  Records are sorted lexicographically by outer shape.
+    On the abacus of ``max_rows`` beads, each bead that can move up by r to
+    an empty position gives one hook (see :func:`_bead_moves`).  Records are
+    sorted lexicographically by outer shape.
 
-    >>> [rec.outer for rec in add_rim_hooks((1,), 2, 3)]
-    [(1, 1, 1), (3,)]
+    >>> [(rec.outer, rec.height) for rec in add_rim_hooks((1,), 2, 3)]
+    [((1, 1, 1), 2), ((3,), 1)]
     """
     lam = validate_partition(lam)
     if r < 1:
@@ -151,22 +165,7 @@ def add_rim_hooks(lam: Partition, r: int, max_rows: int) -> list[RimHookRecord]:
         raise ValueError(f"max_rows must be nonnegative, got {max_rows}")
     if len(lam) > max_rows:
         return []
-    found = []
-    for top in range(max_rows):
-        for bottom in range(top, max_rows):
-            lower = sum(
-                part(lam, a - 1) + 1 - part(lam, a) for a in range(top + 1, bottom + 1)
-            )
-            head = r - lower
-            if head < 1:
-                continue
-            mu = [part(lam, i) for i in range(max(len(lam), bottom + 1))]
-            mu[top] += head
-            for a in range(top + 1, bottom + 1):
-                mu[a] = part(lam, a - 1) + 1
-            outer = _hook_candidate_valid(lam, mu, r)
-            if outer is not None:
-                found.append(RimHookRecord(lam, outer, r, bottom - top + 1))
+    found = [RimHookRecord(lam, mu, r, h) for mu, h in _bead_moves(lam, r, max_rows)]
     found.sort(key=lambda rec: rec.outer)
     return found
 
@@ -174,41 +173,17 @@ def add_rim_hooks(lam: Partition, r: int, max_rows: int) -> list[RimHookRecord]:
 def remove_rim_hooks(lam: Partition, r: int) -> list[RimHookRecord]:
     """All ways to strip a rim hook of ``r`` cells from ``lam``.
 
-    Mirror image of :func:`add_rim_hooks`: above its bottom row the hook hugs
-    the boundary (row a keeps one cell fewer than row a+1's old end), and the
-    bottom row gives up the remaining cells.  Records are sorted
+    On the abacus of len(lam) beads, each bead that can move down by r to an
+    empty position >= 0 gives one hook.  Records are sorted
     lexicographically by inner shape.
 
-    >>> [rec.inner for rec in remove_rim_hooks((2, 2), 3)]
-    [(1,)]
+    >>> [(rec.inner, rec.height) for rec in remove_rim_hooks((2, 2), 3)]
+    [((1,), 2)]
     """
     lam = validate_partition(lam)
     if r < 1:
         raise ValueError(f"rim hook size must be positive, got {r}")
-    found = []
-    for top in range(len(lam)):
-        for bottom in range(top, len(lam)):
-            upper = sum(lam[a] - (lam[a + 1] - 1) for a in range(top, bottom))
-            tail = r - upper
-            if tail < 1:
-                continue
-            nu = list(lam)
-            for a in range(top, bottom):
-                nu[a] = lam[a + 1] - 1
-            nu[bottom] = lam[bottom] - tail
-            if nu[bottom] < 0:
-                continue
-            inner_list = nu
-            while inner_list and inner_list[-1] == 0:
-                inner_list.pop()
-            if any(inner_list[i] < inner_list[i + 1] for i in range(len(inner_list) - 1)):
-                continue
-            inner = tuple(inner_list)
-            if not leq(inner, lam) or sum(lam) - sum(inner) != r:
-                continue
-            if not is_rim_hook(inner, lam):
-                continue
-            found.append(RimHookRecord(inner, lam, r, bottom - top + 1))
+    found = [RimHookRecord(nu, lam, r, h) for nu, h in _bead_moves(lam, -r, len(lam))]
     found.sort(key=lambda rec: rec.inner)
     return found
 
@@ -222,19 +197,16 @@ class CoreResult:
     height_sum: int
 
 
-def _top_row_of_hook(rec: RimHookRecord) -> int:
-    return next(r for r in range(len(rec.outer)) if part(rec.inner, r) < rec.outer[r])
-
-
 def n_core(lam: Partition, n: int) -> CoreResult:
     """Strip rim hooks of ``n`` cells from ``lam`` until none remains.
 
-    The hook whose top row is highest is removed first.  The resulting core,
-    the number of hooks, and the parity of the total height do not depend on
-    the removal order; only this policy's height_sum is reported.
+    Each step moves the largest bead that can drop by n, which removes the
+    hook whose top row is highest.  The resulting core, the number of hooks,
+    and the parity of the total height do not depend on the removal order;
+    only this policy's height_sum is reported.
 
-    >>> n_core((2, 1, 1), 4).core
-    ()
+    >>> n_core((2, 1, 1), 4)
+    CoreResult(core=(), hooks_removed=1, height_sum=3)
     >>> n_core((2, 2), 4).core  # the full rim holds a 2x2 square: no 4-hook
     (2, 2)
     """
@@ -242,12 +214,10 @@ def n_core(lam: Partition, n: int) -> CoreResult:
     if n < 2:
         raise ValueError(f"hook size must be at least 2, got {n}")
     cur, hooks, heights = lam, 0, 0
-    while True:
-        recs = remove_rim_hooks(cur, n)
-        if not recs:
-            return CoreResult(cur, hooks, heights)
-        rec = min(recs, key=_top_row_of_hook)
-        cur, hooks, heights = rec.inner, hooks + 1, heights + rec.height
+    while (move := next(_bead_moves(cur, -n, len(cur)), None)) is not None:
+        cur, height = move
+        hooks, heights = hooks + 1, heights + height
+    return CoreResult(cur, hooks, heights)
 
 
 StripKind = Literal["horizontal", "vertical"]

@@ -224,14 +224,12 @@ def k_bruhat_covers(w: Permutation, k: int, max_support: int) -> list[LabeledCov
     return covers
 
 
-def chain_endpoints(
-    w: Permutation, k: int, r: int, max_support: int | None = None
-) -> set[Permutation]:
+def chain_endpoints(w: Permutation, k: int, r: int) -> set[Permutation]:
     """Endpoints of all length-r saturated k-Bruhat chains starting at w."""
     w = canonical(w)
     if r < 0:
         raise ValueError(f"need r >= 0, got {r}")
-    bound = default_max_support(w, k, r) if max_support is None else max_support
+    bound = default_max_support(w, k, r)
     level = {w}
     for _ in range(r):
         level = {c.end for v in level for c in k_bruhat_covers(v, k, bound)}
@@ -242,7 +240,6 @@ def saturated_chains(
     w: Permutation,
     k: int,
     r: int,
-    max_support: int | None = None,
     max_chains: int = 500_000,
 ) -> list[tuple[LabeledCover, ...]]:
     """All saturated k-Bruhat chains of length r from w, materialized.
@@ -254,7 +251,7 @@ def saturated_chains(
     w = canonical(w)
     if r < 0:
         raise ValueError(f"need r >= 0, got {r}")
-    bound = default_max_support(w, k, r) if max_support is None else max_support
+    bound = default_max_support(w, k, r)
     out: list[tuple[LabeledCover, ...]] = []
 
     def walk(v: Permutation, prefix: tuple[LabeledCover, ...]) -> None:
@@ -272,13 +269,7 @@ def saturated_chains(
     return out
 
 
-def peakless_endpoints(
-    w: Permutation,
-    k: int,
-    a: int,
-    b: int,
-    max_support: int | None = None,
-) -> list[tuple[Permutation, int]]:
+def peakless_endpoints(w: Permutation, k: int, a: int, b: int) -> list[tuple[Permutation, int]]:
     """Endpoints of peakless chains of shape (a, b), with multiplicities.
 
     A chain of length a + b - 1 is peakless when its labels strictly
@@ -294,7 +285,7 @@ def peakless_endpoints(
     if a > k:
         raise ValueError(f"a cannot exceed k: a={a}, k={k}")
     r = a + b - 1
-    bound = default_max_support(w, k, r) if max_support is None else max_support
+    bound = default_max_support(w, k, r)
     # states: (current permutation, last label) -> chain count
     states: dict[tuple[Permutation, int], int] = {(w, 0): 1}
     for step in range(1, r + 1):

@@ -9,8 +9,10 @@ nonzero integer.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 from .partitions import (
+    CoreResult,
     Partition,
     add_rim_hooks,
     box_partition,
@@ -47,6 +49,12 @@ def _require_in_box(lam: Partition, ctx: GrContext) -> Partition:
     return lam
 
 
+def psi_sign(res: CoreResult, k: int) -> int:
+    """The sign (-1)**(k*s - total height) that psi attaches to an n-core
+    reached by s hooks (see :func:`psi_reduce`)."""
+    return -1 if (k * res.hooks_removed - res.height_sum) % 2 else 1
+
+
 def psi_reduce(lam: Partition, ctx: GrContext) -> QuantumClass:
     """Image of the Schur function s_lam (at most k rows) in qH*(Gr(k, n)).
 
@@ -60,8 +68,7 @@ def psi_reduce(lam: Partition, ctx: GrContext) -> QuantumClass:
     res = n_core(lam, ctx.n)
     if not leq(res.core, ctx.box):
         return {}
-    sign = -1 if (ctx.k * res.hooks_removed - res.height_sum) % 2 else 1
-    return {(res.hooks_removed, res.core): sign}
+    return {(res.hooks_removed, res.core): psi_sign(res, ctx.k)}
 
 
 def quantum_mn(lam: Partition, r: int, ctx: GrContext) -> QuantumClass:
@@ -84,8 +91,13 @@ def quantum_mn(lam: Partition, r: int, ctx: GrContext) -> QuantumClass:
     return out
 
 
-def quantum_mn_extended(lam: Partition, r: int, ctx: GrContext) -> QuantumClass:
-    """quantum_mn extended to any r >= 1 not divisible by n.
+def wrap_power_sum(
+    rule: Callable[[Partition, int, GrContext], QuantumClass],
+    lam: Partition,
+    r: int,
+    ctx: GrContext,
+) -> QuantumClass:
+    """Extend a p_r ``rule`` for 1 <= r < n to any r >= 1 not divisible by n.
 
     The power sum p_r acts as (-1)**k q times p_(r-n) whenever r > n, so the
     result is the base case shifted in q with a sign per full wrap.  r
@@ -100,8 +112,14 @@ def quantum_mn_extended(lam: Partition, r: int, ctx: GrContext) -> QuantumClass:
     sign = 1 if (ctx.k * wraps) % 2 == 0 else -1
     return {
         (d + wraps, mu): sign * c
-        for (d, mu), c in quantum_mn(lam, base, ctx).items()
+        for (d, mu), c in rule(lam, base, ctx).items()
     }
+
+
+def quantum_mn_extended(lam: Partition, r: int, ctx: GrContext) -> QuantumClass:
+    """quantum_mn extended to any r >= 1 not divisible by n (see
+    :func:`wrap_power_sum`)."""
+    return wrap_power_sum(quantum_mn, lam, r, ctx)
 
 
 def oracle_quantum_mn(lam: Partition, r: int, ctx: GrContext) -> QuantumClass:

@@ -180,18 +180,19 @@ def monk(w: Permutation, k: int) -> SchubertExpansion:
     return {c.end: 1 for c in k_bruhat_covers(w, k, default_max_support(w, k, 1))}
 
 
-def transition_xi(w: Permutation, i: int, max_support: int | None = None) -> SchubertExpansion:
+def transition_xi(w: Permutation, i: int) -> SchubertExpansion:
     """Multiply the Schubert polynomial of w by the single variable x_i.
 
     Plus terms w(i, b) for b > i, minus terms w(a, i) for a < i, in both
-    cases only where the length goes up by exactly one.
+    cases only where the length goes up by exactly one.  b runs up to
+    max(len(w), i) + 1: past it the fixed value b - 1 sits between w(i) and
+    w(b) = b, so no cover is lost.
     """
     w = canonical(w)
     if i < 1:
         raise ValueError(f"positions are 1-indexed, got {i}")
-    bound = max(len(w), i) + 1 if max_support is None else max_support
     out: SchubertExpansion = {}
-    for b in range(i + 1, bound + 1):
+    for b in range(i + 1, max(len(w), i) + 2):
         if is_cover_transposition(w, i, b):
             out[right_transposed(w, i, b)] = 1
     for a in range(1, i):

@@ -1,11 +1,13 @@
 """Independent brute-force constructions used to cross-check the library.
 
 Everything here is deliberately written from different definitions than the
-code under test: rim hooks via edge connectivity instead of diagonals,
-n-cores via the abacus instead of hook removal, Schubert polynomials via
-reduced words instead of divided differences, Schur polynomials via a
-Jacobi-Trudi determinant instead of tableaux, k-Bruhat covers via one
-interval scan per pair instead of a running minimum.
+code under test: rim hooks via edge connectivity instead of diagonals;
+adding and removing rim hooks row by row along the diagonals, and n-cores by
+stripping one such hook at a time, instead of moving beads on an abacus;
+n-cores also by sliding every bead down its runner at once; Schubert
+polynomials via reduced words instead of divided differences; Schur
+polynomials via a Jacobi-Trudi determinant instead of tableaux; k-Bruhat
+covers via one interval scan per pair instead of a running minimum.
 """
 
 from __future__ import annotations
@@ -14,7 +16,15 @@ import functools
 from itertools import combinations_with_replacement
 
 from mnrules import perm
-from mnrules.partitions import Partition, validate_partition
+from mnrules.partitions import (
+    CoreResult,
+    Partition,
+    RimHookRecord,
+    is_rim_hook,
+    leq,
+    part,
+    validate_partition,
+)
 from mnrules.poly import SparsePoly
 
 Cell = tuple[int, int]
@@ -108,12 +118,115 @@ def abacus_core(lam: Partition, n: int) -> tuple[Partition, int]:
     return core, hooks
 
 
+def _hook_candidate_valid(inner: Partition, mu: list[int], r: int) -> Partition | None:
+    """Canonicalize ``mu`` and accept it only if mu/inner is an r-cell rim hook."""
+    while mu and mu[-1] == 0:
+        mu.pop()
+    if any(mu[i] < mu[i + 1] for i in range(len(mu) - 1)):
+        return None
+    outer = tuple(mu)
+    if min(mu, default=1) < 1 or not leq(inner, outer):
+        return None
+    if sum(outer) - sum(inner) != r or not is_rim_hook(inner, outer):
+        return None
+    return outer
+
+
+def oracle_add_rim_hooks(lam: Partition, r: int, max_rows: int) -> list[RimHookRecord]:
+    """add_rim_hooks by choosing the hook's top and bottom rows.
+
+    A rim hook is determined by the rows it occupies: below its top row it
+    hugs the old boundary (row a gains the cells from one past row a-1's old
+    end down to row a's old end), and the top row absorbs whatever cells are
+    left over.  Each candidate is re-checked with the diagonal test.
+    """
+    lam = validate_partition(lam)
+    if r < 1:
+        raise ValueError(f"rim hook size must be positive, got {r}")
+    if max_rows < 0:
+        raise ValueError(f"max_rows must be nonnegative, got {max_rows}")
+    if len(lam) > max_rows:
+        return []
+    found = []
+    for top in range(max_rows):
+        for bottom in range(top, max_rows):
+            lower = sum(
+                part(lam, a - 1) + 1 - part(lam, a) for a in range(top + 1, bottom + 1)
+            )
+            head = r - lower
+            if head < 1:
+                continue
+            mu = [part(lam, i) for i in range(max(len(lam), bottom + 1))]
+            mu[top] += head
+            for a in range(top + 1, bottom + 1):
+                mu[a] = part(lam, a - 1) + 1
+            outer = _hook_candidate_valid(lam, mu, r)
+            if outer is not None:
+                found.append(RimHookRecord(lam, outer, r, bottom - top + 1))
+    found.sort(key=lambda rec: rec.outer)
+    return found
+
+
+def oracle_remove_rim_hooks(lam: Partition, r: int) -> list[RimHookRecord]:
+    """remove_rim_hooks as the mirror image of oracle_add_rim_hooks.
+
+    Above its bottom row the hook hugs the boundary (row a keeps one cell
+    fewer than row a+1's old end), and the bottom row gives up the remaining
+    cells.  Each candidate is re-checked with the diagonal test.
+    """
+    lam = validate_partition(lam)
+    if r < 1:
+        raise ValueError(f"rim hook size must be positive, got {r}")
+    found = []
+    for top in range(len(lam)):
+        for bottom in range(top, len(lam)):
+            upper = sum(lam[a] - (lam[a + 1] - 1) for a in range(top, bottom))
+            tail = r - upper
+            if tail < 1:
+                continue
+            nu = list(lam)
+            for a in range(top, bottom):
+                nu[a] = lam[a + 1] - 1
+            nu[bottom] = lam[bottom] - tail
+            if nu[bottom] < 0:
+                continue
+            inner_list = nu
+            while inner_list and inner_list[-1] == 0:
+                inner_list.pop()
+            if any(inner_list[i] < inner_list[i + 1] for i in range(len(inner_list) - 1)):
+                continue
+            inner = tuple(inner_list)
+            if not leq(inner, lam) or sum(lam) - sum(inner) != r:
+                continue
+            if not is_rim_hook(inner, lam):
+                continue
+            found.append(RimHookRecord(inner, lam, r, bottom - top + 1))
+    found.sort(key=lambda rec: rec.inner)
+    return found
+
+
+def _top_row_of_hook(rec: RimHookRecord) -> int:
+    return next(r for r in range(len(rec.outer)) if part(rec.inner, r) < rec.outer[r])
+
+
+def oracle_n_core(lam: Partition, n: int) -> CoreResult:
+    """n_core by stripping one n-hook at a time, highest top row first."""
+    lam = validate_partition(lam)
+    if n < 2:
+        raise ValueError(f"hook size must be at least 2, got {n}")
+    cur, hooks, heights = lam, 0, 0
+    while True:
+        recs = oracle_remove_rim_hooks(cur, n)
+        if not recs:
+            return CoreResult(cur, hooks, heights)
+        rec = min(recs, key=_top_row_of_hook)
+        cur, hooks, heights = rec.inner, hooks + 1, heights + rec.height
+
+
 @functools.cache
 def removal_observables(lam: Partition, n: int) -> frozenset[tuple[Partition, int, int]]:
     """All (core, hook count, height-sum parity) over every maximal removal order."""
-    from mnrules.partitions import remove_rim_hooks
-
-    records = remove_rim_hooks(lam, n)
+    records = oracle_remove_rim_hooks(lam, n)
     if not records:
         return frozenset({(validate_partition(lam), 0, 0)})
     out: set[tuple[Partition, int, int]] = set()

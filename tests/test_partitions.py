@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -18,7 +20,10 @@ from mnrules.partitions import (
 )
 from oracles import (
     abacus_core,
+    oracle_add_rim_hooks,
     oracle_is_rim_hook,
+    oracle_n_core,
+    oracle_remove_rim_hooks,
     partitions_in_box,
     partitions_of,
     removal_observables,
@@ -209,6 +214,32 @@ def test_core_observables_are_order_independent(lam, n):
     (core, s, parity) = next(iter(obs))
     res = n_core(lam, n)
     assert (core, s, parity) == (res.core, res.hooks_removed, res.height_sum % 2)
+
+
+def test_bead_kernel_matches_diagonal_oracles_on_5x5_box():
+    compared = 0
+    for lam in partitions_in_box(5, 5):
+        for r in range(1, 12):
+            for max_rows in range(len(lam), 8):
+                got = add_rim_hooks(lam, r, max_rows)
+                assert got == oracle_add_rim_hooks(lam, r, max_rows), (lam, r, max_rows)
+                compared += 1
+            assert remove_rim_hooks(lam, r) == oracle_remove_rim_hooks(lam, r), (lam, r)
+            compared += 1
+        for n in range(2, 12):
+            assert n_core(lam, n) == oracle_n_core(lam, n), (lam, n)
+            compared += 1
+    assert compared == 15918
+
+
+def test_n_core_matches_abacus_on_tall_partitions():
+    rng = random.Random(3060)
+    for _ in range(40):
+        lam = tuple(sorted((rng.randint(1, 80) for _ in range(rng.randint(30, 60))), reverse=True))
+        n = rng.randint(2, 15)
+        res = n_core(lam, n)
+        assert (res.core, res.hooks_removed) == abacus_core(lam, n), (lam, n)
+        assert remove_rim_hooks(res.core, n) == []
 
 
 @pytest.mark.parametrize("k,n", [(2, 5), (3, 6), (4, 8)])

@@ -1,3 +1,4 @@
+import inspect
 import itertools
 import random
 
@@ -27,6 +28,7 @@ from mnrules.perm import (
     transposition,
     up_set,
 )
+from mnrules.schubert import transition_xi
 from oracles import oracle_k_bruhat_covers
 
 random_perms = st.permutations(range(1, 7)).map(lambda p: canonical(tuple(p)))
@@ -163,9 +165,8 @@ def test_chain_endpoints_and_saturated_chains_agree():
     w = canonical((2, 1))
     for k in (1, 2):
         for r in (1, 2, 3):
-            bound = default_max_support(w, k, r)
-            ends = chain_endpoints(w, k, r, bound)
-            chains = saturated_chains(w, k, r, bound)
+            ends = chain_endpoints(w, k, r)
+            chains = saturated_chains(w, k, r)
             assert ends == {chain[-1].end for chain in chains}
             for chain in chains:
                 assert len(chain) == r
@@ -215,26 +216,35 @@ def test_het_values_from_worked_product():
 def test_default_max_support_covers_identity_case():
     # growing from the identity with k=3 needs support beyond len(w)+r
     assert default_max_support((), 3, 1) == 4
-    ends = chain_endpoints((), 3, 1, default_max_support((), 3, 1))
+    ends = chain_endpoints((), 3, 1)
     assert ends == {(1, 2, 4, 3)}  # covers need i <= 3 < j, so only t_3
+
+
+def test_support_bound_parameter_is_gone():
+    # Below the proven bound the chains were cut off without an error:
+    # chain_endpoints((2, 1), 1, 3, 2) gave set() and transition_xi((2, 1), 1, 1) {}.
+    for fn in (chain_endpoints, saturated_chains, peakless_endpoints, transition_xi):
+        assert "max_support" not in inspect.signature(fn).parameters, fn.__name__
+    assert chain_endpoints((2, 1), 1, 3) == {(5, 1, 2, 3, 4)}
+    assert transition_xi((2, 1), 1) == {(3, 1, 2): 1}
 
 
 def test_saturated_chain_cap():
     with pytest.raises(ChainCapExceeded):
-        saturated_chains((), 3, 4, 12, max_chains=2)
+        saturated_chains((), 3, 4, max_chains=2)
 
 
 def test_peakless_endpoints_validation():
     with pytest.raises(ValueError):
-        peakless_endpoints((), 2, 3, 1, 6)
+        peakless_endpoints((), 2, 3, 1)
     with pytest.raises(ValueError):
-        peakless_endpoints((), 2, 0, 1, 6)
+        peakless_endpoints((), 2, 0, 1)
 
 
 def test_peakless_endpoints_match_single_variable_schur_products():
     # h_2(x1,x2) * S_id = S_(1,4,2,3) and e_2(x1,x2) * S_id = S_(2,3,1)
-    assert dict(peakless_endpoints((), 2, 1, 2, 5)) == {(1, 4, 2, 3): 1}
-    assert dict(peakless_endpoints((), 2, 2, 1, 5)) == {(2, 3, 1): 1}
+    assert dict(peakless_endpoints((), 2, 1, 2)) == {(1, 4, 2, 3): 1}
+    assert dict(peakless_endpoints((), 2, 2, 1)) == {(2, 3, 1): 1}
 
 
 def test_peakless_uniqueness_on_worked_product():
@@ -250,16 +260,15 @@ def test_peakless_uniqueness_on_worked_product():
         (3, 6, 1, 8, 4, 2, 5, 7),
         (3, 4, 1, 10, 5, 2, 6, 7, 8, 9),
     ]
-    bound = default_max_support(w, 4, r)
     for u in map(canonical, endpoints):
         eta = compose(inverse(w), u)
         a = het(eta, 4)
         b = r + 1 - a
-        counts = dict(peakless_endpoints(w, 4, a, b, bound))
+        counts = dict(peakless_endpoints(w, 4, a, b))
         assert counts.get(u) == 1
         # a minimal cycle shows up for its own hook shape only
         for other_a in range(1, min(4, r) + 1):
             if other_a == a:
                 continue
-            other = dict(peakless_endpoints(w, 4, other_a, r + 1 - other_a, bound))
+            other = dict(peakless_endpoints(w, 4, other_a, r + 1 - other_a))
             assert u not in other

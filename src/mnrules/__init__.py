@@ -13,8 +13,11 @@ others:
 
 Supporting layers: ``partitions`` (rim hooks, strips, n-cores),
 ``poly`` (exact sparse integer polynomials), ``perm`` (Lehmer codes, k-Bruhat
-covers), plus independent brute-force oracles used by the test suite and the
-``mnrules`` command-line tool (see ``cli``).
+covers), and the ``mnrules`` command-line tool (see ``cli``), whose
+``--verify`` flags recompute a product by a second route: polynomial
+arithmetic for Schubert products, the reduction map psi for quantum ones.
+The package holds no code that only tests call; the brute-force oracles the
+test suite checks against live in ``tests/oracles.py``.
 """
 
 from .partitions import (

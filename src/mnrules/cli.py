@@ -144,6 +144,12 @@ def cmd_schubert_expand(args: argparse.Namespace) -> int:
 
 def cmd_core(args: argparse.Namespace) -> int:
     lam = parse_partition_arg(args.partition)
+    if args.k is not None:
+        # the sign is psi's, and psi only takes partitions with at most k rows
+        if args.k < 1:
+            raise ValueError(f"k must be positive, got {args.k}")
+        if len(lam) > args.k:
+            raise ValueError(f"{lam} has more than {args.k} rows")
     res = partitions.n_core(lam, args.n)
     payload = {
         "core": list(res.core),

@@ -20,8 +20,6 @@ from typing import Iterable, Iterator, Literal
 
 Partition = tuple[int, ...]
 
-EMPTY: Partition = ()
-
 
 def validate_partition(parts: Iterable[int]) -> Partition:
     """Return ``parts`` as a canonical partition tuple.
@@ -115,15 +113,6 @@ class RimHookRecord:
     outer: Partition
     size: int
     height: int
-
-
-def rim_hook_record_to_json(rec: RimHookRecord) -> dict:
-    return {
-        "inner": list(rec.inner),
-        "outer": list(rec.outer),
-        "size": rec.size,
-        "height": rec.height,
-    }
 
 
 def _bead_moves(lam: Partition, shift: int, beads: int) -> Iterator[tuple[Partition, int]]:

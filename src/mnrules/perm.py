@@ -1,4 +1,5 @@
-"""Permutations of {1, 2, ...} with finite support; k-Bruhat covers and chains.
+"""Permutations of {1, 2, ...} with finite support; k-Bruhat covers and the
+endpoints of saturated k-Bruhat chains.
 
 A permutation is stored in one-line notation as a tuple (w(1), ..., w(m)),
 trimmed so that either the tuple is empty (the identity) or its last entry is
@@ -13,12 +14,6 @@ from dataclasses import dataclass
 from typing import Iterable
 
 Permutation = tuple[int, ...]
-
-IDENTITY: Permutation = ()
-
-
-class ChainCapExceeded(RuntimeError):
-    """Raised when a chain enumeration would materialize too many chains."""
 
 
 def canonical(word: Iterable[int]) -> Permutation:
@@ -57,15 +52,6 @@ def compose(u: Permutation, v: Permutation) -> Permutation:
     return canonical(apply(u, apply(v, i)) for i in range(1, m + 1))
 
 
-def transposition(i: int, j: int) -> Permutation:
-    if i == j or i < 1 or j < 1:
-        raise ValueError(f"need distinct positive i, j, got {i}, {j}")
-    i, j = min(i, j), max(i, j)
-    word = list(range(1, j + 1))
-    word[i - 1], word[j - 1] = j, i
-    return tuple(word)
-
-
 def right_transposed(w: Permutation, i: int, j: int) -> Permutation:
     """w * (i, j): the values in positions i and j change places."""
     m = max(len(w), i, j)
@@ -88,34 +74,15 @@ def length(w: Permutation) -> int:
     )
 
 
-def is_cover_transposition(w: Permutation, i: int, j: int) -> bool:
-    """True when l(w * (i,j)) = l(w) + 1 for i < j.
-
-    Equivalent to: w(i) < w(j) and no position strictly between i and j
-    carries a value strictly between w(i) and w(j).
-    """
-    if not i < j:
-        raise ValueError(f"need i < j, got {i}, {j}")
-    wi, wj = apply(w, i), apply(w, j)
-    if wi > wj:
-        return False
-    return all(not wi < apply(w, t) < wj for t in range(i + 1, j))
-
-
 def het(eta: Permutation, k: int) -> int:
     """Number of positions i <= k that ``eta`` moves."""
     return sum(1 for i in range(1, min(k, len(eta)) + 1) if eta[i - 1] != i)
 
 
-def up_set(zeta: Permutation) -> frozenset[int]:
-    """Positions that ``zeta`` moves up: {a : zeta(a) > a}."""
-    return frozenset(i for i in range(1, len(zeta) + 1) if zeta[i - 1] > i)
-
-
 def cycle_type_check(eta: Permutation, c: int) -> bool:
     """True iff ``eta`` is one cycle on exactly ``c`` points (rest fixed).
 
-    >>> cycle_type_check(transposition(2, 5), 2)
+    >>> cycle_type_check((1, 5, 3, 4, 2), 2)
     True
     >>> cycle_type_check((), 2)
     False
@@ -159,11 +126,6 @@ def from_lehmer_code(code: Iterable[int]) -> Permutation:
         word.append(pool.pop(x))
     word.extend(pool)
     return canonical(word)
-
-
-def descents(w: Permutation) -> tuple[int, ...]:
-    """Positions i with w(i) > w(i+1)."""
-    return tuple(i for i in range(1, len(w)) if w[i - 1] > w[i])
 
 
 def default_max_support(w: Permutation, k: int, steps: int) -> int:
@@ -234,76 +196,6 @@ def chain_endpoints(w: Permutation, k: int, r: int) -> set[Permutation]:
     for _ in range(r):
         level = {c.end for v in level for c in k_bruhat_covers(v, k, bound)}
     return level
-
-
-def saturated_chains(
-    w: Permutation,
-    k: int,
-    r: int,
-    max_chains: int = 500_000,
-) -> list[tuple[LabeledCover, ...]]:
-    """All saturated k-Bruhat chains of length r from w, materialized.
-
-    Chains come out in depth-first order following the (i, j) order of the
-    covers at each step, which is deterministic.  Raises ChainCapExceeded
-    when more than ``max_chains`` chains would be produced.
-    """
-    w = canonical(w)
-    if r < 0:
-        raise ValueError(f"need r >= 0, got {r}")
-    bound = default_max_support(w, k, r)
-    out: list[tuple[LabeledCover, ...]] = []
-
-    def walk(v: Permutation, prefix: tuple[LabeledCover, ...]) -> None:
-        if len(prefix) == r:
-            if len(out) >= max_chains:
-                raise ChainCapExceeded(
-                    f"more than {max_chains} chains from {w} (k={k}, r={r})"
-                )
-            out.append(prefix)
-            return
-        for cov in k_bruhat_covers(v, k, bound):
-            walk(cov.end, prefix + (cov,))
-
-    walk(w, ())
-    return out
-
-
-def peakless_endpoints(w: Permutation, k: int, a: int, b: int) -> list[tuple[Permutation, int]]:
-    """Endpoints of peakless chains of shape (a, b), with multiplicities.
-
-    A chain of length a + b - 1 is peakless when its labels strictly
-    decrease through the first a steps and strictly increase from step a on.
-    a = 1 means strictly increasing labels, b = 1 strictly decreasing.
-    Returns (endpoint, number of such chains), sorted by endpoint word.
-    """
-    w = canonical(w)
-    if a < 1 or b < 1:
-        raise ValueError(f"need a, b >= 1, got a={a}, b={b}")
-    if k < 1:
-        raise ValueError(f"k must be positive, got {k}")
-    if a > k:
-        raise ValueError(f"a cannot exceed k: a={a}, k={k}")
-    r = a + b - 1
-    bound = default_max_support(w, k, r)
-    # states: (current permutation, last label) -> chain count
-    states: dict[tuple[Permutation, int], int] = {(w, 0): 1}
-    for step in range(1, r + 1):
-        nxt: dict[tuple[Permutation, int], int] = {}
-        for (v, last), count in states.items():
-            for cov in k_bruhat_covers(v, k, bound):
-                if step > 1:
-                    if step <= a and not cov.label < last:
-                        continue
-                    if step > a and not cov.label > last:
-                        continue
-                key = (cov.end, cov.label)
-                nxt[key] = nxt.get(key, 0) + count
-        states = nxt
-    totals: dict[Permutation, int] = {}
-    for (v, _), count in states.items():
-        totals[v] = totals.get(v, 0) + count
-    return sorted(totals.items())
 
 
 if __name__ == "__main__":

@@ -13,7 +13,6 @@ from functools import cache
 from .partitions import Partition, validate_partition
 from .perm import (
     Permutation,
-    apply,
     canonical,
     chain_endpoints,
     compose,
@@ -22,10 +21,8 @@ from .perm import (
     from_lehmer_code,
     het,
     inverse,
-    is_cover_transposition,
     k_bruhat_covers,
     length,
-    peakless_endpoints,
     right_transposed,
 )
 from .poly import SparsePoly
@@ -65,57 +62,11 @@ def divided_difference(f: SparsePoly, i: int) -> SparsePoly:
     return SparsePoly._from_clean(data)
 
 
-def reduced_word(v: Permutation) -> tuple[int, ...]:
-    """A reduced word (a_1, ..., a_m) with v = t_{a_1} * ... * t_{a_m}.
-
-    Peels simple transpositions off the left: a is a valid first letter
-    whenever the value a sits to the right of a + 1 in one-line notation.
-    """
-    v = canonical(v)
-    word = []
-    inv = list(inverse(v))
-    while inv:
-        for a in range(1, len(inv)):
-            if inv[a - 1] > inv[a]:
-                word.append(a)
-                inv[a - 1], inv[a] = inv[a], inv[a - 1]
-                break
-        while inv and inv[-1] == len(inv):
-            inv.pop()
-    return tuple(word)
-
-
-def apply_divided_word(f: SparsePoly, word: tuple[int, ...]) -> SparsePoly:
-    """Apply the composite divided difference along a reduced word.
-
-    The last letter acts first, matching the convention that the operator of
-    v = t_{a_1} * ... * t_{a_m} is the composition of the operators of its
-    letters in the same order.
-    """
-    for a in reversed(word):
-        f = divided_difference(f, a)
-    return f
-
-
 def staircase_monomial(n: int) -> SparsePoly:
     """x_1^(n-1) x_2^(n-2) ... x_{n-1}, the top Schubert polynomial of S_n."""
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
     return SparsePoly.monomial(tuple(range(n - 1, 0, -1)))
-
-
-def schubert_poly_in(w: Permutation, n: int) -> SparsePoly:
-    """Schubert polynomial of w computed inside S_n, straight from the definition.
-
-    Applies the divided differences of w^{-1} * w0 to the staircase monomial.
-    The result does not depend on n (stability), which the tests exercise.
-    """
-    w = canonical(w)
-    if len(w) > n:
-        raise ValueError(f"{w} does not lie in S_{n}")
-    w0 = tuple(range(n, 0, -1))
-    v = compose(inverse(w), w0)
-    return apply_divided_word(staircase_monomial(n), reduced_word(v))
 
 
 @cache
@@ -180,27 +131,6 @@ def monk(w: Permutation, k: int) -> SchubertExpansion:
     return {c.end: 1 for c in k_bruhat_covers(w, k, default_max_support(w, k, 1))}
 
 
-def transition_xi(w: Permutation, i: int) -> SchubertExpansion:
-    """Multiply the Schubert polynomial of w by the single variable x_i.
-
-    Plus terms w(i, b) for b > i, minus terms w(a, i) for a < i, in both
-    cases only where the length goes up by exactly one.  b runs up to
-    max(len(w), i) + 1: past it the fixed value b - 1 sits between w(i) and
-    w(b) = b, so no cover is lost.
-    """
-    w = canonical(w)
-    if i < 1:
-        raise ValueError(f"positions are 1-indexed, got {i}")
-    out: SchubertExpansion = {}
-    for b in range(i + 1, max(len(w), i) + 2):
-        if is_cover_transposition(w, i, b):
-            out[right_transposed(w, i, b)] = 1
-    for a in range(1, i):
-        if is_cover_transposition(w, a, i):
-            out[right_transposed(w, a, i)] = -1
-    return out
-
-
 def mn_schubert(w: Permutation, k: int, r: int) -> SchubertExpansion:
     """Multiply the Schubert polynomial of w by the power sum p_r(x_1..x_k).
 
@@ -219,16 +149,6 @@ def mn_schubert(w: Permutation, k: int, r: int) -> SchubertExpansion:
         if cycle_type_check(eta, r + 1):
             out[u] = 1 if het(eta, k) % 2 else -1
     return out
-
-
-def hook_times_schubert(w: Permutation, k: int, a: int, b: int) -> SchubertExpansion:
-    """Multiply the Schubert polynomial of w by s_(b, 1^(a-1))(x_1..x_k).
-
-    The coefficient of S_u is the number of peakless chains of shape (a, b)
-    from w to u: labels strictly decreasing for a steps, then strictly
-    increasing.
-    """
-    return dict(peakless_endpoints(w, k, a, b))
 
 
 def grassmannian_permutation(lam: Partition, k: int) -> Permutation:
@@ -250,14 +170,3 @@ def schubert_expansion_to_json(expansion: SchubertExpansion) -> list[dict]:
         for u in sorted(expansion, key=lambda u: (length(u), u))
     ]
 
-
-def schubert_expansion_from_json(data: list[dict]) -> SchubertExpansion:
-    out: SchubertExpansion = {}
-    for item in data:
-        u = canonical(item["perm"])
-        coeff = int(item["coeff"])
-        if u in out:
-            raise ValueError(f"duplicate permutation {u}")
-        if coeff:
-            out[u] = coeff
-    return out

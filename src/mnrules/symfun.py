@@ -1,4 +1,4 @@
-"""Schur expansions in k variables: Pieri rules, power-sum products, monomials.
+"""Schur expansions in k variables: Pieri rules and power-sum products.
 
 A Schur expansion is a dict mapping partitions to nonzero integer
 coefficients.  All products here live in the ring of symmetric polynomials in
@@ -62,23 +62,6 @@ def mn_classical(lam: Partition, r: int, k: int) -> SchurExpansion:
     }
 
 
-def hook_partition(b: int, a: int) -> Partition:
-    """The hook with arm b and leg a - 1: one row of b, then a - 1 rows of 1."""
-    if b < 1 or a < 1:
-        raise ValueError(f"need arm >= 1 and height >= 1, got b={b}, a={a}")
-    return (b,) + (1,) * (a - 1)
-
-
-def p_as_hooks(r: int) -> SchurExpansion:
-    """The power sum p_r as an alternating sum of hook Schur functions.
-
-    p_r = sum over i of (-1)**i s_(r-i, 1^i).
-    """
-    if r < 1:
-        raise ValueError(f"need r >= 1, got {r}")
-    return {hook_partition(r - i, i + 1): (-1) ** i for i in range(r)}
-
-
 def grassmannian_project(expansion: SchurExpansion, k: int, n: int) -> SchurExpansion:
     """Drop every term whose partition does not fit in the k x (n-k) box."""
     box = box_partition(k, n)
@@ -87,41 +70,6 @@ def grassmannian_project(expansion: SchurExpansion, k: int, n: int) -> SchurExpa
         for lam, c in expansion.items()
         if c and leq(validate_partition(lam), box)
     }
-
-
-def schur_to_monomials(lam: Partition, k: int) -> SparsePoly:
-    """The Schur polynomial s_lam(x_1..x_k) as an explicit sparse polynomial.
-
-    Computed straight from the definition: one monomial per semistandard
-    tableau of shape lam with entries at most k (rows weakly increase,
-    columns strictly increase).
-    """
-    lam = _require_fits(lam, k)
-    terms: dict[tuple[int, ...], int] = {}
-    weight = [0] * k
-    row: list[list[int]] = [[0] * w for w in lam]
-
-    def fill_row(r: int, c: int, min_val: int) -> None:
-        if r == len(lam):
-            e = tuple(weight)
-            while e and e[-1] == 0:
-                e = e[:-1]
-            terms[e] = terms.get(e, 0) + 1
-            return
-        if c == lam[r]:
-            fill_row(r + 1, 0, 1)
-            return
-        lo = min_val
-        if r:
-            lo = max(lo, row[r - 1][c] + 1)
-        for v in range(lo, k + 1):
-            row[r][c] = v
-            weight[v - 1] += 1
-            fill_row(r, c + 1, v)
-            weight[v - 1] -= 1
-
-    fill_row(0, 0, 1)
-    return SparsePoly(terms)
 
 
 def power_sum_poly(r: int, k: int) -> SparsePoly:
@@ -137,14 +85,3 @@ def schur_expansion_to_json(expansion: SchurExpansion) -> list[dict]:
         for lam in sorted(expansion)
     ]
 
-
-def schur_expansion_from_json(data: list[dict]) -> SchurExpansion:
-    out: SchurExpansion = {}
-    for item in data:
-        lam = validate_partition(item["partition"])
-        coeff = int(item["coeff"])
-        if lam in out:
-            raise ValueError(f"duplicate partition {lam}")
-        if coeff:
-            out[lam] = coeff
-    return out

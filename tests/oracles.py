@@ -4,10 +4,20 @@ Everything here is deliberately written from different definitions than the
 code under test: rim hooks via edge connectivity instead of diagonals;
 adding and removing rim hooks row by row along the diagonals, and n-cores by
 stripping one such hook at a time, instead of moving beads on an abacus;
-n-cores also by sliding every bead down its runner at once; Schubert
-polynomials via reduced words instead of divided differences; Schur
-polynomials via a Jacobi-Trudi determinant instead of tableaux; k-Bruhat
-covers via one interval scan per pair instead of a running minimum.
+n-cores also by sliding every bead down its runner at once; k-Bruhat covers
+via one interval scan per pair instead of a running minimum.
+
+The paper's other routes to its rules live here too:
+
+- Schubert polynomials via reduced words and compatible sequences, and top
+  down from w_0 in any S_n: the divided differences along one reduced word
+  of w^{-1} w_0 applied to the staircase monomial;
+- hook products s_(b,1^(a-1)) * S_w via peakless k-Bruhat chains, instead of
+  the (r+1)-cycle rule of mn_schubert;
+- Monk's rule via the transition formula, one variable x_i at a time,
+  instead of k-Bruhat covers;
+- Schur polynomials via semistandard tableaux and via a Jacobi-Trudi
+  determinant, and p_r as an alternating sum of hooks.
 """
 
 from __future__ import annotations
@@ -15,7 +25,7 @@ from __future__ import annotations
 import functools
 from itertools import combinations_with_replacement
 
-from mnrules import perm
+from mnrules import perm, schubert
 from mnrules.partitions import (
     CoreResult,
     Partition,
@@ -236,6 +246,29 @@ def removal_observables(lam: Partition, n: int) -> frozenset[tuple[Partition, in
     return frozenset(out)
 
 
+def transposition(i: int, j: int) -> perm.Permutation:
+    if i == j or i < 1 or j < 1:
+        raise ValueError(f"need distinct positive i, j, got {i}, {j}")
+    i, j = min(i, j), max(i, j)
+    word = list(range(1, j + 1))
+    word[i - 1], word[j - 1] = j, i
+    return tuple(word)
+
+
+def is_cover_transposition(w: perm.Permutation, i: int, j: int) -> bool:
+    """True when l(w * (i,j)) = l(w) + 1 for i < j.
+
+    Equivalent to: w(i) < w(j) and no position strictly between i and j
+    carries a value strictly between w(i) and w(j).
+    """
+    if not i < j:
+        raise ValueError(f"need i < j, got {i}, {j}")
+    wi, wj = perm.apply(w, i), perm.apply(w, j)
+    if wi > wj:
+        return False
+    return all(not wi < perm.apply(w, t) < wj for t in range(i + 1, j))
+
+
 def oracle_k_bruhat_covers(
     w: perm.Permutation, k: int, max_support: int
 ) -> list[perm.LabeledCover]:
@@ -251,9 +284,79 @@ def oracle_k_bruhat_covers(
     for i in range(1, k + 1):
         label = perm.apply(w, i)
         for j in range(k + 1, max_support + 1):
-            if i < j and perm.is_cover_transposition(w, i, j):
+            if i < j and is_cover_transposition(w, i, j):
                 covers.append(perm.LabeledCover(w, perm.right_transposed(w, i, j), label))
     return covers
+
+
+def peakless_endpoints(
+    w: perm.Permutation, k: int, a: int, b: int
+) -> list[tuple[perm.Permutation, int]]:
+    """Endpoints of peakless chains of shape (a, b), with multiplicities.
+
+    A chain of length a + b - 1 is peakless when its labels strictly
+    decrease through the first a steps and strictly increase from step a on.
+    a = 1 means strictly increasing labels, b = 1 strictly decreasing.
+    Returns (endpoint, number of such chains), sorted by endpoint word.
+    """
+    w = perm.canonical(w)
+    if a < 1 or b < 1:
+        raise ValueError(f"need a, b >= 1, got a={a}, b={b}")
+    if k < 1:
+        raise ValueError(f"k must be positive, got {k}")
+    if a > k:
+        raise ValueError(f"a cannot exceed k: a={a}, k={k}")
+    r = a + b - 1
+    bound = perm.default_max_support(w, k, r)
+    # states: (current permutation, last label) -> chain count
+    states: dict[tuple[perm.Permutation, int], int] = {(w, 0): 1}
+    for step in range(1, r + 1):
+        nxt: dict[tuple[perm.Permutation, int], int] = {}
+        for (v, last), count in states.items():
+            for cov in perm.k_bruhat_covers(v, k, bound):
+                if step > 1:
+                    if step <= a and not cov.label < last:
+                        continue
+                    if step > a and not cov.label > last:
+                        continue
+                key = (cov.end, cov.label)
+                nxt[key] = nxt.get(key, 0) + count
+        states = nxt
+    totals: dict[perm.Permutation, int] = {}
+    for (v, _), count in states.items():
+        totals[v] = totals.get(v, 0) + count
+    return sorted(totals.items())
+
+
+def hook_times_schubert(w: perm.Permutation, k: int, a: int, b: int) -> dict:
+    """Multiply the Schubert polynomial of w by s_(b, 1^(a-1))(x_1..x_k).
+
+    The coefficient of S_u is the number of peakless chains of shape (a, b)
+    from w to u: labels strictly decreasing for a steps, then strictly
+    increasing.
+    """
+    return dict(peakless_endpoints(w, k, a, b))
+
+
+def transition_xi(w: perm.Permutation, i: int) -> dict:
+    """Multiply the Schubert polynomial of w by the single variable x_i.
+
+    Plus terms w(i, b) for b > i, minus terms w(a, i) for a < i, in both
+    cases only where the length goes up by exactly one.  b runs up to
+    max(len(w), i) + 1: past it the fixed value b - 1 sits between w(i) and
+    w(b) = b, so no cover is lost.
+    """
+    w = perm.canonical(w)
+    if i < 1:
+        raise ValueError(f"positions are 1-indexed, got {i}")
+    out = {}
+    for b in range(i + 1, max(len(w), i) + 2):
+        if is_cover_transposition(w, i, b):
+            out[perm.right_transposed(w, i, b)] = 1
+    for a in range(1, i):
+        if is_cover_transposition(w, a, i):
+            out[perm.right_transposed(w, a, i)] = -1
+    return out
 
 
 @functools.cache
@@ -300,6 +403,52 @@ def bjs_schubert(w: perm.Permutation) -> SparsePoly:
     return total
 
 
+def reduced_word(v: perm.Permutation) -> tuple[int, ...]:
+    """One reduced word (a_1, ..., a_m) with v = t_{a_1} * ... * t_{a_m}.
+
+    Peels simple transpositions off the left: a is a valid first letter
+    whenever the value a sits to the right of a + 1 in one-line notation.
+    """
+    v = perm.canonical(v)
+    word = []
+    inv = list(perm.inverse(v))
+    while inv:
+        for a in range(1, len(inv)):
+            if inv[a - 1] > inv[a]:
+                word.append(a)
+                inv[a - 1], inv[a] = inv[a], inv[a - 1]
+                break
+        while inv and inv[-1] == len(inv):
+            inv.pop()
+    return tuple(word)
+
+
+def apply_divided_word(f: SparsePoly, word: tuple[int, ...]) -> SparsePoly:
+    """Apply the composite divided difference along a reduced word.
+
+    The last letter acts first, matching the convention that the operator of
+    v = t_{a_1} * ... * t_{a_m} is the composition of the operators of its
+    letters in the same order.
+    """
+    for a in reversed(word):
+        f = schubert.divided_difference(f, a)
+    return f
+
+
+def schubert_poly_in(w: perm.Permutation, n: int) -> SparsePoly:
+    """Schubert polynomial of w computed inside S_n, straight from the definition.
+
+    Applies the divided differences of w^{-1} * w0 to the staircase monomial.
+    The result does not depend on n (stability), which the tests exercise.
+    """
+    w = perm.canonical(w)
+    if len(w) > n:
+        raise ValueError(f"{w} does not lie in S_{n}")
+    w0 = tuple(range(n, 0, -1))
+    v = perm.compose(perm.inverse(w), w0)
+    return apply_divided_word(schubert.staircase_monomial(n), reduced_word(v))
+
+
 def complete_homogeneous_poly(degree: int, k: int) -> SparsePoly:
     """h_degree(x_1..x_k); zero for negative degree, one for degree zero."""
     if degree < 0:
@@ -331,6 +480,60 @@ def jacobi_trudi_schur_poly(lam: Partition, k: int) -> SparsePoly:
         sign = 1 if perm.length(sigma) % 2 == 0 else -1
         total = total + sign * entry
     return total
+
+
+def schur_to_monomials(lam: Partition, k: int) -> SparsePoly:
+    """The Schur polynomial s_lam(x_1..x_k) as an explicit sparse polynomial.
+
+    Computed straight from the definition: one monomial per semistandard
+    tableau of shape lam with entries at most k (rows weakly increase,
+    columns strictly increase).
+    """
+    lam = validate_partition(lam)
+    if len(lam) > k:
+        raise ValueError(f"{lam} has more than {k} rows")
+    terms: dict[tuple[int, ...], int] = {}
+    weight = [0] * k
+    row: list[list[int]] = [[0] * w for w in lam]
+
+    def fill_row(r: int, c: int, min_val: int) -> None:
+        if r == len(lam):
+            e = tuple(weight)
+            while e and e[-1] == 0:
+                e = e[:-1]
+            terms[e] = terms.get(e, 0) + 1
+            return
+        if c == lam[r]:
+            fill_row(r + 1, 0, 1)
+            return
+        lo = min_val
+        if r:
+            lo = max(lo, row[r - 1][c] + 1)
+        for v in range(lo, k + 1):
+            row[r][c] = v
+            weight[v - 1] += 1
+            fill_row(r, c + 1, v)
+            weight[v - 1] -= 1
+
+    fill_row(0, 0, 1)
+    return SparsePoly(terms)
+
+
+def hook_partition(b: int, a: int) -> Partition:
+    """The hook with arm b and leg a - 1: one row of b, then a - 1 rows of 1."""
+    if b < 1 or a < 1:
+        raise ValueError(f"need arm >= 1 and height >= 1, got b={b}, a={a}")
+    return (b,) + (1,) * (a - 1)
+
+
+def p_as_hooks(r: int) -> dict[Partition, int]:
+    """The power sum p_r as an alternating sum of hook Schur functions.
+
+    p_r = sum over i of (-1)**i s_(r-i, 1^i).
+    """
+    if r < 1:
+        raise ValueError(f"need r >= 1, got {r}")
+    return {hook_partition(r - i, i + 1): (-1) ** i for i in range(r)}
 
 
 def hook_times_schur(lam: Partition, a: int, b: int, k: int):

@@ -26,13 +26,15 @@ from mnrules.schubert import (
     monk,
     schubert_poly,
 )
-from mnrules.symfun import mn_classical, power_sum_poly, schur_to_monomials
+from mnrules.symfun import mn_classical, power_sum_poly
 from oracles import (
     hook_times_schur,
     partitions_in_box,
     partitions_of,
     removal_observables,
+    schur_to_monomials,
     skew_cell_set,
+    transposition,
 )
 
 
@@ -246,7 +248,7 @@ def test_acceptance_07_operator_algebra_suite(capsys):
     for w in all_perms(4):
         assert expand_in_schubert(schubert_poly(w)) == {w: 1}
         for k in (1, 2, 3):
-            product = schubert_poly(perm.transposition(k, k + 1)) * schubert_poly(w)
+            product = schubert_poly(transposition(k, k + 1)) * schubert_poly(w)
             assert monk(w, k) == expand_in_schubert(product)
     report(capsys, 7, 120, started, "220 random polynomials, S_4 round trips, Monk products")
 
@@ -280,7 +282,7 @@ def test_acceptance_09_ideal_vanishing(capsys):
         assert reportv.ok
         named = {c.name: c for c in reportv.checks}
         for j in range(n - k + 1, n):
-            assert named[f"h_{j}"].actual == "0"
+            assert named[f"h_{j}"].actual == {}
         assert psi_reduce((n,), ctx) == {(1, ()): 1 if k % 2 else -1}
         sampled = [c for c in reportv.checks if c.name.startswith("s_")]
         assert len(sampled) == 20

@@ -3,7 +3,6 @@ import json
 import pytest
 
 from mnrules import cli, perm
-from mnrules.symfun import schur_expansion_from_json
 
 
 def run(capsys, *argv):
@@ -45,7 +44,7 @@ def test_mn_schur_json_round_trip(capsys):
     )
     assert code == 0
     data = json.loads(out)
-    assert schur_expansion_from_json(data) == {(3,): 1, (1, 1, 1): -1}
+    assert data == [{"coeff": -1, "partition": [1, 1, 1]}, {"coeff": 1, "partition": [3]}]
 
 
 def test_mn_schur_empty_partition(capsys):
@@ -150,6 +149,22 @@ def test_core_with_sign(capsys):
     assert code == 0
     assert "core [4,2,2]" in out
     assert "hooks_removed=3" in out
+
+
+def test_core_rejects_k_below_the_row_count(capsys):
+    # psi_reduce refuses these partitions, so there is no sign to report
+    for k, message in (
+        ("1", "has more than 1 rows"),
+        ("0", "k must be positive"),
+        ("-5", "k must be positive"),
+    ):
+        code, out, err = run(capsys, "core", "--partition", "3,2,1", "--n", "2", "--k", k)
+        assert code == 2 and out == ""
+        assert message in err
+    code, out, _ = run(capsys, "core", "--partition", "3,2,1", "--n", "4", "--k", "3")
+    assert code == 0 and "sign(k=3)" in out
+    code, out, _ = run(capsys, "core", "--partition", "", "--n", "2", "--k", "1")
+    assert code == 0 and "sign(k=1)=+1" in out
 
 
 def test_error_paths_exit_2(capsys):

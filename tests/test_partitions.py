@@ -5,7 +5,6 @@ from hypothesis import given, settings, strategies as st
 
 from mnrules import partitions
 from mnrules.partitions import (
-    RimHookRecord,
     add_rim_hooks,
     box_partition,
     is_rim_hook,
@@ -14,7 +13,6 @@ from mnrules.partitions import (
     part,
     remove_rim_hooks,
     rim_hook_height,
-    rim_hook_record_to_json,
     strips,
     validate_partition,
 )
@@ -157,16 +155,6 @@ def test_add_and_remove_are_inverse(lam, r):
         assert lam in {
             back.outer for back in add_rim_hooks(rec.inner, r, len(lam))
         }
-
-
-def test_rim_hook_record_json():
-    rec = RimHookRecord(inner=(3,), outer=(6, 4, 1), size=8, height=3)
-    assert rim_hook_record_to_json(rec) == {
-        "inner": [3],
-        "outer": [6, 4, 1],
-        "size": 8,
-        "height": 3,
-    }
 
 
 def test_n_core_known_values():

@@ -15,6 +15,7 @@ cells instead, so tests can use them as certificates.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Literal
 
@@ -24,15 +25,19 @@ Partition = tuple[int, ...]
 def validate_partition(parts: Iterable[int]) -> Partition:
     """Return ``parts`` as a canonical partition tuple.
 
-    Trailing zeros are dropped; negative or increasing entries raise
-    ValueError.
+    Trailing zeros are dropped; negative or increasing entries, and entries
+    that are not integers (floats, strings, fractions), raise ValueError.
 
     >>> validate_partition([3, 2, 1, 0, 0])
     (3, 2, 1)
     >>> validate_partition([])
     ()
     """
-    lam = tuple(int(p) for p in parts)
+    parts = tuple(parts)
+    try:
+        lam = tuple(map(operator.index, parts))
+    except TypeError:
+        raise ValueError(f"parts must be positive integers, got {parts}") from None
     while lam and lam[-1] == 0:
         lam = lam[:-1]
     for i, p in enumerate(lam):

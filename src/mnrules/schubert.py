@@ -15,7 +15,6 @@ from .perm import (
     Permutation,
     canonical,
     chain_endpoints,
-    compose,
     cycle_type_check,
     default_max_support,
     from_lehmer_code,
@@ -142,10 +141,13 @@ def mn_schubert(w: Permutation, k: int, r: int) -> SchubertExpansion:
     w = canonical(w)
     if k < 1 or r < 1:
         raise ValueError(f"need k, r >= 1, got k={k}, r={r}")
-    w_inv = inverse(w)
+    # Every endpoint is at least as long as w and fits in the support bound,
+    # so eta(i) = w^{-1}(u(i)) is one lookup in a padded inverse table.
+    bound = default_max_support(w, k, r)
+    w_inv = (0,) + inverse(w) + tuple(range(len(w) + 1, bound + 1))
     out: SchubertExpansion = {}
     for u in chain_endpoints(w, k, r):
-        eta = compose(w_inv, u)
+        eta = tuple(map(w_inv.__getitem__, u))
         if cycle_type_check(eta, r + 1):
             out[u] = 1 if het(eta, k) % 2 else -1
     return out

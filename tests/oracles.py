@@ -5,7 +5,9 @@ code under test: rim hooks via edge connectivity instead of diagonals;
 adding and removing rim hooks row by row along the diagonals, and n-cores by
 stripping one such hook at a time, instead of moving beads on an abacus;
 n-cores also by sliding every bead down its runner at once; k-Bruhat covers
-via one interval scan per pair instead of a running minimum.
+via one interval scan per pair instead of a running minimum; permutation
+lengths by comparing every pair instead of counting on insertion; and
+w^{-1} u in mn_schubert by ``compose`` instead of a padded inverse table.
 
 The paper's other routes to its rules live here too:
 
@@ -287,6 +289,30 @@ def oracle_k_bruhat_covers(
             if i < j and is_cover_transposition(w, i, j):
                 covers.append(perm.LabeledCover(w, perm.right_transposed(w, i, j), label))
     return covers
+
+
+def oracle_length(w: perm.Permutation) -> int:
+    """Number of inversions, by comparing every pair of positions."""
+    return sum(
+        1
+        for a in range(len(w))
+        for b in range(a + 1, len(w))
+        if w[a] > w[b]
+    )
+
+
+def oracle_mn_schubert(w: perm.Permutation, k: int, r: int) -> dict:
+    """mn_schubert with eta = w^{-1} u built by ``compose`` and canonicalized."""
+    w = perm.canonical(w)
+    if k < 1 or r < 1:
+        raise ValueError(f"need k, r >= 1, got k={k}, r={r}")
+    w_inv = perm.inverse(w)
+    out: schubert.SchubertExpansion = {}
+    for u in perm.chain_endpoints(w, k, r):
+        eta = perm.compose(w_inv, u)
+        if perm.cycle_type_check(eta, r + 1):
+            out[u] = 1 if perm.het(eta, k) % 2 else -1
+    return out
 
 
 def peakless_endpoints(

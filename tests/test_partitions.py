@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -31,6 +32,18 @@ from oracles import (
 small_partitions = st.integers(0, 8).flatmap(
     lambda n: st.sampled_from(sorted(partitions_of(n)) or [()])
 )
+
+
+def test_validate_partition_rejects_non_integer_parts():
+    # int() used to truncate (2.5, 1) to (2, 1)
+    for bad in ((2.5, 1), "21", (Fraction(5, 2), 1), (2, 1.0)):
+        with pytest.raises(ValueError, match="positive integers"):
+            validate_partition(bad)
+
+    class Small(int):
+        pass
+
+    assert validate_partition((Small(2), Small(1))) == (2, 1)
 
 
 def test_validate_partition_trims_and_rejects():

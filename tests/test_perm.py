@@ -1,6 +1,7 @@
 import inspect
 import itertools
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -24,6 +25,7 @@ from mnrules.perm import (
 from oracles import (
     is_cover_transposition,
     oracle_k_bruhat_covers,
+    oracle_length,
     peakless_endpoints,
     transition_xi,
     transposition,
@@ -44,6 +46,21 @@ def test_canonical_trims_fixed_tail():
         canonical((2, 3))
 
 
+def test_canonical_rejects_non_integer_entries():
+    # int() used to truncate these: [2.7, 1] and '21' both read as (2, 1)
+    for bad in ([2.7, 1], "21", [Fraction(2), 1], [2, 1.0]):
+        with pytest.raises(ValueError, match="must be integers"):
+            canonical(bad)
+    with pytest.raises(ValueError, match="must be integers"):
+        from_lehmer_code([1.5])
+
+    class Small(int):
+        pass
+
+    assert canonical([Small(2), Small(1)]) == (2, 1)
+    assert from_lehmer_code([Small(1), Small(2)]) == (2, 4, 1, 3)
+
+
 def test_length_examples():
     assert length(()) == 0
     assert length(transposition(3, 4)) == 1
@@ -62,6 +79,17 @@ def test_length_is_inversion_count(w):
         if w[i] > w[j]
     )
     assert length(w) == brute
+
+
+def test_length_matches_pairwise_oracle():
+    for n in range(8):
+        for word in itertools.permutations(range(1, n + 1)):
+            assert length(word) == oracle_length(word), word
+    rng = random.Random(2000)
+    for m in (10, 100, 500, 1999, 2000):
+        word = tuple(rng.sample(range(1, m + 1), m))
+        assert length(word) == oracle_length(word), m
+    assert length(tuple(range(2000, 0, -1))) == 2000 * 1999 // 2
 
 
 def test_compose_convention():
@@ -151,6 +179,31 @@ def test_covers_match_pairwise_oracle_on_s12_chain_states():
                 nxt.update(c.end for c in got)
             level = nxt
         assert level == chain_endpoints(w, k, r)
+
+
+def test_chain_endpoints_calls_the_kernel_once_per_state(monkeypatch):
+    # The benchmark's traced run times the BFS through this module-global
+    # call, so chain_endpoints must make it once for every state it expands.
+    calls = []
+    kernel = perm.k_bruhat_covers
+
+    def counting(v, k, max_support):
+        calls.append(v)
+        return kernel(v, k, max_support)
+
+    monkeypatch.setattr(perm, "k_bruhat_covers", counting)
+    rng = random.Random(1512)
+    for w, k, r in [((), 3, 4), ((2, 1), 1, 3), (W_EXAMPLE, 4, 4)] + [
+        (canonical(rng.sample(range(1, 13), 12)), k, 4) for k in (4, 6, 8)
+    ]:
+        calls.clear()
+        bound = default_max_support(w, k, r)
+        level, states = {w}, []
+        for _ in range(r):
+            states.extend(level)
+            level = {c.end for v in level for c in oracle_k_bruhat_covers(v, k, bound)}
+        assert chain_endpoints(w, k, r) == level
+        assert sorted(calls) == sorted(states), (w, k, r)
 
 
 def test_chain_endpoints_and_saturated_chains_agree():

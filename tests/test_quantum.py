@@ -92,8 +92,8 @@ def test_quantum_mn_extended_rejects_multiples_of_n():
         quantum_mn_extended((1,), 0, GrContext(3, 6))
 
 
-def sweep_cases():
-    for k, n in [(2, 4), (2, 5), (3, 6), (4, 8)]:
+def sweep_cases(shapes=((2, 4), (2, 5), (3, 6), (4, 8))):
+    for k, n in shapes:
         ctx = GrContext(k, n)
         for lam in partitions_in_box(k, n - k):
             for r in range(1, n):
@@ -106,6 +106,14 @@ def test_quantum_mn_matches_reduction_oracle_everywhere():
         assert quantum_mn(lam, r, ctx) == oracle_quantum_mn(lam, r, ctx)
         count += 1
     assert count == 648
+
+
+def test_quantum_mn_matches_reduction_oracle_on_gr_5_10_and_6_12():
+    count = 0
+    for ctx, lam, r in sweep_cases(((5, 10), (6, 12))):
+        assert quantum_mn(lam, r, ctx) == oracle_quantum_mn(lam, r, ctx), (ctx, lam, r)
+        count += 1
+    assert count == 2268 + 10164
 
 
 def test_quantum_mn_grading():

@@ -20,6 +20,7 @@ from oracles import (
     bjs_schubert,
     hook_partition,
     hook_times_schubert,
+    oracle_mn_schubert,
     p_as_hooks,
     schubert_poly_in,
     schur_to_monomials,
@@ -278,6 +279,27 @@ def test_mn_schubert_matches_polynomial_oracle_on_sampled_s6_s7():
             r = rng.randint(1, max_r)
             product = power_sum_poly(r, k) * schubert_poly(w)
             assert mn_schubert(w, k, r) == expand_in_schubert(product), (w, k, r)
+
+
+def test_mn_schubert_matches_compose_oracle():
+    # eta = w^{-1} u by table lookup against compose + canonical
+    for n in range(7):
+        for w in all_perms(n):
+            for k in range(1, n + 2):
+                for r in range(1, 5):
+                    assert mn_schubert(w, k, r) == oracle_mn_schubert(w, k, r), (w, k, r)
+    rng = random.Random(1512)
+    for _ in range(40):
+        w = perm.canonical(rng.sample(range(1, 13), 12))
+        k = rng.choice((4, 6, 8))
+        r = rng.randint(1, 6)
+        assert mn_schubert(w, k, r) == oracle_mn_schubert(w, k, r), (w, k, r)
+
+
+def test_mn_schubert_rejects_non_integer_entries():
+    # int() used to truncate (2.9, 1.2) to (2, 1) and answer {(3, 1, 2): 1}
+    with pytest.raises(ValueError, match="must be integers"):
+        mn_schubert((2.9, 1.2), 1, 1)
 
 
 # --- hook products ----------------------------------------------------------

@@ -21,6 +21,18 @@ from typing import Iterable, Iterator, Literal
 
 Partition = tuple[int, ...]
 
+# Size limits on what a call may build from its integer arguments, which come
+# from the command line: an abacus or a strip search of more than ROW_LIMIT
+# rows (a strip search recurses once per row), and an n-core search that may
+# strip more than HOOK_LIMIT hooks.
+ROW_LIMIT = 500
+HOOK_LIMIT = 100_000
+
+
+def _require_rows(rows: int) -> None:
+    if rows > ROW_LIMIT:
+        raise ValueError(f"{rows} rows is over the limit of {ROW_LIMIT}")
+
 
 def validate_partition(parts: Iterable[int]) -> Partition:
     """Return ``parts`` as a canonical partition tuple.
@@ -65,13 +77,14 @@ def leq(a: Partition, b: Partition) -> bool:
 
 
 def box_partition(k: int, n: int) -> Partition:
-    """The k-row rectangle with rows of length n - k.
+    """The k-row rectangle with rows of length n - k (k at most ``ROW_LIMIT``).
 
     >>> box_partition(2, 5)
     (3, 3)
     """
     if not 0 < k < n:
         raise ValueError(f"need 0 < k < n, got k={k}, n={n}")
+    _require_rows(k)
     return (n - k,) * k
 
 
@@ -147,7 +160,8 @@ def add_rim_hooks(lam: Partition, r: int, max_rows: int) -> list[RimHookRecord]:
 
     On the abacus of ``max_rows`` beads, each bead that can move up by r to
     an empty position gives one hook (see :func:`_bead_moves`).  Records are
-    sorted lexicographically by outer shape.
+    sorted lexicographically by outer shape.  ``max_rows`` over
+    ``ROW_LIMIT`` raises ValueError.
 
     >>> [(rec.outer, rec.height) for rec in add_rim_hooks((1,), 2, 3)]
     [((1, 1, 1), 2), ((3,), 1)]
@@ -157,6 +171,7 @@ def add_rim_hooks(lam: Partition, r: int, max_rows: int) -> list[RimHookRecord]:
         raise ValueError(f"rim hook size must be positive, got {r}")
     if max_rows < 0:
         raise ValueError(f"max_rows must be nonnegative, got {max_rows}")
+    _require_rows(max_rows)
     if len(lam) > max_rows:
         return []
     found = [RimHookRecord(lam, mu, r, h) for mu, h in _bead_moves(lam, r, max_rows)]
@@ -197,7 +212,8 @@ def n_core(lam: Partition, n: int) -> CoreResult:
     Each step moves the largest bead that can drop by n, which removes the
     hook whose top row is highest.  The resulting core, the number of hooks,
     and the parity of the total height do not depend on the removal order;
-    only this policy's height_sum is reported.
+    only this policy's height_sum is reported.  At most |lam| / n hooks
+    come off, and a bound over ``HOOK_LIMIT`` raises ValueError.
 
     >>> n_core((2, 1, 1), 4)
     CoreResult(core=(), hooks_removed=1, height_sum=3)
@@ -207,6 +223,10 @@ def n_core(lam: Partition, n: int) -> CoreResult:
     lam = validate_partition(lam)
     if n < 2:
         raise ValueError(f"hook size must be at least 2, got {n}")
+    if sum(lam) // n > HOOK_LIMIT:
+        raise ValueError(
+            f"may strip up to {sum(lam) // n} hooks, over the limit of {HOOK_LIMIT}"
+        )
     cur, hooks, heights = lam, 0, 0
     while (move := next(_bead_moves(cur, -n, len(cur)), None)) is not None:
         cur, height = move
@@ -222,7 +242,8 @@ def strips(lam: Partition, size: int, kind: StripKind, max_rows: int) -> list[Pa
 
     A horizontal strip has at most one new cell per column, a vertical strip
     at most one per row.  Only results with at most ``max_rows`` rows are
-    returned, sorted lexicographically.
+    returned, sorted lexicographically.  ``max_rows`` over ``ROW_LIMIT``
+    raises ValueError.
 
     >>> strips((1,), 2, "horizontal", 3)
     [(2, 1), (3,)]
@@ -232,6 +253,7 @@ def strips(lam: Partition, size: int, kind: StripKind, max_rows: int) -> list[Pa
         raise ValueError(f"strip size must be positive, got {size}")
     if kind not in ("horizontal", "vertical"):
         raise ValueError(f"kind must be 'horizontal' or 'vertical', got {kind!r}")
+    _require_rows(max_rows)
     if len(lam) > max_rows:
         return []
     found: list[Partition] = []

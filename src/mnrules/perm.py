@@ -17,6 +17,11 @@ from typing import Iterable
 
 Permutation = tuple[int, ...]
 
+# Largest support bound a call may use.  k and r come from the command line,
+# and the padded word and inverse table grow with max(len(w), k) + r:
+# k = 10**10 would ask for about 80 GB of fixed points.
+SUPPORT_LIMIT = 100_000
+
 
 def canonical(word: Iterable[int]) -> Permutation:
     """Validate one-line notation and trim trailing fixed points.
@@ -150,8 +155,13 @@ def default_max_support(w: Permutation, k: int, steps: int) -> int:
     A cover w -> w(i, j) with i <= k < j forces j at most one past
     max(support, k): for larger j the fixed value j - 1 would sit strictly
     between w(i) and w(j) = j.  So every endpoint fits in this bound.
+    A bound over ``SUPPORT_LIMIT`` raises ValueError before anything of
+    that length is built.
     """
-    return max(len(w), k) + steps
+    bound = max(len(w), k) + steps
+    if bound > SUPPORT_LIMIT:
+        raise ValueError(f"needs words of {bound} letters, over the limit of {SUPPORT_LIMIT}")
+    return bound
 
 
 @dataclass(frozen=True)
@@ -173,7 +183,8 @@ def k_bruhat_covers(w: Permutation, k: int, max_support: int) -> list[LabeledCov
     so the scan ends at the first such position after i; it also ends at
     w(j) = w(i) + 1.  With m = max(len(w), k), a call costs O(k * m) scan
     steps plus O(m) to copy each cover's endpoint, however large
-    ``max_support`` is; validating w costs O(m log m).
+    ``max_support`` is; validating w costs O(m log m).  The padded word has
+    m + 1 entries, so m + 1 over ``SUPPORT_LIMIT`` raises ValueError.
 
     >>> [(c.end, c.label) for c in k_bruhat_covers((2, 1), 2, 4)]
     [((3, 1, 2), 2), ((2, 3, 1), 1)]
@@ -182,7 +193,7 @@ def k_bruhat_covers(w: Permutation, k: int, max_support: int) -> list[LabeledCov
     if k < 1:
         raise ValueError(f"k must be positive, got {k}")
     size = len(w)
-    word = list(w) + list(range(size + 1, max(size, k) + 2))
+    word = list(w) + list(range(size + 1, default_max_support(w, k, 1) + 1))
     top = len(word) + 1
     covers: list[LabeledCover] = []
     add = covers.append

@@ -8,6 +8,7 @@ in the textual form: x1, x2, x3, ...
 
 from __future__ import annotations
 
+import operator
 import re
 from typing import Iterable, Mapping
 
@@ -22,7 +23,13 @@ def _trim(exps: Iterable[int]) -> Exponents:
 
 
 class SparsePoly:
-    """Immutable-by-convention sparse polynomial over the integers."""
+    """Immutable-by-convention sparse polynomial over the integers.
+
+    The constructor reads exponents and coefficients with ``operator.index``:
+    floats, strings and fractions raise ValueError instead of being
+    truncated.  Instances compare by value and, holding a dict, are
+    unhashable.
+    """
 
     __slots__ = ("terms",)
 
@@ -30,9 +37,15 @@ class SparsePoly:
         data: dict[Exponents, int] = {}
         if terms:
             for exps, coeff in terms.items():
+                try:
+                    e = _trim(map(operator.index, exps))
+                    coeff = operator.index(coeff)
+                except TypeError:
+                    raise ValueError(
+                        f"exponents and coefficients must be integers, got {exps}: {coeff!r}"
+                    ) from None
                 if coeff == 0:
                     continue
-                e = _trim(tuple(int(x) for x in exps))
                 if any(x < 0 for x in e):
                     raise ValueError(f"negative exponent in {e}")
                 c = data.get(e, 0) + coeff
@@ -62,13 +75,6 @@ class SparsePoly:
         return cls._from_clean({(): c} if c else {})
 
     @classmethod
-    def variable(cls, i: int) -> "SparsePoly":
-        """The variable x_i (1-indexed)."""
-        if i < 1:
-            raise ValueError(f"variables are 1-indexed, got {i}")
-        return cls._from_clean({(0,) * (i - 1) + (1,): 1})
-
-    @classmethod
     def monomial(cls, exps: Iterable[int], coeff: int = 1) -> "SparsePoly":
         return cls({tuple(exps): coeff})
 
@@ -81,8 +87,6 @@ class SparsePoly:
         if isinstance(other, SparsePoly):
             return self.terms == other.terms
         return NotImplemented
-
-    __hash__ = None  # a dict lives inside; never use as a key
 
     def __neg__(self) -> "SparsePoly":
         return SparsePoly._from_clean({e: -c for e, c in self.terms.items()})
@@ -99,13 +103,8 @@ class SparsePoly:
                 data.pop(e, None)
         return SparsePoly._from_clean(data)
 
-    __radd__ = __add__
-
     def __sub__(self, other: "SparsePoly | int") -> "SparsePoly":
         return self + (-other)
-
-    def __rsub__(self, other: int) -> "SparsePoly":
-        return SparsePoly.constant(other) - self
 
     def __mul__(self, other: "SparsePoly | int") -> "SparsePoly":
         if isinstance(other, int):
@@ -125,29 +124,6 @@ class SparsePoly:
         return SparsePoly._from_clean(data)
 
     __rmul__ = __mul__
-
-    def __pow__(self, n: int) -> "SparsePoly":
-        if n < 0:
-            raise ValueError("negative powers are not defined")
-        out = SparsePoly.one()
-        for _ in range(n):
-            out = out * self
-        return out
-
-    def swap_variables(self, i: int, j: int) -> "SparsePoly":
-        """Exchange x_i and x_j (1-indexed) in every monomial."""
-        if i < 1 or j < 1:
-            raise ValueError("variables are 1-indexed")
-        data: dict[Exponents, int] = {}
-        hi = max(i, j)
-        for e, c in self.terms.items():
-            ee = list(e) + [0] * (hi - len(e))
-            ee[i - 1], ee[j - 1] = ee[j - 1], ee[i - 1]
-            data[_trim(ee)] = c
-        return SparsePoly._from_clean(data)
-
-    def constant_term(self) -> int:
-        return self.terms.get((), 0)
 
     def leading_term(self) -> tuple[Exponents, int]:
         """The colexicographically greatest monomial and its coefficient.

@@ -8,6 +8,7 @@ nonzero integer.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Callable
 
@@ -151,45 +152,23 @@ class GeneratorCheck:
     ok: bool
 
 
-@dataclass(frozen=True)
-class VanishingReport:
-    checks: tuple[GeneratorCheck, ...]
-
-    @property
-    def ok(self) -> bool:
-        return all(c.ok for c in self.checks)
-
-
 def sampled_max_minus_min_partitions(ctx: GrContext, count: int) -> list[Partition]:
     """Deterministic sample of partitions with at most k rows whose first and
     k-th parts differ by exactly n - k + 1 (the quotient-ring generators)."""
-    gap = ctx.n - ctx.k + 1
-    found: list[Partition] = []
     if ctx.k == 1:
-        return found  # a single row has first part equal to last part
-    base = 0
-    while len(found) < count:
-        top = base + gap
-
-        def middles(i: int, prev: int, acc: list[int]) -> None:
-            if len(found) >= count:
-                return
-            if i == ctx.k - 2:
-                lam = validate_partition([top] + acc + [base])
-                found.append(lam)
-                return
-            for v in range(prev, base - 1, -1):
-                middles(i + 1, v, acc + [v])
-
-        if ctx.k == 2:
-            found.append(validate_partition([top, base]))
-        else:
-            middles(0, top, [])
-        base += 1
-    return found[:count]
+        return []  # a single row has first part equal to last part
+    gap = ctx.n - ctx.k + 1
+    shapes = (
+        (base + gap, *middle, base)
+        for base in itertools.count()
+        for middle in itertools.combinations_with_replacement(
+            range(base + gap, base - 1, -1), ctx.k - 2
+        )
+    )
+    return [validate_partition(lam) for lam in itertools.islice(shapes, max(count, 0))]
 
 
-def ideal_vanishing_check(ctx: GrContext, sample_count: int = 20) -> VanishingReport:
+def ideal_vanishing_check(ctx: GrContext, sample_count: int = 20) -> list[GeneratorCheck]:
     """Check the quotient presentations of qH*(Gr(k, n)) on generators.
 
     h_j must map to zero for n - k < j < n, h_n must map to (-1)**(k+1) q,
@@ -205,7 +184,7 @@ def ideal_vanishing_check(ctx: GrContext, sample_count: int = 20) -> VanishingRe
     for lam in sampled_max_minus_min_partitions(ctx, sample_count):
         got = psi_reduce(lam, ctx)
         checks.append(GeneratorCheck(f"s_{list(lam)}", {}, got, got == {}))
-    return VanishingReport(tuple(checks))
+    return checks
 
 
 def quantum_class_to_json(qc: QuantumClass) -> list[dict]:

@@ -20,6 +20,10 @@ The paper's other routes to its rules live here too:
   instead of k-Bruhat covers;
 - Schur polynomials via semistandard tableaux and via a Jacobi-Trudi
   determinant, and p_r as an alternating sum of hooks.
+
+``variable`` and ``swap_variables`` are the polynomial helpers the tests
+build with; the swap is the s_i in the defining identity
+(x_i - x_{i+1}) d_i f = f - s_i f of the divided difference.
 """
 
 from __future__ import annotations
@@ -385,6 +389,25 @@ def transition_xi(w: perm.Permutation, i: int) -> dict:
     return out
 
 
+def variable(i: int) -> SparsePoly:
+    """The variable x_i (1-indexed)."""
+    return SparsePoly.monomial((0,) * (i - 1) + (1,))
+
+
+def swap_variables(f: SparsePoly, i: int, j: int) -> SparsePoly:
+    """Exchange x_i and x_j (1-indexed) in every monomial of f: the swap that
+    defines the divided difference (f - s_i f) / (x_i - x_{i+1})."""
+    if i < 1 or j < 1:
+        raise ValueError("variables are 1-indexed")
+    data: dict[tuple[int, ...], int] = {}
+    hi = max(i, j)
+    for e, c in f.terms.items():
+        ee = list(e) + [0] * (hi - len(e))
+        ee[i - 1], ee[j - 1] = ee[j - 1], ee[i - 1]
+        data[tuple(ee)] = c
+    return SparsePoly(data)
+
+
 @functools.cache
 def reduced_words(v: perm.Permutation) -> tuple[tuple[int, ...], ...]:
     """All reduced words for v, by peeling a descent from the right."""
@@ -424,7 +447,7 @@ def bjs_schubert(w: perm.Permutation) -> SparsePoly:
         for seq in go(0, 0):
             mono = SparsePoly.one()
             for i in seq:
-                mono = mono * SparsePoly.variable(i)
+                mono = mono * variable(i)
             total = total + mono
     return total
 
@@ -483,7 +506,7 @@ def complete_homogeneous_poly(degree: int, k: int) -> SparsePoly:
     for combo in combinations_with_replacement(range(1, k + 1), degree):
         mono = SparsePoly.one()
         for i in combo:
-            mono = mono * SparsePoly.variable(i)
+            mono = mono * variable(i)
         total = total + mono
     return total
 

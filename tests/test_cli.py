@@ -1,6 +1,14 @@
+import contextlib
+import io
 import json
+import os
+import resource
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from mnrules import cli, perm
 
@@ -229,3 +237,108 @@ def test_verify_reports_mismatch(capsys, monkeypatch):
     )
     assert code == 1
     assert "verify: MISMATCH" in err
+
+
+def run_capped(*argv, memory=1 << 30, timeout=20):
+    """Run ``mnrules`` in a child whose address space is capped at ``memory`` bytes."""
+    cap = lambda: resource.setrlimit(resource.RLIMIT_AS, (memory, memory))
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+    return subprocess.run(
+        [sys.executable, "-m", "mnrules.cli", *argv],
+        env=env, preexec_fn=cap, capture_output=True, text=True, timeout=timeout,
+    )
+
+
+def test_size_limits_exit_2_before_any_allocation():
+    # Without the limits the first two ask for 80 GB and 800 TB of padded
+    # word, and the third strips 5 * 10**16 hooks one at a time.
+    for argv in (
+        ["monk", "--w", "21", "--k", "9999999999"],
+        ["mn-schubert", "--w", "21", "--k", "99999999999999", "--r", "2"],
+        ["core", "--partition", "99999999999999999", "--n", "2"],
+    ):
+        proc = run_capped(*argv)
+        assert proc.returncode == 2, proc.stderr
+        assert proc.stdout == ""
+        assert proc.stderr.startswith("error: ") and "over the limit of 100000" in proc.stderr
+
+
+def test_size_limits_sit_at_their_bounds(capsys):
+    # padded word of k + 1 = 100000 letters: allowed; one more is refused
+    assert run(capsys, "monk", "--w", "21", "--k", "99999")[0] == 0
+    code, _, err = run(capsys, "monk", "--w", "21", "--k", "100000")
+    assert code == 2 and "needs words of 100001 letters" in err
+    code, _, err = run(capsys, "core", "--partition", "200002", "--n", "2")
+    assert code == 2 and "may strip up to 100001 hooks" in err
+    assert run(capsys, "mn-schur", "--partition", "1", "--r", "2", "--k", "500")[0] == 0
+    for argv in (
+        ["mn-schur", "--partition", "1", "--r", "2", "--k", "501"],
+        ["pieri", "--partition", "1", "--size", "2", "--kind", "h", "--k", "501"],
+        ["mn-quantum", "--partition", "1", "--r", "2", "--k", "501", "--n", "1000"],
+    ):
+        code, _, err = run(capsys, *argv)
+        assert code == 2 and "501 rows is over the limit of 500" in err
+
+
+# Small values, and values past every size limit.  mn-schubert takes nothing
+# in between: its chain search has no work budget yet, and its cost climbs
+# fast with k and r (--w 21 --k 40 --r 40 takes about 13 s).  The other
+# commands take any value up to 10**20.
+small_or_huge = st.one_of(
+    st.integers(-3, 6), st.integers(10**6, 10**20), st.integers(-(10**20), -(10**6))
+)
+any_int = st.one_of(small_or_huge, st.integers(-(10**20), 10**20))
+perm_text = st.one_of(
+    st.integers(0, 7).flatmap(lambda m: st.permutations(range(1, m + 1))).flatmap(
+        lambda w: st.sampled_from(["".join(map(str, w)), ",".join(map(str, w))])
+    ),
+    st.text("0123456789,-x ", max_size=8),
+)
+partition_text = st.one_of(
+    st.lists(st.integers(1, 6) | st.integers(10**6, 10**20), max_size=4),
+    st.lists(any_int, max_size=4),
+).map(lambda parts: ",".join(map(str, sorted(parts, reverse=True)))) | st.text("0123456789,-. ", max_size=10)
+
+
+def command(name, **options):
+    """argv for ``name``: ``--opt value`` per drawn option, ``--opt`` for True,
+    nothing for None or False."""
+
+    def argv(drawn):
+        out = [name]
+        for opt, value in drawn.items():
+            if value is True:
+                out.append(f"--{opt}")
+            elif value is not None and value is not False:
+                out += [f"--{opt}", str(value)]
+        return out
+
+    return st.fixed_dictionaries(options).map(argv)
+
+
+commands = st.one_of(
+    command("mn-schur", partition=partition_text, r=any_int, k=any_int),
+    command("mn-schubert", w=perm_text, k=small_or_huge, r=small_or_huge),
+    command(
+        "mn-quantum", partition=partition_text, r=any_int, k=st.integers(1, 6) | any_int,
+        n=any_int, verify=st.booleans(),
+    ),
+    command("pieri", partition=partition_text, size=st.integers(-1, 4), kind=st.sampled_from("eh"), k=any_int),
+    command("monk", w=perm_text, k=any_int),
+    command("core", partition=partition_text, n=any_int, k=st.none() | any_int),
+)
+
+
+@given(commands, st.booleans())
+@settings(max_examples=150, deadline=None)
+def test_every_command_exits_0_or_2_without_a_traceback(argv, as_json):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = cli.main(argv + ["--json"] * as_json)
+        except SystemExit as exc:  # argparse usage errors
+            code = exc.code
+    assert code in (0, 2), (argv, err.getvalue())
+    assert "Traceback" not in err.getvalue()
+    if code == 2:
+        assert err.getvalue().startswith(("error: ", "usage: ")), err.getvalue()

@@ -1,6 +1,9 @@
 import doctest
+from pathlib import Path
 
 from mnrules import partitions, perm, poly, quantum, schubert, symfun
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def test_doctests_pass():
@@ -10,3 +13,9 @@ def test_doctests_pass():
         assert result.failed == 0, f"doctest failures in {module.__name__}"
         attempted += result.attempted
     assert attempted >= 10
+
+
+def test_readme_examples_pass():
+    result = doctest.testfile(str(README), module_relative=False)
+    assert result.failed == 0
+    assert result.attempted == 4

@@ -2,6 +2,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from mnrules.poly import SparsePoly
+from oracles import swap_variables, variable
 
 exponents = st.tuples(*[st.integers(0, 4)] * 3)
 coeffs = st.integers(-9, 9)
@@ -14,7 +15,7 @@ polys = st.dictionaries(exponents, coeffs, max_size=6).map(
 
 
 def test_basic_construction():
-    x1, x2 = SparsePoly.variable(1), SparsePoly.variable(2)
+    x1, x2 = variable(1), variable(2)
     assert str(x1 + x2) == "x1 + x2"
     assert str(2 * x1 * x1 - x2) == "2*x1^2 - x2"
     assert SparsePoly.zero() == 0
@@ -22,10 +23,12 @@ def test_basic_construction():
     assert SparsePoly.constant(-3) == -3
     assert not SparsePoly.zero()
     assert x1 != x2
+    with pytest.raises(TypeError):
+        hash(x1)
 
 
 def test_trailing_zero_exponents_are_trimmed():
-    assert SparsePoly.monomial((1, 0, 0)) == SparsePoly.variable(1)
+    assert SparsePoly.monomial((1, 0, 0)) == variable(1)
     assert SparsePoly.monomial(()) == 1
 
 
@@ -42,15 +45,6 @@ def test_ring_axioms(f, g, h):
     assert f - f == 0
 
 
-@given(polys, st.integers(0, 3))
-@settings(max_examples=30, deadline=None)
-def test_pow_matches_repeated_product(f, e):
-    expected = SparsePoly.one()
-    for _ in range(e):
-        expected = expected * f
-    assert f**e == expected
-
-
 @given(polys)
 @settings(max_examples=50, deadline=None)
 def test_str_parse_round_trip(f):
@@ -59,8 +53,8 @@ def test_str_parse_round_trip(f):
 
 def test_parse_examples():
     f = SparsePoly.parse("3*x1^2*x3 - x2 + 7")
-    x1, x2, x3 = (SparsePoly.variable(i) for i in (1, 2, 3))
-    assert f == 3 * x1**2 * x3 - x2 + 7
+    x1, x2, x3 = (variable(i) for i in (1, 2, 3))
+    assert f == 3 * x1 * x1 * x3 - x2 + 7
     with pytest.raises(ValueError):
         SparsePoly.parse("3*y1")
 
@@ -68,15 +62,16 @@ def test_parse_examples():
 @given(polys)
 @settings(max_examples=40, deadline=None)
 def test_swap_variables_is_an_involution(f):
-    assert f.swap_variables(1, 3).swap_variables(1, 3) == f
+    assert swap_variables(swap_variables(f, 1, 3), 1, 3) == f
 
 
 def test_leading_term_is_colex_greatest():
-    x1, x2, x3 = (SparsePoly.variable(i) for i in (1, 2, 3))
-    assert (x1**5 + x2).leading_term() == ((0, 1), 1)
+    x1, x2, x3 = (variable(i) for i in (1, 2, 3))
+    x1_5 = x1 * x1 * x1 * x1 * x1
+    assert (x1_5 + x2).leading_term() == ((0, 1), 1)
     assert (x1 + x2 * x3 + x3).leading_term() == ((0, 1, 1), 1)
-    assert (x1**5 * x2 + x3).leading_term() == ((0, 0, 1), 1)
-    assert (x1**2 + 2 * x1 * x2).leading_term() == ((1, 1), 2)
+    assert (x1_5 * x2 + x3).leading_term() == ((0, 0, 1), 1)
+    assert (x1 * x1 + 2 * x1 * x2).leading_term() == ((1, 1), 2)
     with pytest.raises(ValueError):
         SparsePoly.zero().leading_term()
 
@@ -90,7 +85,8 @@ def test_homogeneous_components_recombine(f):
         assert all(sum(e) == degree for e in comp.terms)
 
 
-def test_constant_term():
-    x1 = SparsePoly.variable(1)
-    assert (x1 + 4).constant_term() == 4
-    assert x1.constant_term() == 0
+def test_constructor_rejects_non_integer_exponents_and_coefficients():
+    for terms in ({(1.5,): 1}, {(1,): 2.5}, {("1",): 1}, {(1,): "2"}):
+        with pytest.raises(ValueError, match="must be integers"):
+            SparsePoly(terms)
+    assert SparsePoly({(True, 0): True}) == variable(1)

@@ -9,6 +9,7 @@ from mnrules.quantum import (
     quantum_class_to_json,
     quantum_mn,
     quantum_mn_extended,
+    sampled_max_minus_min_partitions,
 )
 from mnrules.symfun import mn_classical
 from oracles import partitions_in_box, skew_cell_set
@@ -160,14 +161,26 @@ def test_quantum_terms_certify_as_single_rim_hook_wraps():
 
 def test_ideal_vanishing_reports():
     for k, n in [(4, 8), (3, 6)]:
-        report = ideal_vanishing_check(GrContext(k, n))
-        assert report.ok
-        named = {c.name: c for c in report.checks}
+        checks = ideal_vanishing_check(GrContext(k, n))
+        assert all(c.ok for c in checks)
+        named = {c.name: c for c in checks}
         for j in range(n - k + 1, n):
             assert named[f"h_{j}"].actual == {}
         h_n = named[f"h_{n}"]
         assert h_n.expected == {(1, ()): 1 if k % 2 else -1}
-        assert len(report.checks) >= n - (n - k + 1) + 1 + 1
+        assert len(checks) >= n - (n - k + 1) + 1 + 1
+
+
+def test_sampled_generators_are_pinned():
+    pinned = {
+        (1, 3, 5): [],
+        (2, 4, 3): [(3,), (4, 1), (5, 2)],
+        (3, 5, 7): [(3, 3), (3, 2), (3, 1), (3,), (4, 4, 1), (4, 3, 1), (4, 2, 1)],
+        (4, 7, 6): [(4, 4, 4), (4, 4, 3), (4, 4, 2), (4, 4, 1), (4, 4), (4, 3, 3)],
+        (5, 6, 4): [(2, 2, 2, 2), (2, 2, 2, 1), (2, 2, 2), (2, 2, 1, 1)],
+    }
+    for (k, n, count), expected in pinned.items():
+        assert sampled_max_minus_min_partitions(GrContext(k, n), count) == expected
 
 
 def test_quantum_class_json_round_trip():

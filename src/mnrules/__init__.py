@@ -6,8 +6,8 @@ others:
 - ``symfun.mn_classical``: p_r * s_lambda by signed rim-hook additions,
   truncated to k variables.
 - ``schubert.mn_schubert``: p_r(x_1..x_k) * S_w as a signed sum of Schubert
-  polynomials indexed by (r+1)-cycles, found by walking labeled chains in the
-  k-Bruhat order.
+  polynomials indexed by (r+1)-cycles, found by walking saturated chains in
+  the k-Bruhat order.
 - ``quantum.quantum_mn``: p_r * sigma_lambda in the quantum cohomology of a
   Grassmannian, with the q-terms produced by removing (n-r)-rim hooks.
 
@@ -34,7 +34,6 @@ from .partitions import (
     validate_partition,
 )
 from .perm import (
-    LabeledCover,
     Permutation,
     canonical,
     compose,
@@ -59,7 +58,6 @@ __version__ = "0.1.0"
 __all__ = [
     "CoreResult",
     "GrContext",
-    "LabeledCover",
     "Partition",
     "Permutation",
     "RimHookRecord",

@@ -146,8 +146,7 @@ def cmd_core(args: argparse.Namespace) -> int:
         # the sign is psi's, and psi only takes partitions with at most k rows
         if args.k < 1:
             raise ValueError(f"k must be positive, got {args.k}")
-        if len(lam) > args.k:
-            raise ValueError(f"{lam} has more than {args.k} rows")
+        partitions.require_fits(lam, args.k)
     res = partitions.n_core(lam, args.n)
     sign = None if args.k is None else quantum.psi_sign(res, args.k)
     if args.json:

@@ -60,6 +60,14 @@ def validate_partition(parts: Iterable[int]) -> Partition:
     return lam
 
 
+def require_fits(lam: Iterable[int], k: int) -> Partition:
+    """Validate ``lam``; a partition of more than k rows raises ValueError."""
+    lam = validate_partition(lam)
+    if len(lam) > k:
+        raise ValueError(f"{lam} has more than {k} rows")
+    return lam
+
+
 def part(lam: Partition, i: int) -> int:
     """Row ``i`` (0-based) of ``lam``, reading 0 beyond the last row."""
     return lam[i] if 0 <= i < len(lam) else 0
@@ -256,43 +264,29 @@ def strips(lam: Partition, size: int, kind: StripKind, max_rows: int) -> list[Pa
     _require_rows(max_rows)
     if len(lam) > max_rows:
         return []
+    horizontal = kind == "horizontal"
     found: list[Partition] = []
-    if kind == "horizontal":
 
-        def grow_h(i: int, budget: int, mu: list[int]) -> None:
-            if i == max_rows:
-                if budget == 0:
-                    found.append(validate_partition(mu))
-                return
-            lo = part(lam, i)
-            hi = lo + budget
-            if i:
-                hi = min(hi, part(lam, i - 1))
-            for v in range(lo, hi + 1):
-                mu.append(v)
-                grow_h(i + 1, budget - (v - lo), mu)
-                mu.pop()
+    def grow(i: int, budget: int, mu: list[int]) -> None:
+        # Row i grows from lam_i by up to ``budget`` cells and stays within
+        # lam_(i-1) (horizontal), or by up to one cell and stays within
+        # mu_(i-1) (vertical).  With no budget left the rest of lam stays.
+        if budget == 0:
+            found.append(tuple(mu) + lam[i:])
+            return
+        if i == max_rows:
+            return
+        lo = part(lam, i)
+        hi = lo + (budget if horizontal else 1)
+        if i:
+            hi = min(hi, part(lam, i - 1) if horizontal else mu[i - 1])
+        for v in range(lo, hi + 1):
+            mu.append(v)
+            grow(i + 1, budget - (v - lo), mu)
+            mu.pop()
 
-        grow_h(0, size, [])
-    else:
-
-        def grow_v(i: int, budget: int, mu: list[int]) -> None:
-            if i == max_rows:
-                if budget == 0:
-                    found.append(validate_partition(mu))
-                return
-            for extra in (0, 1):
-                if extra > budget:
-                    continue
-                v = part(lam, i) + extra
-                if i and v > mu[i - 1]:
-                    continue
-                mu.append(v)
-                grow_v(i + 1, budget - extra, mu)
-                mu.pop()
-
-        grow_v(0, size, [])
-    return sorted(set(found))
+    grow(0, size, [])
+    return sorted(found)
 
 
 if __name__ == "__main__":

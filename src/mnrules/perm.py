@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import operator
 from bisect import bisect_left, insort
-from dataclasses import dataclass
 from typing import Iterable
 
 Permutation = tuple[int, ...]
@@ -164,30 +163,22 @@ def default_max_support(w: Permutation, k: int, steps: int) -> int:
     return bound
 
 
-@dataclass(frozen=True)
-class LabeledCover:
-    """A k-Bruhat cover start -> end = start * (i, j), labeled by start(i)."""
+def k_bruhat_covers(w: Permutation, k: int, max_support: int) -> list[Permutation]:
+    """Endpoints of the covers w -> w(i, j) with i <= k < j <= max_support
+    and length up by 1: canonical words, ordered by (i, j).
 
-    start: Permutation
-    end: Permutation
-    label: int
+    For each i the scan keeps ``best``, the smallest value above w(i) at
+    positions i+1..j-1; (i, j) is a cover exactly when w(i) < w(j) < best
+    (Bergeron-Sottile, Duke 1998).  Past the stored word each position holds
+    its own index, which is above every earlier value, so the scan ends at
+    the first such position after i; it also ends at w(j) = w(i) + 1.  With
+    m = max(len(w), k), a call costs O(k * m) scan steps plus O(m) to copy
+    each endpoint, however large ``max_support`` is; validating w costs
+    O(m log m).  The padded word has m + 1 entries, so m + 1 over
+    ``SUPPORT_LIMIT`` raises ValueError.
 
-
-def k_bruhat_covers(w: Permutation, k: int, max_support: int) -> list[LabeledCover]:
-    """Covers w -> w(i, j) with i <= k < j <= max_support and length up by 1.
-
-    Ordered by (i, j).  For each i the scan keeps ``best``, the smallest
-    value above w(i) at positions i+1..j-1; (i, j) is a cover exactly when
-    w(i) < w(j) < best (Bergeron-Sottile, Duke 1998).  Past the stored word
-    each position holds its own index, which is above every earlier value,
-    so the scan ends at the first such position after i; it also ends at
-    w(j) = w(i) + 1.  With m = max(len(w), k), a call costs O(k * m) scan
-    steps plus O(m) to copy each cover's endpoint, however large
-    ``max_support`` is; validating w costs O(m log m).  The padded word has
-    m + 1 entries, so m + 1 over ``SUPPORT_LIMIT`` raises ValueError.
-
-    >>> [(c.end, c.label) for c in k_bruhat_covers((2, 1), 2, 4)]
-    [((3, 1, 2), 2), ((2, 3, 1), 1)]
+    >>> k_bruhat_covers((2, 1), 2, 4)
+    [(3, 1, 2), (2, 3, 1)]
     """
     w = canonical(w)
     if k < 1:
@@ -195,8 +186,8 @@ def k_bruhat_covers(w: Permutation, k: int, max_support: int) -> list[LabeledCov
     size = len(w)
     word = list(w) + list(range(size + 1, default_max_support(w, k, 1) + 1))
     top = len(word) + 1
-    covers: list[LabeledCover] = []
-    add = covers.append
+    ends: list[Permutation] = []
+    add = ends.append
     for i in range(k):
         wi = word[i]
         best = top
@@ -208,11 +199,11 @@ def k_bruhat_covers(w: Permutation, k: int, max_support: int) -> list[LabeledCov
                     # Swapping keeps a permutation, and the swapped word ends
                     # in a moved point at max(len(w), j + 1): no canonical().
                     word[i], word[j] = wj, wi
-                    add(LabeledCover(w, tuple(word[: size if size > j else j + 1]), wi))
+                    add(tuple(word[: size if size > j else j + 1]))
                     word[i], word[j] = wi, wj
                 if wj == wi + 1:
                     break
-    return covers
+    return ends
 
 
 def chain_endpoints(w: Permutation, k: int, r: int) -> set[Permutation]:
@@ -227,7 +218,7 @@ def chain_endpoints(w: Permutation, k: int, r: int) -> set[Permutation]:
     bound = default_max_support(w, k, r)
     level = {w}
     for _ in range(r):
-        level = {c.end for v in level for c in k_bruhat_covers(v, k, bound)}
+        level = {u for v in level for u in k_bruhat_covers(v, k, bound)}
     return level
 
 

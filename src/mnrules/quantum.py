@@ -20,11 +20,15 @@ from .partitions import (
     leq,
     n_core,
     remove_rim_hooks,
+    require_fits,
     validate_partition,
 )
 from .symfun import mn_classical
 
 QuantumClass = dict[tuple[int, Partition], int]
+
+# How many s_lam generators ideal_vanishing_check samples.
+GENERATOR_SAMPLES = 20
 
 
 @dataclass(frozen=True)
@@ -63,9 +67,7 @@ def psi_reduce(lam: Partition, ctx: GrContext) -> QuantumClass:
     box the image is (-1)**(k*s - total height) q**s times that core's
     Schubert cycle, where s is the number of hooks removed; otherwise zero.
     """
-    lam = validate_partition(lam)
-    if len(lam) > ctx.k:
-        raise ValueError(f"{lam} has more than {ctx.k} rows")
+    lam = require_fits(lam, ctx.k)
     res = n_core(lam, ctx.n)
     if not leq(res.core, ctx.box):
         return {}
@@ -168,11 +170,12 @@ def sampled_max_minus_min_partitions(ctx: GrContext, count: int) -> list[Partiti
     return [validate_partition(lam) for lam in itertools.islice(shapes, max(count, 0))]
 
 
-def ideal_vanishing_check(ctx: GrContext, sample_count: int = 20) -> list[GeneratorCheck]:
+def ideal_vanishing_check(ctx: GrContext) -> list[GeneratorCheck]:
     """Check the quotient presentations of qH*(Gr(k, n)) on generators.
 
     h_j must map to zero for n - k < j < n, h_n must map to (-1)**(k+1) q,
-    and sampled s_lam with lam_1 - lam_k = n - k + 1 must map to zero.
+    and the first ``GENERATOR_SAMPLES`` s_lam with lam_1 - lam_k = n - k + 1
+    must map to zero.
     """
     checks: list[GeneratorCheck] = []
     for j in range(ctx.n - ctx.k + 1, ctx.n):
@@ -181,7 +184,7 @@ def ideal_vanishing_check(ctx: GrContext, sample_count: int = 20) -> list[Genera
     got = psi_reduce((ctx.n,), ctx)
     expected: QuantumClass = {(1, ()): 1 if ctx.k % 2 else -1}
     checks.append(GeneratorCheck(f"h_{ctx.n}", expected, got, got == expected))
-    for lam in sampled_max_minus_min_partitions(ctx, sample_count):
+    for lam in sampled_max_minus_min_partitions(ctx, GENERATOR_SAMPLES):
         got = psi_reduce(lam, ctx)
         checks.append(GeneratorCheck(f"s_{list(lam)}", {}, got, got == {}))
     return checks

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from functools import cache
 
-from .partitions import Partition, validate_partition
+from .partitions import Partition, require_fits
 from .perm import (
     Permutation,
     canonical,
@@ -127,7 +127,7 @@ def monk(w: Permutation, k: int) -> SchubertExpansion:
     One term S_u for every k-Bruhat cover w -> u; all coefficients are 1.
     """
     w = canonical(w)
-    return {c.end: 1 for c in k_bruhat_covers(w, k, default_max_support(w, k, 1))}
+    return dict.fromkeys(k_bruhat_covers(w, k, default_max_support(w, k, 1)), 1)
 
 
 def mn_schubert(w: Permutation, k: int, r: int) -> SchubertExpansion:
@@ -156,9 +156,7 @@ def mn_schubert(w: Permutation, k: int, r: int) -> SchubertExpansion:
 def grassmannian_permutation(lam: Partition, k: int) -> Permutation:
     """The permutation with descent only at k whose Schubert polynomial is
     the Schur polynomial s_lam(x_1..x_k)."""
-    lam = validate_partition(lam)
-    if len(lam) > k:
-        raise ValueError(f"{lam} has more than {k} rows")
+    lam = require_fits(lam, k)
     if not lam:
         return ()
     head = [((lam[k - i] if k - i < len(lam) else 0) + i) for i in range(1, k + 1)]

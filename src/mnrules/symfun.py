@@ -12,6 +12,7 @@ from .partitions import (
     add_rim_hooks,
     box_partition,
     leq,
+    require_fits,
     strips,
     validate_partition,
 )
@@ -20,20 +21,13 @@ from .poly import SparsePoly
 SchurExpansion = dict[Partition, int]
 
 
-def _require_fits(lam: Partition, k: int) -> Partition:
-    lam = validate_partition(lam)
-    if len(lam) > k:
-        raise ValueError(f"{lam} has more than {k} rows")
-    return lam
-
-
 def pieri_e(lam: Partition, a: int, k: int) -> SchurExpansion:
     """Multiply s_lam by the elementary e_a in k variables.
 
     The result sums s_mu over mu obtained by adding a vertical strip of a
     cells, truncated to partitions with at most k rows.
     """
-    lam = _require_fits(lam, k)
+    lam = require_fits(lam, k)
     if a < 1:
         raise ValueError(f"need a >= 1, got {a}")
     return {mu: 1 for mu in strips(lam, a, "vertical", k)}
@@ -41,7 +35,7 @@ def pieri_e(lam: Partition, a: int, k: int) -> SchurExpansion:
 
 def pieri_h(lam: Partition, b: int, k: int) -> SchurExpansion:
     """Multiply s_lam by the complete homogeneous h_b in k variables."""
-    lam = _require_fits(lam, k)
+    lam = require_fits(lam, k)
     if b < 1:
         raise ValueError(f"need b >= 1, got {b}")
     return {mu: 1 for mu in strips(lam, b, "horizontal", k)}
@@ -53,7 +47,7 @@ def mn_classical(lam: Partition, r: int, k: int) -> SchurExpansion:
     Each mu that adds a rim hook of r cells to lam (within k rows)
     contributes sign (-1)**(height + 1).  Multiplicity-free by construction.
     """
-    lam = _require_fits(lam, k)
+    lam = require_fits(lam, k)
     if r < 1:
         raise ValueError(f"need r >= 1, got {r}")
     return {

@@ -277,11 +277,13 @@ def is_cover_transposition(w: perm.Permutation, i: int, j: int) -> bool:
 
 def oracle_k_bruhat_covers(
     w: perm.Permutation, k: int, max_support: int
-) -> list[perm.LabeledCover]:
-    """k-Bruhat covers by testing every pair (i, j) on its own.
+) -> list[tuple[perm.Permutation, int]]:
+    """k-Bruhat covers w -> w(i, j) by testing every pair (i, j) on its own.
 
-    Each pair rescans the positions between i and j, and each endpoint is
-    rebuilt and re-validated, so a state costs O(k * m^2).
+    Returns (endpoint, label) pairs ordered by (i, j); the label of a cover
+    is w(i), the value that moves up.  Each pair rescans the positions
+    between i and j, and each endpoint is rebuilt and re-validated, so a
+    state costs O(k * m^2).
     """
     w = perm.canonical(w)
     if k < 1:
@@ -291,7 +293,7 @@ def oracle_k_bruhat_covers(
         label = perm.apply(w, i)
         for j in range(k + 1, max_support + 1):
             if i < j and is_cover_transposition(w, i, j):
-                covers.append(perm.LabeledCover(w, perm.right_transposed(w, i, j), label))
+                covers.append((perm.right_transposed(w, i, j), label))
     return covers
 
 
@@ -327,6 +329,8 @@ def peakless_endpoints(
     A chain of length a + b - 1 is peakless when its labels strictly
     decrease through the first a steps and strictly increase from step a on.
     a = 1 means strictly increasing labels, b = 1 strictly decreasing.
+    The covers and their labels come from the pairwise
+    :func:`oracle_k_bruhat_covers`, not from the library's scan.
     Returns (endpoint, number of such chains), sorted by endpoint word.
     """
     w = perm.canonical(w)
@@ -343,13 +347,13 @@ def peakless_endpoints(
     for step in range(1, r + 1):
         nxt: dict[tuple[perm.Permutation, int], int] = {}
         for (v, last), count in states.items():
-            for cov in perm.k_bruhat_covers(v, k, bound):
+            for end, label in oracle_k_bruhat_covers(v, k, bound):
                 if step > 1:
-                    if step <= a and not cov.label < last:
+                    if step <= a and not label < last:
                         continue
-                    if step > a and not cov.label > last:
+                    if step > a and not label > last:
                         continue
-                key = (cov.end, cov.label)
+                key = (end, label)
                 nxt[key] = nxt.get(key, 0) + count
         states = nxt
     totals: dict[perm.Permutation, int] = {}

@@ -278,7 +278,7 @@ def test_acceptance_09_ideal_vanishing(capsys):
     started = time.perf_counter()
     for k, n in [(4, 8), (3, 6)]:
         ctx = GrContext(k, n)
-        checks = ideal_vanishing_check(ctx, sample_count=20)
+        checks = ideal_vanishing_check(ctx)
         assert all(c.ok for c in checks)
         named = {c.name: c for c in checks}
         for j in range(n - k + 1, n):

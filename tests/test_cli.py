@@ -3,6 +3,7 @@ import io
 import json
 import os
 import resource
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -17,6 +18,29 @@ def run(capsys, *argv):
     code = cli.main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def readme_examples():
+    """(argv, stdout) for each ``$ mnrules ...`` example in the README's
+    "Command line" section, whose output is shown in full (not selfcheck)."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    section = text.split("## Command line", 1)[1].split("\n## ", 1)[0]
+    block = section.split("```sh\n", 1)[1].split("```", 1)[0]
+    examples = []
+    for entry in block.strip().split("\n\n"):
+        prompt, *output = entry.split("\n")
+        argv = shlex.split(prompt.removeprefix("$ "))
+        assert argv[0] == "mnrules", prompt
+        if argv[1] != "selfcheck":
+            examples.append((argv[1:], "".join(line + "\n" for line in output)))
+    return examples
+
+
+def test_readme_command_line_examples_print_what_the_readme_shows(capsys):
+    examples = readme_examples()
+    assert len(examples) == 7
+    for argv, expected in examples:
+        assert run(capsys, *argv) == (0, expected, ""), argv
 
 
 def test_parse_partition_arg():

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 
 from . import partitions, perm, quantum, schubert, symfun
@@ -79,8 +78,17 @@ def render_quantum(qc: quantum.QuantumClass) -> str:
 
 
 def _emit(args: argparse.Namespace, result, to_json, render) -> None:
-    """Print ``result`` as JSON or as text, formatting only the one printed."""
-    print(json.dumps(to_json(result)) if args.json else render(result))
+    """Print ``result`` as JSON or as text, formatting only the one printed.
+
+    This is the CLI's one JSON writer, and ``json`` is imported only here,
+    so a command without ``--json`` never loads it.
+    """
+    if args.json:
+        import json
+
+        print(json.dumps(to_json(result)))
+    else:
+        print(render(result))
 
 
 def cmd_mn_schur(args: argparse.Namespace) -> int:
@@ -149,7 +157,8 @@ def cmd_core(args: argparse.Namespace) -> int:
         partitions.require_fits(lam, args.k)
     res = partitions.n_core(lam, args.n)
     sign = None if args.k is None else quantum.psi_sign(res, args.k)
-    if args.json:
+
+    def to_json(res: partitions.CoreResult) -> dict:
         payload = {
             "core": list(res.core),
             "hooks_removed": res.hooks_removed,
@@ -157,15 +166,18 @@ def cmd_core(args: argparse.Namespace) -> int:
         }
         if sign is not None:
             payload["sign"] = sign
-        print(json.dumps(payload))
-    else:
+        return payload
+
+    def render(res: partitions.CoreResult) -> str:
         text = (
             f"core {fmt_partition(res.core)}  hooks_removed={res.hooks_removed}"
             f"  height_sum={res.height_sum}"
         )
         if sign is not None:
             text += f"  sign(k={args.k})={'+1' if sign > 0 else '-1'}"
-        print(text)
+        return text
+
+    _emit(args, res, to_json, render)
     return 0
 
 
@@ -247,22 +259,20 @@ def _selfcheck_results() -> list[tuple[str, bool, str]]:
 def cmd_selfcheck(args: argparse.Namespace) -> int:
     checks = _selfcheck_results()
     all_ok = all(ok for _, ok, _ in checks)
-    if args.json:
-        print(
-            json.dumps(
-                {
-                    "ok": all_ok,
-                    "checks": [
-                        {"name": name, "ok": ok, "detail": detail}
-                        for name, ok, detail in checks
-                    ],
-                }
-            )
-        )
-    else:
-        for name, ok, detail in checks:
-            print(f"{'PASS' if ok else 'FAIL'}  {name}: {detail}")
-        print(f"selfcheck: {'ok' if all_ok else 'FAILED'}")
+
+    def to_json(checks: list[tuple[str, bool, str]]) -> dict:
+        return {
+            "ok": all_ok,
+            "checks": [
+                {"name": name, "ok": ok, "detail": detail} for name, ok, detail in checks
+            ],
+        }
+
+    def render(checks: list[tuple[str, bool, str]]) -> str:
+        lines = [f"{'PASS' if ok else 'FAIL'}  {name}: {detail}" for name, ok, detail in checks]
+        return "\n".join([*lines, f"selfcheck: {'ok' if all_ok else 'FAILED'}"])
+
+    _emit(args, checks, to_json, render)
     return 0 if all_ok else 1
 
 

@@ -16,7 +16,6 @@ cells instead, so tests can use them as certificates.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
 from typing import Iterable, Iterator, Literal
 
 Partition = tuple[int, ...]
@@ -131,14 +130,59 @@ def rim_hook_height(inner: Partition, outer: Partition) -> int:
     return len({r for r, _ in skew_cells(inner, outer)})
 
 
-@dataclass(frozen=True)
-class RimHookRecord:
+class _Record:
+    """Base of the library's immutable records, driven by a subclass's
+    ``__slots__``: compared (only with a record of the same class), hashed,
+    printed, copied and pickled by its fields, in slot order.
+
+    A subclass's ``__init__`` fills each field once through ``_setters``, the
+    slot descriptors' setters; after that, assigning or deleting a field
+    raises AttributeError.  This is what a frozen dataclass gives, without
+    importing ``dataclasses`` (and ``inspect``) on every CLI start.
+    """
+
+    __slots__ = ()
+
+    def __init_subclass__(cls) -> None:
+        cls._setters = tuple(getattr(cls, f).__set__ for f in cls.__slots__)
+        cls.__match_args__ = cls.__slots__
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, f) for f in self.__slots__])
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return self._values() == other._values()
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self.__slots__)
+        return f"{self.__class__.__qualname__}({fields})"
+
+    def __reduce__(self) -> tuple:
+        return self.__class__, self._values()
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class RimHookRecord(_Record):
     """One way of adding (or removing) a rim hook: inner <= outer."""
 
-    inner: Partition
-    outer: Partition
-    size: int
-    height: int
+    __slots__ = ("inner", "outer", "size", "height")
+
+    def __init__(self, inner: Partition, outer: Partition, size: int, height: int) -> None:
+        set_inner, set_outer, set_size, set_height = self._setters
+        set_inner(self, inner)
+        set_outer(self, outer)
+        set_size(self, size)
+        set_height(self, height)
 
 
 def _bead_moves(lam: Partition, shift: int, beads: int) -> Iterator[tuple[Partition, int]]:
@@ -205,13 +249,16 @@ def remove_rim_hooks(lam: Partition, r: int) -> list[RimHookRecord]:
     return found
 
 
-@dataclass(frozen=True)
-class CoreResult:
+class CoreResult(_Record):
     """Outcome of stripping rim hooks of a fixed size until stuck."""
 
-    core: Partition
-    hooks_removed: int
-    height_sum: int
+    __slots__ = ("core", "hooks_removed", "height_sum")
+
+    def __init__(self, core: Partition, hooks_removed: int, height_sum: int) -> None:
+        set_core, set_hooks_removed, set_height_sum = self._setters
+        set_core(self, core)
+        set_hooks_removed(self, hooks_removed)
+        set_height_sum(self, height_sum)
 
 
 def n_core(lam: Partition, n: int) -> CoreResult:

@@ -9,12 +9,13 @@ nonzero integer.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+import operator
 from typing import Callable
 
 from .partitions import (
     CoreResult,
     Partition,
+    _Record,
     add_rim_hooks,
     box_partition,
     leq,
@@ -31,16 +32,25 @@ QuantumClass = dict[tuple[int, Partition], int]
 GENERATOR_SAMPLES = 20
 
 
-@dataclass(frozen=True)
-class GrContext:
-    """The Grassmannian Gr(k, n) of k-planes in n-space, 0 < k < n."""
+class GrContext(_Record):
+    """The Grassmannian Gr(k, n) of k-planes in n-space, 0 < k < n.
 
-    k: int
-    n: int
+    k and n are read with ``operator.index``: integers (int subclasses
+    included) pass, anything else raises ValueError.
+    """
 
-    def __post_init__(self) -> None:
-        if not 0 < self.k < self.n:
-            raise ValueError(f"need 0 < k < n, got k={self.k}, n={self.n}")
+    __slots__ = ("k", "n")
+
+    def __init__(self, k: int, n: int) -> None:
+        try:
+            k, n = operator.index(k), operator.index(n)
+        except TypeError:
+            raise ValueError(f"k and n must be integers, got k={k!r}, n={n!r}") from None
+        if not 0 < k < n:
+            raise ValueError(f"need 0 < k < n, got k={k}, n={n}")
+        set_k, set_n = self._setters
+        set_k(self, k)
+        set_n(self, n)
 
     @property
     def box(self) -> Partition:
@@ -144,14 +154,19 @@ def oracle_quantum_mn(lam: Partition, r: int, ctx: GrContext) -> QuantumClass:
     return out
 
 
-@dataclass(frozen=True)
-class GeneratorCheck:
+class GeneratorCheck(_Record):
     """One generator of the defining ideal, its expected and actual image."""
 
-    name: str
-    expected: QuantumClass
-    actual: QuantumClass
-    ok: bool
+    __slots__ = ("name", "expected", "actual", "ok")
+
+    def __init__(
+        self, name: str, expected: QuantumClass, actual: QuantumClass, ok: bool
+    ) -> None:
+        set_name, set_expected, set_actual, set_ok = self._setters
+        set_name(self, name)
+        set_expected(self, expected)
+        set_actual(self, actual)
+        set_ok(self, ok)
 
 
 def sampled_max_minus_min_partitions(ctx: GrContext, count: int) -> list[Partition]:

@@ -366,3 +366,24 @@ def test_every_command_exits_0_or_2_without_a_traceback(argv, as_json):
     assert "Traceback" not in err.getvalue()
     if code == 2:
         assert err.getvalue().startswith(("error: ", "usage: ")), err.getvalue()
+
+
+def modules_added_by(statement: str) -> set[str]:
+    """Top-level modules a fresh interpreter has loaded after ``statement``
+    and a bare one has not, so a module a ``.pth`` file preloads is never
+    counted."""
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+    show = "import sys; print(' '.join(sorted(sys.modules)))"
+    loaded = []
+    for code in (show, f"{statement}; {show}"):
+        proc = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+        )
+        loaded.append({name.split(".")[0] for name in proc.stdout.split()})
+    return loaded[1] - loaded[0]
+
+
+def test_cold_import_loads_no_dataclasses_inspect_or_json():
+    # dataclasses pulls in inspect, ast and dis; json is needed only for --json
+    assert modules_added_by("import mnrules.cli") & {"dataclasses", "inspect", "json"} == set()
+    assert modules_added_by("import mnrules") & {"dataclasses", "inspect"} == set()

@@ -32,7 +32,22 @@ PROTOCOL_MEMBERS = {
     "poly.SparsePoly.__rmul__": "``coeff * schubert_poly(u)``; perfbench asserts it is __mul__",
     "poly.SparsePoly.__str__": "display protocol of an exported class",
     "poly.SparsePoly.__repr__": "display protocol of an exported class",
-    "quantum.GrContext.__post_init__": "the dataclass calls it to check 0 < k < n",
+    "partitions._Record.__slots__": "instance layout: no fields of its own, and no ``__dict__``",
+    "partitions._Record.__init_subclass__": "runs once per record class: slot setters and match args",
+    "partitions._Record.__eq__": "value protocol of the exported records",
+    "partitions._Record.__hash__": "value protocol of the exported records",
+    "partitions._Record.__repr__": "display protocol; the n_core doctest prints a CoreResult",
+    "partitions._Record.__reduce__": "pickle, copy.copy and copy.deepcopy of a record",
+    "partitions._Record.__setattr__": "keeps a record immutable after __init__",
+    "partitions._Record.__delattr__": "keeps a record immutable after __init__",
+    "partitions.RimHookRecord.__slots__": "instance layout: inner, outer, size, height",
+    "partitions.RimHookRecord.__init__": "the constructor, RimHookRecord(...) in add_rim_hooks and remove_rim_hooks",
+    "partitions.CoreResult.__slots__": "instance layout: core, hooks_removed, height_sum",
+    "partitions.CoreResult.__init__": "the constructor, CoreResult(...) in n_core",
+    "quantum.GrContext.__slots__": "instance layout: k, n",
+    "quantum.GrContext.__init__": "the constructor; checks that k and n are integers with 0 < k < n",
+    "quantum.GeneratorCheck.__slots__": "instance layout: name, expected, actual, ok",
+    "quantum.GeneratorCheck.__init__": "the constructor, GeneratorCheck(...) in ideal_vanishing_check",
 }
 
 

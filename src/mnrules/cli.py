@@ -6,7 +6,7 @@ import argparse
 import sys
 
 from . import partitions, perm, quantum, schubert, symfun
-from .poly import SparsePoly
+from .poly import SparsePoly, join_signed
 from .quantum import GrContext
 
 
@@ -43,71 +43,67 @@ def fmt_partition(lam: partitions.Partition) -> str:
     return "[" + ",".join(str(p) for p in lam) + "]"
 
 
-def _join_signed(items: list[tuple[int, str]], mag_sep: str = "*") -> str:
-    """Render signed terms, leading term unsigned when positive."""
-    if not items:
-        return "0"
-    bits = []
-    for idx, (coeff, body) in enumerate(items):
-        mag = abs(coeff)
-        text = body if mag == 1 else f"{mag}{mag_sep}{body}"
-        if idx == 0:
-            bits.append(text if coeff > 0 else f"-{text}")
-        else:
-            bits.append(f"+ {text}" if coeff > 0 else f"- {text}")
-    return " ".join(bits)
+# Each render_* sorts its kind's terms once and returns the text, or with
+# ``as_json`` (--json's value) the JSON payload, in that order.
+def render_schur(expansion: symfun.SchurExpansion, as_json: bool = False):
+    order = sorted(expansion)
+    if as_json:
+        return [{"coeff": expansion[lam], "partition": list(lam)} for lam in order]
+    return join_signed([(expansion[lam], f"s{fmt_partition(lam)}") for lam in order])
 
 
-def render_schur(expansion: symfun.SchurExpansion) -> str:
-    return _join_signed(
-        [(expansion[lam], f"s{fmt_partition(lam)}") for lam in sorted(expansion)]
-    )
-
-
-def render_schubert(expansion: schubert.SchubertExpansion) -> str:
+def render_schubert(expansion: schubert.SchubertExpansion, as_json: bool = False):
     order = sorted(expansion, key=lambda u: (perm.length(u), u))
-    return _join_signed([(expansion[u], f"S{fmt_partition(u)}") for u in order])
+    if as_json:
+        return [{"coeff": expansion[u], "perm": list(u)} for u in order]
+    return join_signed([(expansion[u], f"S{fmt_partition(u)}") for u in order])
 
 
-def render_quantum(qc: quantum.QuantumClass) -> str:
+def render_quantum(qc: quantum.QuantumClass, as_json: bool = False):
+    order = sorted(qc)
+    if as_json:
+        return [{"coeff": qc[d, lam], "q": d, "partition": list(lam)} for d, lam in order]
     items = []
-    for d, lam in sorted(qc):
+    for d, lam in order:
         q = "" if d == 0 else ("q " if d == 1 else f"q^{d} ")
-        items.append((qc[(d, lam)], f"{q}σ{fmt_partition(lam)}"))
-    return _join_signed(items, mag_sep=" ")
+        items.append((qc[d, lam], f"{q}σ{fmt_partition(lam)}"))
+    return join_signed(items, mag_sep=" ")
 
 
-def _emit(args: argparse.Namespace, result, to_json, render) -> None:
-    """Print ``result`` as JSON or as text, formatting only the one printed.
+def _emit(args: argparse.Namespace, result, render) -> None:
+    """Print ``render(result, args.json)``, dumping a JSON payload.
 
     This is the CLI's one JSON writer, and ``json`` is imported only here,
     so a command without ``--json`` never loads it.
     """
+    out = render(result, args.json)
     if args.json:
         import json
 
-        print(json.dumps(to_json(result)))
-    else:
-        print(render(result))
+        out = json.dumps(out)
+    print(out)
+
+
+def _report_verify(ok: bool) -> int:
+    """Print the ``--verify`` verdict on stderr; exit code 1 on a mismatch."""
+    print(f"verify: {'MATCH' if ok else 'MISMATCH'}", file=sys.stderr)
+    return 0 if ok else 1
 
 
 def cmd_mn_schur(args: argparse.Namespace) -> int:
     lam = parse_partition_arg(args.partition)
     result = symfun.mn_classical(lam, args.r, args.k)
-    _emit(args, result, symfun.schur_expansion_to_json, render_schur)
+    _emit(args, result, render_schur)
     return 0
 
 
 def cmd_mn_schubert(args: argparse.Namespace) -> int:
     w = parse_perm_arg(args.w)
     result = schubert.mn_schubert(w, args.k, args.r)
-    _emit(args, result, schubert.schubert_expansion_to_json, render_schubert)
+    _emit(args, result, render_schubert)
     if args.verify:
         product = symfun.power_sum_poly(args.r, args.k) * schubert.schubert_poly(w)
-        if schubert.expand_in_schubert(product) != result:
-            print("verify: MISMATCH", file=sys.stderr)
-            return 1
-        print("verify: MATCH", file=sys.stderr)
+        return _report_verify(schubert.expand_in_schubert(product) == result)
     return 0
 
 
@@ -115,12 +111,10 @@ def cmd_mn_quantum(args: argparse.Namespace) -> int:
     lam = parse_partition_arg(args.partition)
     ctx = GrContext(args.k, args.n)
     result = quantum.quantum_mn_extended(lam, args.r, ctx)
-    _emit(args, result, quantum.quantum_class_to_json, render_quantum)
+    _emit(args, result, render_quantum)
     if args.verify:
-        if quantum.wrap_power_sum(quantum.oracle_quantum_mn, lam, args.r, ctx) != result:
-            print("verify: MISMATCH", file=sys.stderr)
-            return 1
-        print("verify: MATCH", file=sys.stderr)
+        again = quantum.wrap_power_sum(quantum.oracle_quantum_mn, lam, args.r, ctx)
+        return _report_verify(again == result)
     return 0
 
 
@@ -130,21 +124,21 @@ def cmd_pieri(args: argparse.Namespace) -> int:
         result = symfun.pieri_e(lam, args.size, args.k)
     else:
         result = symfun.pieri_h(lam, args.size, args.k)
-    _emit(args, result, symfun.schur_expansion_to_json, render_schur)
+    _emit(args, result, render_schur)
     return 0
 
 
 def cmd_monk(args: argparse.Namespace) -> int:
     w = parse_perm_arg(args.w)
     result = schubert.monk(w, args.k)
-    _emit(args, result, schubert.schubert_expansion_to_json, render_schubert)
+    _emit(args, result, render_schubert)
     return 0
 
 
 def cmd_schubert_expand(args: argparse.Namespace) -> int:
     f = SparsePoly.parse(args.poly)
     result = schubert.expand_in_schubert(f)
-    _emit(args, result, schubert.schubert_expansion_to_json, render_schubert)
+    _emit(args, result, render_schubert)
     return 0
 
 
@@ -158,17 +152,16 @@ def cmd_core(args: argparse.Namespace) -> int:
     res = partitions.n_core(lam, args.n)
     sign = None if args.k is None else quantum.psi_sign(res, args.k)
 
-    def to_json(res: partitions.CoreResult) -> dict:
-        payload = {
-            "core": list(res.core),
-            "hooks_removed": res.hooks_removed,
-            "height_sum": res.height_sum,
-        }
-        if sign is not None:
-            payload["sign"] = sign
-        return payload
-
-    def render(res: partitions.CoreResult) -> str:
+    def render(res: partitions.CoreResult, as_json: bool):
+        if as_json:
+            payload = {
+                "core": list(res.core),
+                "hooks_removed": res.hooks_removed,
+                "height_sum": res.height_sum,
+            }
+            if sign is not None:
+                payload["sign"] = sign
+            return payload
         text = (
             f"core {fmt_partition(res.core)}  hooks_removed={res.hooks_removed}"
             f"  height_sum={res.height_sum}"
@@ -177,7 +170,7 @@ def cmd_core(args: argparse.Namespace) -> int:
             text += f"  sign(k={args.k})={'+1' if sign > 0 else '-1'}"
         return text
 
-    _emit(args, res, to_json, render)
+    _emit(args, res, render)
     return 0
 
 
@@ -260,19 +253,18 @@ def cmd_selfcheck(args: argparse.Namespace) -> int:
     checks = _selfcheck_results()
     all_ok = all(ok for _, ok, _ in checks)
 
-    def to_json(checks: list[tuple[str, bool, str]]) -> dict:
-        return {
-            "ok": all_ok,
-            "checks": [
-                {"name": name, "ok": ok, "detail": detail} for name, ok, detail in checks
-            ],
-        }
-
-    def render(checks: list[tuple[str, bool, str]]) -> str:
+    def render(checks: list[tuple[str, bool, str]], as_json: bool):
+        if as_json:
+            return {
+                "ok": all_ok,
+                "checks": [
+                    {"name": name, "ok": ok, "detail": detail} for name, ok, detail in checks
+                ],
+            }
         lines = [f"{'PASS' if ok else 'FAIL'}  {name}: {detail}" for name, ok, detail in checks]
         return "\n".join([*lines, f"selfcheck: {'ok' if all_ok else 'FAILED'}"])
 
-    _emit(args, checks, to_json, render)
+    _emit(args, checks, render)
     return 0 if all_ok else 1
 
 

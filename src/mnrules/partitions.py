@@ -49,8 +49,10 @@ def validate_partition(parts: Iterable[int]) -> Partition:
         lam = tuple(map(operator.index, parts))
     except TypeError:
         raise ValueError(f"parts must be positive integers, got {parts}") from None
-    while lam and lam[-1] == 0:
-        lam = lam[:-1]
+    n = len(lam)
+    while n and lam[n - 1] == 0:
+        n -= 1
+    lam = lam[:n]
     for i, p in enumerate(lam):
         if p < 1:
             raise ValueError(f"parts must be positive integers, got {lam}")

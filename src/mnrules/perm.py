@@ -40,9 +40,10 @@ def canonical(word: Iterable[int]) -> Permutation:
         raise ValueError(f"entries must be integers, got {word}") from None
     if sorted(w) != list(range(1, len(w) + 1)):
         raise ValueError(f"not a permutation of 1..{len(w)}: {w}")
-    while w and w[-1] == len(w):
-        w = w[:-1]
-    return w
+    m = len(w)
+    while m and w[m - 1] == m:
+        m -= 1
+    return w[:m]
 
 
 def apply(w: Permutation, i: int) -> int:

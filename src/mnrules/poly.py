@@ -17,9 +17,26 @@ Exponents = tuple[int, ...]
 
 def _trim(exps: Iterable[int]) -> Exponents:
     e = tuple(exps)
-    while e and e[-1] == 0:
-        e = e[:-1]
-    return e
+    n = len(e)
+    while n and e[n - 1] == 0:
+        n -= 1
+    return e[:n]
+
+
+def join_signed(items: list[tuple[int, str]], mag_sep: str = "*") -> str:
+    """Write (coefficient, body) terms as a signed sum: the leading term
+    unsigned when positive, a magnitude other than 1 before its body."""
+    if not items:
+        return "0"
+    bits = []
+    for idx, (coeff, body) in enumerate(items):
+        mag = abs(coeff)
+        text = body if mag == 1 else f"{mag}{mag_sep}{body}"
+        if idx == 0:
+            bits.append(text if coeff > 0 else f"-{text}")
+        else:
+            bits.append(f"+ {text}" if coeff > 0 else f"- {text}")
+    return " ".join(bits)
 
 
 class SparsePoly:
@@ -149,29 +166,13 @@ class SparsePoly:
         return {d: SparsePoly._from_clean(t) for d, t in sorted(comps.items())}
 
     def __str__(self) -> str:
-        if not self.terms:
-            return "0"
-        bits = []
-        order = sorted(self.terms, key=lambda e: (-sum(e), tuple(-x for x in e)))
-        for idx, e in enumerate(order):
+        items = []
+        for e in sorted(self.terms, key=lambda e: (-sum(e), tuple(-x for x in e))):
             c = self.terms[e]
-            factors = [
-                f"x{i + 1}" if p == 1 else f"x{i + 1}^{p}"
-                for i, p in enumerate(e)
-                if p
-            ]
-            mag = abs(c)
-            if not factors:
-                body = str(mag)
-            elif mag == 1:
-                body = "*".join(factors)
-            else:
-                body = "*".join([str(mag)] + factors)
-            if idx == 0:
-                bits.append(body if c > 0 else f"-{body}")
-            else:
-                bits.append(f"+ {body}" if c > 0 else f"- {body}")
-        return " ".join(bits)
+            body = "*".join(f"x{i + 1}" if p == 1 else f"x{i + 1}^{p}" for i, p in enumerate(e) if p)
+            # a constant term carries its magnitude in the body
+            items.append((c, body) if body else (1 if c > 0 else -1, str(abs(c))))
+        return join_signed(items)
 
     def __repr__(self) -> str:
         return f'SparsePoly("{self}")'

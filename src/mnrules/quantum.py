@@ -203,11 +203,3 @@ def ideal_vanishing_check(ctx: GrContext) -> list[GeneratorCheck]:
         got = psi_reduce(lam, ctx)
         checks.append(GeneratorCheck(f"s_{list(lam)}", {}, got, got == {}))
     return checks
-
-
-def quantum_class_to_json(qc: QuantumClass) -> list[dict]:
-    return [
-        {"coeff": qc[key], "q": key[0], "partition": list(key[1])}
-        for key in sorted(qc)
-    ]
-

@@ -21,10 +21,9 @@ from .perm import (
     het,
     inverse,
     k_bruhat_covers,
-    length,
     right_transposed,
 )
-from .poly import SparsePoly
+from .poly import SparsePoly, _trim
 
 SchubertExpansion = dict[Permutation, int]
 
@@ -50,9 +49,7 @@ def divided_difference(f: SparsePoly, i: int) -> SparsePoly:
         for t in range(hi - lo):
             base[i - 1] = hi - 1 - t
             base[i] = lo + t
-            e = tuple(base)
-            while e and e[-1] == 0:
-                e = e[:-1]
+            e = _trim(base)
             s = data.get(e, 0) + sign * coeff
             if s:
                 data[e] = s
@@ -162,11 +159,3 @@ def grassmannian_permutation(lam: Partition, k: int) -> Permutation:
     head = [((lam[k - i] if k - i < len(lam) else 0) + i) for i in range(1, k + 1)]
     tail = sorted(set(range(1, k + lam[0] + 1)) - set(head))
     return canonical(head + tail)
-
-
-def schubert_expansion_to_json(expansion: SchubertExpansion) -> list[dict]:
-    return [
-        {"coeff": expansion[u], "perm": list(u)}
-        for u in sorted(expansion, key=lambda u: (length(u), u))
-    ]
-

@@ -71,11 +71,3 @@ def power_sum_poly(r: int, k: int) -> SparsePoly:
     if r < 1 or k < 1:
         raise ValueError(f"need r, k >= 1, got r={r}, k={k}")
     return SparsePoly({(0,) * i + (r,): 1 for i in range(k)})
-
-
-def schur_expansion_to_json(expansion: SchurExpansion) -> list[dict]:
-    return [
-        {"coeff": expansion[lam], "partition": list(lam)}
-        for lam in sorted(expansion)
-    ]
-

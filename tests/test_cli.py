@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from mnrules import cli, perm
+from mnrules.quantum import oracle_quantum_mn
 
 
 def run(capsys, *argv):
@@ -253,14 +254,27 @@ def test_selfcheck_detects_broken_sign_rule(capsys, monkeypatch):
     assert "FAIL" in out
 
 
-def test_verify_reports_mismatch(capsys, monkeypatch):
-    flipped = lambda eta, k: perm.het(eta, k) + 1
-    monkeypatch.setattr("mnrules.schubert.het", flipped)
-    code, out, err = run(
-        capsys, "mn-schubert", "--w", "2,4,1,3", "--k", "2", "--r", "3", "--verify"
-    )
+@pytest.mark.parametrize(
+    "target, broken, argv",
+    [
+        (
+            "mnrules.schubert.het",
+            lambda eta, k: perm.het(eta, k) + 1,
+            ["mn-schubert", "--w", "2,4,1,3", "--k", "2", "--r", "3"],
+        ),
+        (
+            "mnrules.quantum.oracle_quantum_mn",
+            lambda lam, r, ctx: {t: -c for t, c in oracle_quantum_mn(lam, r, ctx).items()},
+            ["mn-quantum", "--partition", "3,2,1", "--r", "5", "--k", "4", "--n", "8"],
+        ),
+    ],
+    ids=["mn-schubert", "mn-quantum"],
+)
+def test_verify_reports_mismatch(capsys, monkeypatch, target, broken, argv):
+    monkeypatch.setattr(target, broken)
+    code, out, err = run(capsys, *argv, "--verify")
     assert code == 1
-    assert "verify: MISMATCH" in err
+    assert err == "verify: MISMATCH\n"
 
 
 def run_capped(*argv, memory=1 << 30, timeout=20):

@@ -1,6 +1,9 @@
+import time
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from mnrules import canonical, validate_partition
 from mnrules.poly import SparsePoly
 from oracles import swap_variables, variable
 
@@ -90,3 +93,24 @@ def test_constructor_rejects_non_integer_exponents_and_coefficients():
         with pytest.raises(ValueError, match="must be integers"):
             SparsePoly(terms)
     assert SparsePoly({(True, 0): True}) == variable(1)
+
+
+TRAILING = 200_000
+
+
+@pytest.mark.parametrize(
+    "trim, arg, expected",
+    [
+        (canonical, [2, 1, *range(3, TRAILING + 3)], (2, 1)),
+        (validate_partition, [3, 1] + [0] * TRAILING, (3, 1)),
+        (lambda e: SparsePoly.monomial(e).terms, [0, 2] + [0] * TRAILING, {(0, 2): 1}),
+    ],
+    ids=["canonical", "validate_partition", "poly_trim"],
+)
+def test_trailing_trims_take_linear_time(trim, arg, expected):
+    # Dropping one trailing entry per slice copies the tuple each time, about
+    # TRAILING**2 / 2 element copies: over a minute on a 2-vCPU machine, where
+    # one cut takes milliseconds.
+    start = time.perf_counter()
+    assert trim(arg) == expected
+    assert time.perf_counter() - start < 2.0

@@ -1,12 +1,12 @@
 import pytest
 
+from mnrules import cli
 from mnrules.partitions import is_rim_hook, leq, n_core
 from mnrules.quantum import (
     GrContext,
     ideal_vanishing_check,
     oracle_quantum_mn,
     psi_reduce,
-    quantum_class_to_json,
     quantum_mn,
     quantum_mn_extended,
     sampled_max_minus_min_partitions,
@@ -185,7 +185,7 @@ def test_sampled_generators_are_pinned():
 
 def test_quantum_class_json_round_trip():
     qc = {(0, (3, 1)): 2, (1, ()): -1, (2, (1,)): 3}
-    encoded = quantum_class_to_json(qc)
+    encoded = cli.render_quantum(qc, as_json=True)
     assert encoded == [
         {"coeff": 2, "q": 0, "partition": [3, 1]},
         {"coeff": -1, "q": 1, "partition": []},

@@ -4,7 +4,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from mnrules import perm, schubert
+from mnrules import cli, perm, schubert
 from mnrules.poly import SparsePoly
 from mnrules.schubert import (
     divided_difference,
@@ -12,7 +12,6 @@ from mnrules.schubert import (
     grassmannian_permutation,
     mn_schubert,
     monk,
-    schubert_expansion_to_json,
     schubert_poly,
 )
 from mnrules.symfun import mn_classical
@@ -348,7 +347,7 @@ def test_mn_schubert_is_alternating_sum_of_hooks():
 
 def test_schubert_expansion_json_round_trip():
     exp = {(2, 4, 1, 3): 3, (1, 3, 2): -2, (): 1}
-    encoded = schubert_expansion_to_json(exp)
+    encoded = cli.render_schubert(exp, as_json=True)
     assert encoded == [
         {"coeff": 1, "perm": []},
         {"coeff": -2, "perm": [1, 3, 2]},

@@ -1,7 +1,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from mnrules import symfun
+from mnrules import cli, symfun
 from mnrules.poly import SparsePoly
 from mnrules.symfun import (
     grassmannian_project,
@@ -9,7 +9,6 @@ from mnrules.symfun import (
     pieri_e,
     pieri_h,
     power_sum_poly,
-    schur_expansion_to_json,
 )
 from oracles import (
     complete_homogeneous_poly,
@@ -172,7 +171,7 @@ def test_hook_formula_at_monomial_level(a, b):
 
 def test_schur_expansion_json_round_trip():
     exp = {(3, 1): -2, (2, 2): 1, (): 5}
-    encoded = schur_expansion_to_json(exp)
+    encoded = cli.render_schur(exp, as_json=True)
     assert encoded == [
         {"coeff": 5, "partition": []},
         {"coeff": 1, "partition": [2, 2]},

@@ -23,7 +23,6 @@ test suite checks against live in ``tests/oracles.py``.
 from .partitions import (
     CoreResult,
     Partition,
-    RimHookRecord,
     add_rim_hooks,
     box_partition,
     is_rim_hook,
@@ -60,7 +59,6 @@ __all__ = [
     "GrContext",
     "Partition",
     "Permutation",
-    "RimHookRecord",
     "SparsePoly",
     "add_rim_hooks",
     "box_partition",

@@ -174,19 +174,6 @@ class _Record:
         raise AttributeError(f"cannot delete field {name!r}")
 
 
-class RimHookRecord(_Record):
-    """One way of adding (or removing) a rim hook: inner <= outer."""
-
-    __slots__ = ("inner", "outer", "size", "height")
-
-    def __init__(self, inner: Partition, outer: Partition, size: int, height: int) -> None:
-        set_inner, set_outer, set_size, set_height = self._setters
-        set_inner(self, inner)
-        set_outer(self, outer)
-        set_size(self, size)
-        set_height(self, height)
-
-
 def _bead_moves(lam: Partition, shift: int, beads: int) -> Iterator[tuple[Partition, int]]:
     """Move one bead of lam's abacus by ``shift``: yield (new shape, hook height).
 
@@ -209,15 +196,15 @@ def _bead_moves(lam: Partition, shift: int, beads: int) -> Iterator[tuple[Partit
         yield tuple(p for p in shape if p), 1 + sum(lo < x < hi for x in pos)
 
 
-def add_rim_hooks(lam: Partition, r: int, max_rows: int) -> list[RimHookRecord]:
+def add_rim_hooks(lam: Partition, r: int, max_rows: int) -> list[tuple[Partition, int]]:
     """All ways to grow ``lam`` by a rim hook of ``r`` cells within ``max_rows`` rows.
 
     On the abacus of ``max_rows`` beads, each bead that can move up by r to
-    an empty position gives one hook (see :func:`_bead_moves`).  Records are
-    sorted lexicographically by outer shape.  ``max_rows`` over
-    ``ROW_LIMIT`` raises ValueError.
+    an empty position gives one hook (see :func:`_bead_moves`).  Returns
+    (outer shape, hook height) pairs sorted lexicographically by shape; the
+    shapes are distinct.  ``max_rows`` over ``ROW_LIMIT`` raises ValueError.
 
-    >>> [(rec.outer, rec.height) for rec in add_rim_hooks((1,), 2, 3)]
+    >>> add_rim_hooks((1,), 2, 3)
     [((1, 1, 1), 2), ((3,), 1)]
     """
     lam = validate_partition(lam)
@@ -228,27 +215,23 @@ def add_rim_hooks(lam: Partition, r: int, max_rows: int) -> list[RimHookRecord]:
     _require_rows(max_rows)
     if len(lam) > max_rows:
         return []
-    found = [RimHookRecord(lam, mu, r, h) for mu, h in _bead_moves(lam, r, max_rows)]
-    found.sort(key=lambda rec: rec.outer)
-    return found
+    return sorted(_bead_moves(lam, r, max_rows))
 
 
-def remove_rim_hooks(lam: Partition, r: int) -> list[RimHookRecord]:
+def remove_rim_hooks(lam: Partition, r: int) -> list[tuple[Partition, int]]:
     """All ways to strip a rim hook of ``r`` cells from ``lam``.
 
     On the abacus of len(lam) beads, each bead that can move down by r to an
-    empty position >= 0 gives one hook.  Records are sorted
-    lexicographically by inner shape.
+    empty position >= 0 gives one hook.  Returns (inner shape, hook height)
+    pairs sorted lexicographically by shape; the shapes are distinct.
 
-    >>> [(rec.inner, rec.height) for rec in remove_rim_hooks((2, 2), 3)]
+    >>> remove_rim_hooks((2, 2), 3)
     [((1,), 2)]
     """
     lam = validate_partition(lam)
     if r < 1:
         raise ValueError(f"rim hook size must be positive, got {r}")
-    found = [RimHookRecord(nu, lam, r, h) for nu, h in _bead_moves(lam, -r, len(lam))]
-    found.sort(key=lambda rec: rec.inner)
-    return found
+    return sorted(_bead_moves(lam, -r, len(lam)))
 
 
 class CoreResult(_Record):

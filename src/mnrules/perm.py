@@ -66,14 +66,6 @@ def compose(u: Permutation, v: Permutation) -> Permutation:
     return canonical(apply(u, apply(v, i)) for i in range(1, m + 1))
 
 
-def right_transposed(w: Permutation, i: int, j: int) -> Permutation:
-    """w * (i, j): the values in positions i and j change places."""
-    m = max(len(w), i, j)
-    word = [apply(w, t) for t in range(1, m + 1)]
-    word[i - 1], word[j - 1] = word[j - 1], word[i - 1]
-    return canonical(word)
-
-
 def length(w: Permutation) -> int:
     """Number of inversions.
 

@@ -16,7 +16,6 @@ from .partitions import (
     CoreResult,
     Partition,
     _Record,
-    add_rim_hooks,
     box_partition,
     leq,
     n_core,
@@ -87,20 +86,20 @@ def psi_reduce(lam: Partition, ctx: GrContext) -> QuantumClass:
 def quantum_mn(lam: Partition, r: int, ctx: GrContext) -> QuantumClass:
     """Multiply the Schubert cycle of lam by the power sum p_r in qH*(Gr(k, n)).
 
-    Classical part: rim hooks of r cells added to lam inside the box, signed
-    by (-1)**(height + 1).  Quantum part: rim hooks of n - r cells removed
-    from lam, each contributing q with sign -(-1)**k * (-1)**(height + 1).
+    Classical part: the terms of :func:`mn_classical` in k variables that
+    fit in the box.  Quantum part: rim hooks of n - r cells removed from
+    lam, each contributing q with sign -(-1)**k * (-1)**(height + 1).
     Requires 1 <= r < n.
     """
     lam = _require_in_box(lam, ctx)
     if not 1 <= r < ctx.n:
         raise ValueError(f"need 1 <= r < n={ctx.n}, got r={r}")
-    out: QuantumClass = {}
-    for rec in add_rim_hooks(lam, r, ctx.k):
-        if leq(rec.outer, ctx.box):
-            out[(0, rec.outer)] = 1 if rec.height % 2 else -1
-    for rec in remove_rim_hooks(lam, ctx.n - r):
-        out[(1, rec.inner)] = 1 if (ctx.k + rec.height) % 2 == 0 else -1
+    box = ctx.box
+    out: QuantumClass = {
+        (0, mu): c for mu, c in mn_classical(lam, r, ctx.k).items() if leq(mu, box)
+    }
+    for nu, height in remove_rim_hooks(lam, ctx.n - r):
+        out[(1, nu)] = 1 if (ctx.k + height) % 2 == 0 else -1
     return out
 
 

@@ -10,8 +10,9 @@ from __future__ import annotations
 
 from functools import cache
 
-from .partitions import Partition, require_fits
+from .partitions import Partition, part, require_fits
 from .perm import (
+    SUPPORT_LIMIT,
     Permutation,
     canonical,
     chain_endpoints,
@@ -21,7 +22,6 @@ from .perm import (
     het,
     inverse,
     k_bruhat_covers,
-    right_transposed,
 )
 from .poly import SparsePoly, _trim
 
@@ -72,8 +72,11 @@ def _schubert_cached(w: Permutation) -> SparsePoly:
         return SparsePoly.one()
     if w == tuple(range(n, 0, -1)):
         return staircase_monomial(n)
+    # Swapping the first ascent keeps the word canonical: the last letter
+    # either stays or becomes w(n - 1) < w(n) <= n, not a fixed point.
     i = next(i for i in range(1, n) if w[i - 1] < w[i])
-    return divided_difference(_schubert_cached(right_transposed(w, i, i + 1)), i)
+    swapped = w[: i - 1] + (w[i], w[i - 1]) + w[i + 1 :]
+    return divided_difference(_schubert_cached(swapped), i)
 
 
 def schubert_poly(w: Permutation) -> SparsePoly:
@@ -113,9 +116,10 @@ def expand_in_schubert(f: SparsePoly) -> SchubertExpansion:
                 )
             last_key = key
             u = from_lehmer_code(exps)
-            out[u] = out.get(u, 0) + coeff
+            # Leading monomials strictly decrease, so u is peeled only once.
+            out[u] = coeff
             rem = rem - coeff * schubert_poly(u)
-    return {u: c for u, c in out.items() if c}
+    return out
 
 
 def monk(w: Permutation, k: int) -> SchubertExpansion:
@@ -152,8 +156,15 @@ def mn_schubert(w: Permutation, k: int, r: int) -> SchubertExpansion:
 
 def grassmannian_permutation(lam: Partition, k: int) -> Permutation:
     """The permutation with descent only at k whose Schubert polynomial is
-    the Schur polynomial s_lam(x_1..x_k)."""
+    the Schur polynomial s_lam(x_1..x_k).
+
+    The word has k + lam_1 letters; over ``perm.SUPPORT_LIMIT`` raises
+    ValueError before it is built.
+    """
     lam = require_fits(lam, k)
+    size = k + part(lam, 0)
+    if size > SUPPORT_LIMIT:
+        raise ValueError(f"needs words of {size} letters, over the limit of {SUPPORT_LIMIT}")
     if not lam:
         return ()
     head = [((lam[k - i] if k - i < len(lam) else 0) + i) for i in range(1, k + 1)]

@@ -50,10 +50,7 @@ def mn_classical(lam: Partition, r: int, k: int) -> SchurExpansion:
     lam = require_fits(lam, k)
     if r < 1:
         raise ValueError(f"need r >= 1, got {r}")
-    return {
-        rec.outer: (1 if rec.height % 2 else -1)
-        for rec in add_rim_hooks(lam, r, k)
-    }
+    return {mu: 1 if height % 2 else -1 for mu, height in add_rim_hooks(lam, r, k)}
 
 
 def grassmannian_project(expansion: SchurExpansion, k: int, n: int) -> SchurExpansion:

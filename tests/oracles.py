@@ -35,7 +35,6 @@ from mnrules import perm, schubert
 from mnrules.partitions import (
     CoreResult,
     Partition,
-    RimHookRecord,
     is_rim_hook,
     leq,
     part,
@@ -148,13 +147,14 @@ def _hook_candidate_valid(inner: Partition, mu: list[int], r: int) -> Partition 
     return outer
 
 
-def oracle_add_rim_hooks(lam: Partition, r: int, max_rows: int) -> list[RimHookRecord]:
+def oracle_add_rim_hooks(lam: Partition, r: int, max_rows: int) -> list[tuple[Partition, int]]:
     """add_rim_hooks by choosing the hook's top and bottom rows.
 
     A rim hook is determined by the rows it occupies: below its top row it
     hugs the old boundary (row a gains the cells from one past row a-1's old
     end down to row a's old end), and the top row absorbs whatever cells are
     left over.  Each candidate is re-checked with the diagonal test.
+    Returns (outer shape, height) pairs sorted by shape.
     """
     lam = validate_partition(lam)
     if r < 1:
@@ -178,17 +178,18 @@ def oracle_add_rim_hooks(lam: Partition, r: int, max_rows: int) -> list[RimHookR
                 mu[a] = part(lam, a - 1) + 1
             outer = _hook_candidate_valid(lam, mu, r)
             if outer is not None:
-                found.append(RimHookRecord(lam, outer, r, bottom - top + 1))
-    found.sort(key=lambda rec: rec.outer)
+                found.append((outer, bottom - top + 1))
+    found.sort(key=lambda hook: hook[0])
     return found
 
 
-def oracle_remove_rim_hooks(lam: Partition, r: int) -> list[RimHookRecord]:
+def oracle_remove_rim_hooks(lam: Partition, r: int) -> list[tuple[Partition, int]]:
     """remove_rim_hooks as the mirror image of oracle_add_rim_hooks.
 
     Above its bottom row the hook hugs the boundary (row a keeps one cell
     fewer than row a+1's old end), and the bottom row gives up the remaining
     cells.  Each candidate is re-checked with the diagonal test.
+    Returns (inner shape, height) pairs sorted by shape.
     """
     lam = validate_partition(lam)
     if r < 1:
@@ -216,13 +217,13 @@ def oracle_remove_rim_hooks(lam: Partition, r: int) -> list[RimHookRecord]:
                 continue
             if not is_rim_hook(inner, lam):
                 continue
-            found.append(RimHookRecord(inner, lam, r, bottom - top + 1))
-    found.sort(key=lambda rec: rec.inner)
+            found.append((inner, bottom - top + 1))
+    found.sort(key=lambda hook: hook[0])
     return found
 
 
-def _top_row_of_hook(rec: RimHookRecord) -> int:
-    return next(r for r in range(len(rec.outer)) if part(rec.inner, r) < rec.outer[r])
+def _top_row_of_hook(inner: Partition, outer: Partition) -> int:
+    return next(r for r in range(len(outer)) if part(inner, r) < outer[r])
 
 
 def oracle_n_core(lam: Partition, n: int) -> CoreResult:
@@ -232,23 +233,23 @@ def oracle_n_core(lam: Partition, n: int) -> CoreResult:
         raise ValueError(f"hook size must be at least 2, got {n}")
     cur, hooks, heights = lam, 0, 0
     while True:
-        recs = oracle_remove_rim_hooks(cur, n)
-        if not recs:
+        hooks_off = oracle_remove_rim_hooks(cur, n)
+        if not hooks_off:
             return CoreResult(cur, hooks, heights)
-        rec = min(recs, key=_top_row_of_hook)
-        cur, hooks, heights = rec.inner, hooks + 1, heights + rec.height
+        nu, height = min(hooks_off, key=lambda hook: _top_row_of_hook(hook[0], cur))
+        cur, hooks, heights = nu, hooks + 1, heights + height
 
 
 @functools.cache
 def removal_observables(lam: Partition, n: int) -> frozenset[tuple[Partition, int, int]]:
     """All (core, hook count, height-sum parity) over every maximal removal order."""
-    records = oracle_remove_rim_hooks(lam, n)
-    if not records:
+    hooks_off = oracle_remove_rim_hooks(lam, n)
+    if not hooks_off:
         return frozenset({(validate_partition(lam), 0, 0)})
     out: set[tuple[Partition, int, int]] = set()
-    for rec in records:
-        for core, s, parity in removal_observables(rec.inner, n):
-            out.add((core, s + 1, (parity + rec.height) % 2))
+    for nu, height in hooks_off:
+        for core, s, parity in removal_observables(nu, n):
+            out.add((core, s + 1, (parity + height) % 2))
     return frozenset(out)
 
 
@@ -259,6 +260,14 @@ def transposition(i: int, j: int) -> perm.Permutation:
     word = list(range(1, j + 1))
     word[i - 1], word[j - 1] = j, i
     return tuple(word)
+
+
+def right_transposed(w: perm.Permutation, i: int, j: int) -> perm.Permutation:
+    """w * (i, j): the values in positions i and j change places."""
+    m = max(len(w), i, j)
+    word = [perm.apply(w, t) for t in range(1, m + 1)]
+    word[i - 1], word[j - 1] = word[j - 1], word[i - 1]
+    return perm.canonical(word)
 
 
 def is_cover_transposition(w: perm.Permutation, i: int, j: int) -> bool:
@@ -293,7 +302,7 @@ def oracle_k_bruhat_covers(
         label = perm.apply(w, i)
         for j in range(k + 1, max_support + 1):
             if i < j and is_cover_transposition(w, i, j):
-                covers.append((perm.right_transposed(w, i, j), label))
+                covers.append((right_transposed(w, i, j), label))
     return covers
 
 
@@ -386,10 +395,10 @@ def transition_xi(w: perm.Permutation, i: int) -> dict:
     out = {}
     for b in range(i + 1, max(len(w), i) + 2):
         if is_cover_transposition(w, i, b):
-            out[perm.right_transposed(w, i, b)] = 1
+            out[right_transposed(w, i, b)] = 1
     for a in range(1, i):
         if is_cover_transposition(w, a, i):
-            out[perm.right_transposed(w, a, i)] = -1
+            out[right_transposed(w, a, i)] = -1
     return out
 
 

@@ -104,7 +104,7 @@ def test_is_rim_hook_matches_border_strip_oracle_exhaustively():
 
 
 def test_add_rim_hooks_four_ways_onto_staircase():
-    got = [(rec.outer, rec.height) for rec in add_rim_hooks((3, 2, 1), 5, 4)]
+    got = add_rim_hooks((3, 2, 1), 5, 4)
     assert got == [
         ((3, 3, 3, 2), 3),
         ((4, 4, 3), 3),
@@ -114,12 +114,12 @@ def test_add_rim_hooks_four_ways_onto_staircase():
 
 
 def test_add_rim_hooks_to_empty_partition_gives_hooks():
-    got = [(rec.outer, rec.height) for rec in add_rim_hooks((), 3, 3)]
+    got = add_rim_hooks((), 3, 3)
     assert got == [((1, 1, 1), 3), ((2, 1), 2), ((3,), 1)]
 
 
 def test_add_rim_hooks_respects_connectivity():
-    got = [(rec.outer, rec.height) for rec in add_rim_hooks((1,), 2, 3)]
+    got = add_rim_hooks((1,), 2, 3)
     assert got == [((1, 1, 1), 2), ((3,), 1)]  # (2,1) is not a rim hook over (1)
 
 
@@ -128,15 +128,15 @@ def test_remove_rim_hooks_examples():
     # (3,3,3,2) and (4,4,3) have maximal hook length 6, so they are 8-cores
     assert remove_rim_hooks((3, 3, 3, 2), 8) == []
     assert remove_rim_hooks((4, 4, 3), 8) == []
-    assert [(r.inner, r.height) for r in remove_rim_hooks((6, 4, 1), 8)] == [((3,), 3)]
-    assert [(r.inner, r.height) for r in remove_rim_hooks((8, 2, 1), 8)] == [
+    assert remove_rim_hooks((6, 4, 1), 8) == [((3,), 3)]
+    assert remove_rim_hooks((8, 2, 1), 8) == [
         ((1, 1, 1), 2)
     ]
-    assert [(r.inner, r.height) for r in remove_rim_hooks((3, 2, 1), 3)] == [
+    assert remove_rim_hooks((3, 2, 1), 3) == [
         ((1, 1, 1), 2),
         ((3,), 2),
     ]
-    assert [(r.inner, r.height) for r in remove_rim_hooks((12, 10, 7, 3), 8)] == [
+    assert remove_rim_hooks((12, 10, 7, 3), 8) == [
         ((9, 6, 6, 3), 3),
         ((12, 6, 3, 3), 2),
         ((12, 10, 2), 2),
@@ -147,27 +147,30 @@ def test_remove_rim_hooks_examples():
 @settings(max_examples=60, deadline=None)
 def test_rim_hook_record_invariants(lam, r, max_rows):
     added = add_rim_hooks(lam, r, max_rows)
-    for rec in added:
-        assert len(rec.outer) <= max_rows
-    for rec in added + remove_rim_hooks(lam, r):
-        assert leq(rec.inner, rec.outer)
-        assert rec.size == sum(rec.outer) - sum(rec.inner) == r
-        assert 1 <= rec.height <= rec.size
-        assert is_rim_hook(rec.inner, rec.outer)
-        assert rec.height == rim_hook_height(rec.inner, rec.outer)
+    removed = remove_rim_hooks(lam, r)
+    for hooks in (added, removed):
+        # the rules key a dict by shape, which would drop a repeat silently
+        assert len({shape for shape, _ in hooks}) == len(hooks)
+    pairs = [(lam, mu, h) for mu, h in added] + [(nu, lam, h) for nu, h in removed]
+    for mu, _ in added:
+        assert len(mu) <= max_rows
+    for inner, outer, height in pairs:
+        assert leq(inner, outer)
+        assert sum(outer) - sum(inner) == r
+        assert 1 <= height <= r
+        assert is_rim_hook(inner, outer)
+        assert height == rim_hook_height(inner, outer)
 
 
 @given(small_partitions, st.integers(1, 6))
 @settings(max_examples=60, deadline=None)
 def test_add_and_remove_are_inverse(lam, r):
     max_rows = len(lam) + r
-    added = {rec.outer for rec in add_rim_hooks(lam, r, max_rows)}
+    added = {mu for mu, _ in add_rim_hooks(lam, r, max_rows)}
     for mu in added:
-        assert lam in {rec.inner for rec in remove_rim_hooks(mu, r)}
-    for rec in remove_rim_hooks(lam, r):
-        assert lam in {
-            back.outer for back in add_rim_hooks(rec.inner, r, len(lam))
-        }
+        assert lam in {nu for nu, _ in remove_rim_hooks(mu, r)}
+    for nu, _ in remove_rim_hooks(lam, r):
+        assert lam in {back for back, _ in add_rim_hooks(nu, r, len(lam))}
 
 
 def test_n_core_known_values():

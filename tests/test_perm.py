@@ -19,7 +19,6 @@ from mnrules.perm import (
     k_bruhat_covers,
     lehmer_code,
     length,
-    right_transposed,
 )
 from oracles import (
     hook_times_schubert,
@@ -27,6 +26,7 @@ from oracles import (
     oracle_k_bruhat_covers,
     oracle_length,
     peakless_endpoints,
+    right_transposed,
     transition_xi,
     transposition,
 )

@@ -1,5 +1,5 @@
-"""The value semantics of the library's records: RimHookRecord, CoreResult,
-GrContext and GeneratorCheck.
+"""The value semantics of the library's records: CoreResult, GrContext and
+GeneratorCheck.
 
 Each is an immutable record compared, hashed, printed, copied and pickled by
 its fields, and equal only to a record of its own class.
@@ -11,17 +11,11 @@ from fractions import Fraction
 
 import pytest
 
-from mnrules.partitions import CoreResult, RimHookRecord
+from mnrules.partitions import CoreResult
 from mnrules.quantum import GeneratorCheck, GrContext
 
 # (class, field names, field values, repr text)
 RECORDS = [
-    (
-        RimHookRecord,
-        ("inner", "outer", "size", "height"),
-        ((1,), (1, 1, 1), 2, 2),
-        "RimHookRecord(inner=(1,), outer=(1, 1, 1), size=2, height=2)",
-    ),
     (
         CoreResult,
         ("core", "hooks_removed", "height_sum"),
@@ -66,14 +60,14 @@ def test_equal_only_to_a_record_of_the_same_class(cls, names, values, text):
             assert rec != other(*other_values)
 
 
-@pytest.mark.parametrize("cls, names, values, text", RECORDS[:3], ids=IDS[:3])
+@pytest.mark.parametrize("cls, names, values, text", RECORDS[:2], ids=IDS[:2])
 def test_equal_records_hash_equal(cls, names, values, text):
     assert hash(cls(*values)) == hash(cls(*values))
     assert len({cls(*values), cls(*values)}) == 1
 
 
 def test_a_generator_check_is_unhashable_because_its_fields_are_dicts():
-    _, _, values, _ = RECORDS[3]
+    _, _, values, _ = RECORDS[2]
     with pytest.raises(TypeError):
         hash(GeneratorCheck(*values))
 

@@ -121,6 +121,18 @@ def test_grassmannian_schubert_is_schur():
         grassmannian_permutation((1, 1, 1), 2)
 
 
+def test_grassmannian_permutation_refuses_words_over_the_support_limit():
+    # The word has k + lam_1 letters: the limit itself is allowed, and past
+    # it the call raises before building anything (k = 10**12 would
+    # otherwise exhaust memory).
+    limit = perm.SUPPORT_LIMIT
+    assert len(grassmannian_permutation((1,), limit - 1)) == limit
+    for lam, k in [((1,), limit), ((2, 1), limit - 1), ((), limit + 1), ((1,), 10**12)]:
+        size = k + (lam[0] if lam else 0)
+        with pytest.raises(ValueError, match=f"needs words of {size} letters, over the limit"):
+            grassmannian_permutation(lam, k)
+
+
 # --- expansion in the Schubert basis ---------------------------------------
 
 

@@ -40,8 +40,6 @@ PROTOCOL_MEMBERS = {
     "partitions._Record.__reduce__": "pickle, copy.copy and copy.deepcopy of a record",
     "partitions._Record.__setattr__": "keeps a record immutable after __init__",
     "partitions._Record.__delattr__": "keeps a record immutable after __init__",
-    "partitions.RimHookRecord.__slots__": "instance layout: inner, outer, size, height",
-    "partitions.RimHookRecord.__init__": "the constructor, RimHookRecord(...) in add_rim_hooks and remove_rim_hooks",
     "partitions.CoreResult.__slots__": "instance layout: core, hooks_removed, height_sum",
     "partitions.CoreResult.__init__": "the constructor, CoreResult(...) in n_core",
     "quantum.GrContext.__slots__": "instance layout: k, n",

@@ -9,8 +9,11 @@ Adding a rim hook, removing one, and stripping down to the n-core all run on
 one beta-number (abacus) kernel, :func:`_bead_moves`: with m beads, row i of
 lam sits at lam_i + m - 1 - i, and an r-hook is one bead moving r places to
 an empty position (James-Kerber, The Representation Theory of the Symmetric
-Group, ch. 2).  :func:`is_rim_hook` and :func:`rim_hook_height` work from the
-cells instead, so tests can use them as certificates.
+Group, ch. 2).  The bead moving from row i to row j shifts the rows between
+by one place, so each move is one O(m) splice of the rows, and the hook's
+height is the index difference |i - j| + 1.  :func:`is_rim_hook` and
+:func:`rim_hook_height` work from the cells instead, so tests can use them
+as certificates.
 """
 
 from __future__ import annotations
@@ -178,22 +181,52 @@ def _bead_moves(lam: Partition, shift: int, beads: int) -> Iterator[tuple[Partit
     """Move one bead of lam's abacus by ``shift``: yield (new shape, hook height).
 
     With m = ``beads`` >= len(lam), row i of lam puts a bead at
-    lam_i + m - 1 - i.  A bead at b moving to an empty b + shift >= 0 adds
-    (shift > 0) or removes (shift < 0) a rim hook of |shift| cells, and the
-    hook's height is 1 + the number of beads strictly between b and
-    b + shift.  Moves come largest bead first, which is the hook whose top
-    row is highest.
+    lam_i + m - 1 - i, so the positions fall as i rises.  A bead of row i
+    moving to an empty c = lam_i + m - 1 - i + shift >= 0 adds (shift > 0)
+    or removes (shift < 0) a rim hook of |shift| cells.  The bead lands in
+    row j, the number of other beads above c, and the rows it passes each
+    shift by one place, so the new shape is one splice of the padded rows:
+
+    - adding (j <= i): rows j..i-1 each grow by one cell and move down a
+      row, and row j becomes c - m + 1 + j;
+    - removing (j >= i): rows i+1..j each lose a cell and move up a row,
+      and row j becomes c - m + 1 + j.
+
+    The hook's height is the number of rows it spans, |i - j| + 1.  Each
+    move costs O(m).  Moves come largest bead first, which is the hook
+    whose top row is highest.
     """
-    pos = [part(lam, i) + beads - 1 - i for i in range(beads)]
-    taken = set(pos)
-    for b in pos:
+    rows = lam + (0,) * (beads - len(lam))
+    pos = [p + beads - 1 - i for i, p in enumerate(rows)]
+    above = 0  # beads strictly above c; c falls as i rises, so this only grows
+    for i, b in enumerate(pos):
         c = b + shift
-        if c < 0 or c in taken:
+        if c < 0:
+            return
+        while above < beads and pos[above] > c:
+            above += 1
+        if above < beads and pos[above] == c:
             continue
-        lo, hi = min(b, c), max(b, c)
-        moved = sorted(taken - {b} | {c}, reverse=True)
-        shape = tuple(x - (beads - 1 - i) for i, x in enumerate(moved))
-        yield tuple(p for p in shape if p), 1 + sum(lo < x < hi for x in pos)
+        # The padding rows' beads fill 0..m-1-len(lam), so c lies above them
+        # all: j <= len(lam) when adding and j < len(lam) when removing, and
+        # slicing lam instead of rows drops the padding from the result.
+        if shift > 0:
+            j = above
+            shape = (
+                lam[:j] + (c - beads + 1 + j,)
+                + tuple([p + 1 for p in rows[j:i]]) + lam[i + 1:]
+            )
+            yield shape, i - j + 1
+        else:
+            j = above - 1  # the moving bead is one of the beads above c
+            shape = (
+                lam[:i] + tuple([p - 1 for p in lam[i + 1:j + 1]])
+                + (c - beads + 1 + j,) + lam[j + 1:]
+            )
+            n = len(shape)
+            while n and not shape[n - 1]:
+                n -= 1
+            yield shape[:n], j - i + 1
 
 
 def add_rim_hooks(lam: Partition, r: int, max_rows: int) -> list[tuple[Partition, int]]:

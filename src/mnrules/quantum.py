@@ -56,11 +56,12 @@ class GrContext(_Record):
         return box_partition(self.k, self.n)
 
 
-def _require_in_box(lam: Partition, ctx: GrContext) -> Partition:
-    lam = validate_partition(lam)
-    if not leq(lam, ctx.box):
+def _require_in_box(lam: Partition, ctx: GrContext) -> tuple[Partition, Partition]:
+    """Validate ``lam`` against the k x (n-k) box; return lam and that box."""
+    lam, box = validate_partition(lam), ctx.box
+    if not leq(lam, box):
         raise ValueError(f"{lam} does not fit in the {ctx.k} x {ctx.n - ctx.k} box")
-    return lam
+    return lam, box
 
 
 def psi_sign(res: CoreResult, k: int) -> int:
@@ -91,10 +92,9 @@ def quantum_mn(lam: Partition, r: int, ctx: GrContext) -> QuantumClass:
     lam, each contributing q with sign -(-1)**k * (-1)**(height + 1).
     Requires 1 <= r < n.
     """
-    lam = _require_in_box(lam, ctx)
+    lam, box = _require_in_box(lam, ctx)
     if not 1 <= r < ctx.n:
         raise ValueError(f"need 1 <= r < n={ctx.n}, got r={r}")
-    box = ctx.box
     out: QuantumClass = {
         (0, mu): c for mu, c in mn_classical(lam, r, ctx.k).items() if leq(mu, box)
     }
@@ -138,7 +138,7 @@ def oracle_quantum_mn(lam: Partition, r: int, ctx: GrContext) -> QuantumClass:
     """Independent route to quantum_mn: multiply in the symmetric-function
     ring with k rows allowed to run past the box, then push every term
     through psi_reduce and collect."""
-    lam = _require_in_box(lam, ctx)
+    lam, _ = _require_in_box(lam, ctx)
     if not 1 <= r < ctx.n:
         raise ValueError(f"need 1 <= r < n={ctx.n}, got r={r}")
     out: QuantumClass = {}

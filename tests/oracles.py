@@ -4,7 +4,8 @@ Everything here is deliberately written from different definitions than the
 code under test: rim hooks via edge connectivity instead of diagonals;
 adding and removing rim hooks row by row along the diagonals, and n-cores by
 stripping one such hook at a time, instead of moving beads on an abacus;
-n-cores also by sliding every bead down its runner at once; k-Bruhat covers
+n-cores also by sliding every bead down its runner at once; one abacus move
+by re-sorting every bead instead of splicing the rows; k-Bruhat covers
 via one interval scan per pair instead of a running minimum; permutation
 lengths by comparing every pair instead of counting on insertion; and
 w^{-1} u in mn_schubert by ``compose`` instead of a padded inverse table.
@@ -30,6 +31,7 @@ from __future__ import annotations
 
 import functools
 from itertools import combinations_with_replacement
+from typing import Iterator
 
 from mnrules import perm, schubert
 from mnrules.partitions import (
@@ -131,6 +133,26 @@ def abacus_core(lam: Partition, n: int) -> tuple[Partition, int]:
     core = tuple(p for p in core if p)
     hooks = (sum(lam) - sum(core)) // n
     return core, hooks
+
+
+def oracle_bead_moves(lam: Partition, shift: int, beads: int) -> Iterator[tuple[Partition, int]]:
+    """partitions._bead_moves by re-sorting the beads after every move.
+
+    Bead i sits at lam_i + beads - 1 - i.  Each bead, largest first, that
+    can move by ``shift`` to an empty position >= 0 yields (new shape,
+    1 + the beads strictly between its old and new positions), the shape
+    read back from the whole re-sorted bead set.
+    """
+    pos = [part(lam, i) + beads - 1 - i for i in range(beads)]
+    taken = set(pos)
+    for b in pos:
+        c = b + shift
+        if c < 0 or c in taken:
+            continue
+        lo, hi = min(b, c), max(b, c)
+        moved = sorted(taken - {b} | {c}, reverse=True)
+        shape = tuple(x - (beads - 1 - i) for i, x in enumerate(moved))
+        yield tuple(p for p in shape if p), 1 + sum(lo < x < hi for x in pos)
 
 
 def _hook_candidate_valid(inner: Partition, mu: list[int], r: int) -> Partition | None:

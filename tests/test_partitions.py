@@ -1,4 +1,5 @@
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -20,6 +21,7 @@ from mnrules.partitions import (
 from oracles import (
     abacus_core,
     oracle_add_rim_hooks,
+    oracle_bead_moves,
     oracle_is_rim_hook,
     oracle_n_core,
     oracle_remove_rim_hooks,
@@ -31,6 +33,9 @@ from oracles import (
 
 small_partitions = st.integers(0, 8).flatmap(
     lambda n: st.sampled_from(sorted(partitions_of(n)) or [()])
+)
+tall_partitions = st.lists(st.integers(1, 30), max_size=40).map(
+    lambda parts: tuple(sorted(parts, reverse=True))
 )
 
 
@@ -234,6 +239,46 @@ def test_bead_kernel_matches_diagonal_oracles_on_5x5_box():
             assert n_core(lam, n) == oracle_n_core(lam, n), (lam, n)
             compared += 1
     assert compared == 15918
+
+
+def test_bead_moves_match_resorting_oracle_move_for_move():
+    # n_core takes the first move, so the order must match as well as the set
+    rng = random.Random(1105)
+    tall = [
+        tuple(sorted((rng.randint(1, 80) for _ in range(rng.randint(30, 60))), reverse=True))
+        for _ in range(20)
+    ]
+    lams = [lam for size in range(13) for lam in partitions_of(size)] + tall
+    compared = 0
+    for lam in lams:
+        for shift in (*range(-9, 0), *range(1, 10)):
+            for beads in range(len(lam), len(lam) + 4):
+                got = list(partitions._bead_moves(lam, shift, beads))
+                assert got == list(oracle_bead_moves(lam, shift, beads)), (lam, shift, beads)
+                compared += 1
+    assert compared == 18 * 4 * (272 + 20)
+
+
+@given(tall_partitions, st.integers(1, 15), st.integers(0, 5))
+@settings(max_examples=100, deadline=None)
+def test_rim_hooks_match_diagonal_oracles_on_tall_partitions(lam, r, extra_rows):
+    max_rows = len(lam) + extra_rows
+    assert add_rim_hooks(lam, r, max_rows) == oracle_add_rim_hooks(lam, r, max_rows)
+    assert remove_rim_hooks(lam, r) == oracle_remove_rim_hooks(lam, r)
+
+
+def test_rim_hooks_on_450_row_staircase_take_linear_time_per_hook():
+    # Each of the ~450 moves per call is one O(rows) splice.  Re-sorting
+    # every bead per move made these 40 calls about 14 times slower, well
+    # over the bound.
+    stair = tuple(range(450, 0, -1))
+    start = time.perf_counter()
+    for _ in range(20):
+        added = add_rim_hooks(stair, 7, 500)
+        removed = remove_rim_hooks(stair, 7)
+    elapsed = time.perf_counter() - start
+    assert (len(added), len(removed)) == (454, 447)
+    assert elapsed < 0.6, f"40 rim-hook calls on the staircase took {elapsed:.2f} s"
 
 
 def test_n_core_matches_abacus_on_tall_partitions():

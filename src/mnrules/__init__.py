@@ -35,10 +35,8 @@ from .partitions import (
 from .perm import (
     Permutation,
     canonical,
-    compose,
     inverse,
     k_bruhat_covers,
-    lehmer_code,
     length,
 )
 from .poly import SparsePoly
@@ -50,7 +48,7 @@ from .schubert import (
     monk,
     schubert_poly,
 )
-from .symfun import grassmannian_project, mn_classical, pieri_e, pieri_h
+from .symfun import mn_classical, pieri_e, pieri_h
 
 __version__ = "0.1.0"
 
@@ -63,14 +61,11 @@ __all__ = [
     "add_rim_hooks",
     "box_partition",
     "canonical",
-    "compose",
     "expand_in_schubert",
     "grassmannian_permutation",
-    "grassmannian_project",
     "inverse",
     "is_rim_hook",
     "k_bruhat_covers",
-    "lehmer_code",
     "length",
     "mn_classical",
     "mn_schubert",

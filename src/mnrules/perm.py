@@ -3,9 +3,9 @@ endpoints of saturated k-Bruhat chains.
 
 A permutation is stored in one-line notation as a tuple (w(1), ..., w(m)),
 trimmed so that either the tuple is empty (the identity) or its last entry is
-not a fixed point.  Values beyond the stored word are fixed.  Products
-compose right-to-left: (u * v)(i) = u(v(i)), and w followed by the
-transposition (i, j) on the right swaps the values in positions i and j.
+not a fixed point.  Values beyond the stored word are fixed.  w(i, j), w
+followed by the transposition (i, j) on the right, is w with the values in
+positions i and j swapped.
 """
 
 from __future__ import annotations
@@ -46,24 +46,11 @@ def canonical(word: Iterable[int]) -> Permutation:
     return w[:m]
 
 
-def apply(w: Permutation, i: int) -> int:
-    """The image w(i), with w fixing everything beyond its stored word."""
-    if i < 1:
-        raise ValueError(f"positions are 1-indexed, got {i}")
-    return w[i - 1] if i <= len(w) else i
-
-
 def inverse(w: Permutation) -> Permutation:
     inv = [0] * len(w)
     for i, v in enumerate(w):
         inv[v - 1] = i + 1
     return tuple(inv)
-
-
-def compose(u: Permutation, v: Permutation) -> Permutation:
-    """(u * v)(i) = u(v(i)), canonicalized."""
-    m = max(len(u), len(v))
-    return canonical(apply(u, apply(v, i)) for i in range(1, m + 1))
 
 
 def length(w: Permutation) -> int:
@@ -82,43 +69,6 @@ def length(w: Permutation) -> int:
         count += bisect_left(seen, v)
         insort(seen, v)
     return count
-
-
-def het(eta: Permutation, k: int) -> int:
-    """Number of positions i <= k that ``eta`` moves."""
-    return sum(1 for i in range(1, min(k, len(eta)) + 1) if eta[i - 1] != i)
-
-
-def cycle_type_check(eta: Permutation, c: int) -> bool:
-    """True iff ``eta`` is one cycle on exactly ``c`` points (rest fixed).
-
-    >>> cycle_type_check((1, 5, 3, 4, 2), 2)
-    True
-    >>> cycle_type_check((), 2)
-    False
-    """
-    if c < 2:
-        return False
-    moved = {i for i in range(1, len(eta) + 1) if eta[i - 1] != i}
-    if len(moved) != c:
-        return False
-    start = min(moved)
-    seen = {start}
-    cur = apply(eta, start)
-    while cur != start:
-        seen.add(cur)
-        cur = apply(eta, cur)
-    return seen == moved
-
-
-def lehmer_code(w: Permutation) -> tuple[int, ...]:
-    """code(w)_i = #{j > i : w(j) < w(i)}, trimmed of trailing zeros."""
-    code = [
-        sum(1 for b in range(a + 1, len(w)) if w[b] < w[a]) for a in range(len(w))
-    ]
-    while code and code[-1] == 0:
-        code.pop()
-    return tuple(code)
 
 
 def from_lehmer_code(code: Iterable[int]) -> Permutation:

@@ -10,11 +10,8 @@ from __future__ import annotations
 from .partitions import (
     Partition,
     add_rim_hooks,
-    box_partition,
-    leq,
     require_fits,
     strips,
-    validate_partition,
 )
 from .poly import SparsePoly
 
@@ -51,16 +48,6 @@ def mn_classical(lam: Partition, r: int, k: int) -> SchurExpansion:
     if r < 1:
         raise ValueError(f"need r >= 1, got {r}")
     return {mu: 1 if height % 2 else -1 for mu, height in add_rim_hooks(lam, r, k)}
-
-
-def grassmannian_project(expansion: SchurExpansion, k: int, n: int) -> SchurExpansion:
-    """Drop every term whose partition does not fit in the k x (n-k) box."""
-    box = box_partition(k, n)
-    return {
-        lam: c
-        for lam, c in expansion.items()
-        if c and leq(validate_partition(lam), box)
-    }
 
 
 def power_sum_poly(r: int, k: int) -> SparsePoly:

@@ -7,8 +7,10 @@ stripping one such hook at a time, instead of moving beads on an abacus;
 n-cores also by sliding every bead down its runner at once; one abacus move
 by re-sorting every bead instead of splicing the rows; k-Bruhat covers
 via one interval scan per pair instead of a running minimum; permutation
-lengths by comparing every pair instead of counting on insertion; and
-w^{-1} u in mn_schubert by ``compose`` instead of a padded inverse table.
+lengths by comparing every pair instead of counting on insertion; and the
+(r+1)-cycle test of mn_schubert by ``compose``, a set of moved points and
+``het`` instead of one moved-point count and one cycle walk over padded
+tables.
 
 The paper's other routes to its rules live here too:
 
@@ -24,7 +26,9 @@ The paper's other routes to its rules live here too:
 
 ``variable`` and ``swap_variables`` are the polynomial helpers the tests
 build with; the swap is the s_i in the defining identity
-(x_i - x_{i+1}) d_i f = f - s_i f of the divided difference.
+(x_i - x_{i+1}) d_i f = f - s_i f of the divided difference.  ``apply``,
+``compose`` and ``lehmer_code`` do the same for permutations, and
+``grassmannian_project`` cuts a Schur expansion down to a k x (n-k) box.
 """
 
 from __future__ import annotations
@@ -37,6 +41,7 @@ from mnrules import perm, schubert
 from mnrules.partitions import (
     CoreResult,
     Partition,
+    box_partition,
     is_rim_hook,
     leq,
     part,
@@ -275,6 +280,56 @@ def removal_observables(lam: Partition, n: int) -> frozenset[tuple[Partition, in
     return frozenset(out)
 
 
+def apply(w: perm.Permutation, i: int) -> int:
+    """The image w(i), with w fixing everything beyond its stored word."""
+    if i < 1:
+        raise ValueError(f"positions are 1-indexed, got {i}")
+    return w[i - 1] if i <= len(w) else i
+
+
+def compose(u: perm.Permutation, v: perm.Permutation) -> perm.Permutation:
+    """(u * v)(i) = u(v(i)), canonicalized."""
+    m = max(len(u), len(v))
+    return perm.canonical(apply(u, apply(v, i)) for i in range(1, m + 1))
+
+
+def lehmer_code(w: perm.Permutation) -> tuple[int, ...]:
+    """code(w)_i = #{j > i : w(j) < w(i)}, trimmed of trailing zeros."""
+    code = [
+        sum(1 for b in range(a + 1, len(w)) if w[b] < w[a]) for a in range(len(w))
+    ]
+    while code and code[-1] == 0:
+        code.pop()
+    return tuple(code)
+
+
+def het(eta: perm.Permutation, k: int) -> int:
+    """Number of positions i <= k that ``eta`` moves."""
+    return sum(1 for i in range(1, min(k, len(eta)) + 1) if eta[i - 1] != i)
+
+
+def cycle_type_check(eta: perm.Permutation, c: int) -> bool:
+    """True iff ``eta`` is one cycle on exactly ``c`` points (rest fixed).
+
+    >>> cycle_type_check((1, 5, 3, 4, 2), 2)
+    True
+    >>> cycle_type_check((), 2)
+    False
+    """
+    if c < 2:
+        return False
+    moved = {i for i in range(1, len(eta) + 1) if eta[i - 1] != i}
+    if len(moved) != c:
+        return False
+    start = min(moved)
+    seen = {start}
+    cur = apply(eta, start)
+    while cur != start:
+        seen.add(cur)
+        cur = apply(eta, cur)
+    return seen == moved
+
+
 def transposition(i: int, j: int) -> perm.Permutation:
     if i == j or i < 1 or j < 1:
         raise ValueError(f"need distinct positive i, j, got {i}, {j}")
@@ -287,7 +342,7 @@ def transposition(i: int, j: int) -> perm.Permutation:
 def right_transposed(w: perm.Permutation, i: int, j: int) -> perm.Permutation:
     """w * (i, j): the values in positions i and j change places."""
     m = max(len(w), i, j)
-    word = [perm.apply(w, t) for t in range(1, m + 1)]
+    word = [apply(w, t) for t in range(1, m + 1)]
     word[i - 1], word[j - 1] = word[j - 1], word[i - 1]
     return perm.canonical(word)
 
@@ -300,10 +355,10 @@ def is_cover_transposition(w: perm.Permutation, i: int, j: int) -> bool:
     """
     if not i < j:
         raise ValueError(f"need i < j, got {i}, {j}")
-    wi, wj = perm.apply(w, i), perm.apply(w, j)
+    wi, wj = apply(w, i), apply(w, j)
     if wi > wj:
         return False
-    return all(not wi < perm.apply(w, t) < wj for t in range(i + 1, j))
+    return all(not wi < apply(w, t) < wj for t in range(i + 1, j))
 
 
 def oracle_k_bruhat_covers(
@@ -321,7 +376,7 @@ def oracle_k_bruhat_covers(
         raise ValueError(f"k must be positive, got {k}")
     covers = []
     for i in range(1, k + 1):
-        label = perm.apply(w, i)
+        label = apply(w, i)
         for j in range(k + 1, max_support + 1):
             if i < j and is_cover_transposition(w, i, j):
                 covers.append((right_transposed(w, i, j), label))
@@ -346,9 +401,9 @@ def oracle_mn_schubert(w: perm.Permutation, k: int, r: int) -> dict:
     w_inv = perm.inverse(w)
     out: schubert.SchubertExpansion = {}
     for u in perm.chain_endpoints(w, k, r):
-        eta = perm.compose(w_inv, u)
-        if perm.cycle_type_check(eta, r + 1):
-            out[u] = 1 if perm.het(eta, k) % 2 else -1
+        eta = compose(w_inv, u)
+        if cycle_type_check(eta, r + 1):
+            out[u] = 1 if het(eta, k) % 2 else -1
     return out
 
 
@@ -529,7 +584,7 @@ def schubert_poly_in(w: perm.Permutation, n: int) -> SparsePoly:
     if len(w) > n:
         raise ValueError(f"{w} does not lie in S_{n}")
     w0 = tuple(range(n, 0, -1))
-    v = perm.compose(perm.inverse(w), w0)
+    v = compose(perm.inverse(w), w0)
     return apply_divided_word(schubert.staircase_monomial(n), reduced_word(v))
 
 
@@ -601,6 +656,16 @@ def schur_to_monomials(lam: Partition, k: int) -> SparsePoly:
 
     fill_row(0, 0, 1)
     return SparsePoly(terms)
+
+
+def grassmannian_project(expansion: dict[Partition, int], k: int, n: int) -> dict[Partition, int]:
+    """Drop every term whose partition does not fit in the k x (n-k) box."""
+    box = box_partition(k, n)
+    return {
+        lam: c
+        for lam, c in expansion.items()
+        if c and leq(validate_partition(lam), box)
+    }
 
 
 def hook_partition(b: int, a: int) -> Partition:

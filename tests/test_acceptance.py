@@ -28,6 +28,9 @@ from mnrules.schubert import (
 )
 from mnrules.symfun import mn_classical, power_sum_poly
 from oracles import (
+    compose,
+    cycle_type_check,
+    het,
     hook_times_schur,
     partitions_in_box,
     partitions_of,
@@ -91,9 +94,9 @@ def test_acceptance_01_power_sum_times_schubert_worked_example(capsys):
     for word, points, height in listed:
         u = perm.canonical(word)
         eta = cycle_perm(points)
-        assert perm.compose(w, eta) == u
-        assert perm.cycle_type_check(eta, 5)
-        assert perm.het(eta, 4) == height
+        assert compose(w, eta) == u
+        assert cycle_type_check(eta, 5)
+        assert het(eta, 4) == height
         expected_in_s8[u] = 1 if height % 2 else -1
 
     in_s8 = {u: c for u, c in full.items() if len(u) <= 8}
@@ -300,7 +303,8 @@ def test_acceptance_10_selfcheck_and_negative_control(capsys, monkeypatch):
     assert data["ok"] is True
 
     # Negative control: break the sign rule and the checks must notice.
-    monkeypatch.setattr("mnrules.schubert.het", lambda eta, k: perm.het(eta, k) + 1)
+    sign = schubert._cycle_sign
+    monkeypatch.setattr(schubert, "_cycle_sign", lambda *args: -sign(*args))
     assert cli.main(["selfcheck"]) == 1
     assert "FAIL" in capsys.readouterr().out
     monkeypatch.undo()

@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from mnrules import cli, perm
+from mnrules import cli, schubert
 from mnrules.quantum import oracle_quantum_mn
 
 
@@ -246,9 +246,16 @@ def test_selfcheck_json(capsys):
     assert len(data["checks"]) == 6
 
 
+CYCLE_SIGN = schubert._cycle_sign
+
+
+def flipped_cycle_sign(*args):
+    """The Schubert rule's sign helper with every nonzero sign negated."""
+    return -CYCLE_SIGN(*args)
+
+
 def test_selfcheck_detects_broken_sign_rule(capsys, monkeypatch):
-    flipped = lambda eta, k: perm.het(eta, k) + 1
-    monkeypatch.setattr("mnrules.schubert.het", flipped)
+    monkeypatch.setattr(schubert, "_cycle_sign", flipped_cycle_sign)
     code, out, _ = run(capsys, "selfcheck")
     assert code == 1
     assert "FAIL" in out
@@ -258,8 +265,8 @@ def test_selfcheck_detects_broken_sign_rule(capsys, monkeypatch):
     "target, broken, argv",
     [
         (
-            "mnrules.schubert.het",
-            lambda eta, k: perm.het(eta, k) + 1,
+            "mnrules.schubert._cycle_sign",
+            flipped_cycle_sign,
             ["mn-schubert", "--w", "2,4,1,3", "--k", "2", "--r", "3"],
         ),
         (

@@ -10,19 +10,20 @@ from mnrules import perm, schubert
 from mnrules.perm import (
     canonical,
     chain_endpoints,
-    compose,
-    cycle_type_check,
     default_max_support,
     from_lehmer_code,
-    het,
     inverse,
     k_bruhat_covers,
-    lehmer_code,
     length,
 )
 from oracles import (
+    apply,
+    compose,
+    cycle_type_check,
+    het,
     hook_times_schubert,
     is_cover_transposition,
+    lehmer_code,
     oracle_k_bruhat_covers,
     oracle_length,
     peakless_endpoints,
@@ -101,7 +102,7 @@ def test_compose_convention():
     u, v = (2, 3, 1), (1, 3, 2)
     w = compose(u, v)
     assert all(
-        perm.apply(w, i) == perm.apply(u, perm.apply(v, i)) for i in range(1, 5)
+        apply(w, i) == apply(u, apply(v, i)) for i in range(1, 5)
     )
     assert w == (2, 1, 3)[:2]  # u(v(1))=2, u(v(2))=1, u(v(3))=3 trims away
 

@@ -17,10 +17,14 @@ from mnrules.schubert import (
 from mnrules.symfun import mn_classical
 from oracles import (
     bjs_schubert,
+    compose,
+    cycle_type_check,
+    het,
     hook_partition,
     hook_times_schubert,
     oracle_mn_schubert,
     p_as_hooks,
+    partitions_in_box,
     schubert_poly_in,
     schur_to_monomials,
     swap_variables,
@@ -223,9 +227,9 @@ def test_mn_schubert_worked_example():
     # each listed endpoint really is w * (its cycle)
     for u, (points, h) in S8_TERMS.items():
         eta = cycle_perm(points)
-        assert perm.compose(W_EXAMPLE, eta) == perm.canonical(u)
-        assert perm.cycle_type_check(eta, 5)
-        assert perm.het(eta, 4) == h
+        assert compose(W_EXAMPLE, eta) == perm.canonical(u)
+        assert cycle_type_check(eta, 5)
+        assert het(eta, 4) == h
 
 
 def test_mn_schubert_r1_is_monk():
@@ -255,20 +259,26 @@ def test_mn_schubert_signs_follow_het_parity():
         for k in (1, 2, 3):
             for r in (1, 2, 3):
                 for u, c in mn_schubert(w, k, r).items():
-                    eta = perm.compose(w_inv, u)
-                    assert perm.cycle_type_check(eta, r + 1)
-                    h = perm.het(eta, k)
+                    eta = compose(w_inv, u)
+                    assert cycle_type_check(eta, r + 1)
+                    h = het(eta, k)
                     assert c == (1 if h % 2 else -1)
 
 
 def test_mn_schubert_on_grassmannian_matches_classical_rule():
-    cases = [((2, 1), 2, 2), ((2, 1), 2, 3), ((3, 1), 3, 2), ((2, 2), 2, 4), ((1,), 3, 5)]
-    for lam, k, r in cases:
-        w = grassmannian_permutation(lam, k)
-        expected = {
-            grassmannian_permutation(mu, k): c for mu, c in mn_classical(lam, r, k).items()
-        }
-        assert mn_schubert(w, k, r) == expected
+    # every k <= 5, lam in the k x 5 box and r <= 6: 2,766 cases
+    cases = 0
+    for k in range(1, 6):
+        for lam in partitions_in_box(k, 5):
+            w = grassmannian_permutation(lam, k)
+            for r in range(1, 7):
+                expected = {
+                    grassmannian_permutation(mu, k): c
+                    for mu, c in mn_classical(lam, r, k).items()
+                }
+                assert mn_schubert(w, k, r) == expected, (lam, k, r)
+                cases += 1
+    assert cases == 2766
 
 
 @given(st.sampled_from(all_perms(4)), st.integers(1, 3), st.integers(1, 4))
@@ -307,6 +317,34 @@ def test_mn_schubert_matches_compose_oracle():
         k = rng.choice((4, 6, 8))
         r = rng.randint(1, 6)
         assert mn_schubert(w, k, r) == oracle_mn_schubert(w, k, r), (w, k, r)
+
+
+def test_mn_schubert_matches_compose_oracle_where_eta_can_split():
+    # From r = 5 on, eta can move r + 1 points in several cycles; the count
+    # of moved points alone would keep those endpoints.
+    cases = 0
+    for n in range(6):
+        for w in all_perms(n):
+            for k in range(1, n + 2):
+                for r in (5, 6):
+                    assert mn_schubert(w, k, r) == oracle_mn_schubert(w, k, r), (w, k, r)
+                    cases += 1
+    assert cases == 1746
+
+
+def test_mn_schubert_drops_an_endpoint_whose_eta_is_three_transpositions():
+    w, k, r = (1, 3, 4, 2), 3, 5
+    u = (2, 5, 6, 1, 3, 4)
+    eta = compose(perm.inverse(w), u)
+    assert eta == (4, 5, 6, 1, 2, 3)  # (1 4)(2 5)(3 6): r + 1 moved points
+    assert u in perm.chain_endpoints(w, k, r)
+    got = mn_schubert(w, k, r)
+    assert u not in got
+    assert got == {
+        (3, 4, 6, 1, 2, 5): 1,
+        (1, 4, 8, 2, 3, 5, 6, 7): -1,
+        (1, 3, 9, 2, 4, 5, 6, 7, 8): 1,
+    }
 
 
 def test_mn_schubert_rejects_non_integer_entries():

@@ -4,7 +4,6 @@ from hypothesis import given, settings, strategies as st
 from mnrules import cli, symfun
 from mnrules.poly import SparsePoly
 from mnrules.symfun import (
-    grassmannian_project,
     mn_classical,
     pieri_e,
     pieri_h,
@@ -12,6 +11,7 @@ from mnrules.symfun import (
 )
 from oracles import (
     complete_homogeneous_poly,
+    grassmannian_project,
     hook_partition,
     hook_times_schur,
     jacobi_trudi_schur_poly,

@@ -25,10 +25,8 @@ from .partitions import (
     Partition,
     add_rim_hooks,
     box_partition,
-    is_rim_hook,
     n_core,
     remove_rim_hooks,
-    rim_hook_height,
     strips,
     validate_partition,
 )
@@ -64,7 +62,6 @@ __all__ = [
     "expand_in_schubert",
     "grassmannian_permutation",
     "inverse",
-    "is_rim_hook",
     "k_bruhat_covers",
     "length",
     "mn_classical",
@@ -77,7 +74,6 @@ __all__ = [
     "quantum_mn",
     "quantum_mn_extended",
     "remove_rim_hooks",
-    "rim_hook_height",
     "schubert_poly",
     "strips",
     "validate_partition",

@@ -1,9 +1,8 @@
 """Partition and skew-shape combinatorics: strips, rim hooks, n-cores.
 
 Partitions are tuples of weakly decreasing positive integers; the empty tuple
-is the empty partition.  Cells of the Young diagram are (row, col) pairs with
-0-based indices, and the diagonal of a cell is col - row.  Everything here is
-a pure function on immutable values.
+is the empty partition, and rows are numbered from 0.  Everything here is a
+pure function on immutable values.
 
 Adding a rim hook, removing one, and stripping down to the n-core all run on
 one beta-number (abacus) kernel, :func:`_bead_moves`: with m beads, row i of
@@ -11,9 +10,7 @@ lam sits at lam_i + m - 1 - i, and an r-hook is one bead moving r places to
 an empty position (James-Kerber, The Representation Theory of the Symmetric
 Group, ch. 2).  The bead moving from row i to row j shifts the rows between
 by one place, so each move is one O(m) splice of the rows, and the hook's
-height is the index difference |i - j| + 1.  :func:`is_rim_hook` and
-:func:`rim_hook_height` work from the cells instead, so tests can use them
-as certificates.
+height is the index difference |i - j| + 1.
 """
 
 from __future__ import annotations
@@ -98,41 +95,6 @@ def box_partition(k: int, n: int) -> Partition:
         raise ValueError(f"need 0 < k < n, got k={k}, n={n}")
     _require_rows(k)
     return (n - k,) * k
-
-
-def skew_cells(inner: Partition, outer: Partition) -> list[tuple[int, int]]:
-    """Cells of outer/inner as (row, col) pairs in row-major order."""
-    if not leq(inner, outer):
-        raise ValueError(f"{inner} is not contained in {outer}")
-    return [
-        (r, c)
-        for r in range(len(outer))
-        for c in range(part(inner, r), outer[r])
-    ]
-
-
-def is_rim_hook(inner: Partition, outer: Partition) -> bool:
-    """True when outer/inner is a nonempty rim hook.
-
-    A rim hook meets a consecutive run of diagonals, one cell on each.
-
-    >>> is_rim_hook((1,), (2, 1))
-    False
-    >>> is_rim_hook((1,), (1, 1, 1))
-    True
-    """
-    cells = skew_cells(inner, outer)
-    if not cells:
-        return False
-    diags = [c - r for r, c in cells]
-    return len(set(diags)) == len(diags) and max(diags) - min(diags) + 1 == len(diags)
-
-
-def rim_hook_height(inner: Partition, outer: Partition) -> int:
-    """Number of rows the rim hook outer/inner occupies."""
-    if not is_rim_hook(inner, outer):
-        raise ValueError(f"{outer}/{inner} is not a rim hook")
-    return len({r for r, _ in skew_cells(inner, outer)})
 
 
 class _Record:

@@ -1,16 +1,17 @@
 """Independent brute-force constructions used to cross-check the library.
 
 Everything here is deliberately written from different definitions than the
-code under test: rim hooks via edge connectivity instead of diagonals;
-adding and removing rim hooks row by row along the diagonals, and n-cores by
-stripping one such hook at a time, instead of moving beads on an abacus;
-n-cores also by sliding every bead down its runner at once; one abacus move
-by re-sorting every bead instead of splicing the rows; k-Bruhat covers
-via one interval scan per pair instead of a running minimum; permutation
-lengths by comparing every pair instead of counting on insertion; and the
-(r+1)-cycle test of mn_schubert by ``compose``, a set of moved points and
-``het`` instead of one moved-point count and one cycle walk over padded
-tables.
+code under test: rim hooks and their heights from the cells, by diagonals
+(``is_rim_hook``, ``rim_hook_height``) and by edge connectivity, instead of
+bead moves; adding and removing rim hooks row by row along the diagonals,
+and n-cores by stripping one such hook at a time, instead of moving beads on
+an abacus; n-cores also by sliding every bead down its runner at once; one
+abacus move by re-sorting every bead instead of splicing the rows; k-Bruhat
+covers via one interval scan per pair instead of a running minimum;
+permutation lengths by comparing every pair instead of counting on
+insertion; and the (r+1)-cycle test of mn_schubert by ``compose``, a set of
+moved points and ``het`` instead of one moved-point count and one cycle walk
+over padded tables.
 
 The paper's other routes to its rules live here too:
 
@@ -42,7 +43,6 @@ from mnrules.partitions import (
     CoreResult,
     Partition,
     box_partition,
-    is_rim_hook,
     leq,
     part,
     validate_partition,
@@ -63,6 +63,30 @@ def skew_cell_set(inner: Partition, outer: Partition) -> set[Cell]:
         for row in range(1, len(outer) + 1)
         for col in range(row_len(inner, row) + 1, row_len(outer, row) + 1)
     }
+
+
+def is_rim_hook(inner: Partition, outer: Partition) -> bool:
+    """True when outer/inner is a nonempty rim hook.
+
+    A rim hook meets a consecutive run of diagonals, one cell on each.
+
+    >>> is_rim_hook((1,), (2, 1))
+    False
+    >>> is_rim_hook((1,), (1, 1, 1))
+    True
+    """
+    if not leq(inner, outer):
+        raise ValueError(f"{inner} is not contained in {outer}")
+    cells = skew_cell_set(inner, outer)
+    diags = {c - r for r, c in cells}
+    return bool(cells) and len(diags) == len(cells) == max(diags) - min(diags) + 1
+
+
+def rim_hook_height(inner: Partition, outer: Partition) -> int:
+    """Number of rows the rim hook outer/inner occupies."""
+    if not is_rim_hook(inner, outer):
+        raise ValueError(f"{outer}/{inner} is not a rim hook")
+    return len({r for r, _ in skew_cell_set(inner, outer)})
 
 
 def oracle_is_rim_hook(inner: Partition, outer: Partition) -> bool:

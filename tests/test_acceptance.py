@@ -10,7 +10,7 @@ import random
 import time
 
 from mnrules import cli, perm, schubert, symfun
-from mnrules.partitions import is_rim_hook, leq, n_core
+from mnrules.partitions import leq, n_core
 from mnrules.poly import SparsePoly
 from mnrules.quantum import (
     GrContext,
@@ -32,11 +32,12 @@ from oracles import (
     cycle_type_check,
     het,
     hook_times_schur,
+    is_rim_hook,
     partitions_in_box,
     partitions_of,
     removal_observables,
+    rim_hook_height,
     schur_to_monomials,
-    skew_cell_set,
     transposition,
 )
 
@@ -160,10 +161,6 @@ def test_acceptance_04_schubert_rule_oracle_sweep(capsys):
     report(capsys, 4, 300, started, "288 cases in S_4 plus 100 random cases in S_5")
 
 
-def skew_height(inner, outer):
-    return len({row for (row, col) in skew_cell_set(inner, outer)})
-
-
 def test_acceptance_05_quantum_rule_oracle_sweep(capsys):
     started = time.perf_counter()
     count = 0
@@ -193,8 +190,8 @@ def test_acceptance_05_quantum_rule_oracle_sweep(capsys):
                     # ... by one rim hook of n cells: the removed (n-r)-hook
                     # and the added r-hook concatenate, sharing one row.
                     assert is_rim_hook(nu, mu) and sum(mu) - sum(nu) == n
-                    assert skew_height(nu, lam) + skew_height(lam, mu) == (
-                        skew_height(nu, mu) + 1
+                    assert rim_hook_height(nu, lam) + rim_hook_height(lam, mu) == (
+                        rim_hook_height(nu, mu) + 1
                     )
                     certified += 1
     assert count == 648

@@ -284,6 +284,23 @@ def test_verify_reports_mismatch(capsys, monkeypatch, target, broken, argv):
     assert err == "verify: MISMATCH\n"
 
 
+def out_of_memory(*args):
+    raise MemoryError
+
+
+@pytest.mark.parametrize(
+    "target, flags",
+    [("mnrules.schubert.mn_schubert", []), ("mnrules.schubert.expand_in_schubert", ["--verify"])],
+    ids=["compute", "verify"],
+)
+def test_out_of_memory_exits_2_not_1(capsys, monkeypatch, target, flags):
+    # exit 1 would read as a --verify mismatch
+    monkeypatch.setattr(target, out_of_memory)
+    code, out, err = run(capsys, "mn-schubert", "--w", "2,4,1,3", "--k", "2", "--r", "3", *flags)
+    assert code == 2
+    assert err == "error: out of memory\n"
+
+
 def run_capped(*argv, memory=1 << 30, timeout=20):
     """Run ``mnrules`` in a child whose address space is capped at ``memory`` bytes."""
     cap = lambda: resource.setrlimit(resource.RLIMIT_AS, (memory, memory))

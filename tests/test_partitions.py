@@ -9,17 +9,16 @@ from mnrules import partitions
 from mnrules.partitions import (
     add_rim_hooks,
     box_partition,
-    is_rim_hook,
     leq,
     n_core,
     part,
     remove_rim_hooks,
-    rim_hook_height,
     strips,
     validate_partition,
 )
 from oracles import (
     abacus_core,
+    is_rim_hook,
     oracle_add_rim_hooks,
     oracle_bead_moves,
     oracle_is_rim_hook,
@@ -28,6 +27,7 @@ from oracles import (
     partitions_in_box,
     partitions_of,
     removal_observables,
+    rim_hook_height,
     skew_cell_set,
 )
 

@@ -1,8 +1,9 @@
 import pytest
 
 from mnrules import cli
-from mnrules.partitions import is_rim_hook, leq, n_core
+from mnrules.partitions import leq, n_core
 from mnrules.quantum import (
+    GENERATOR_SAMPLES,
     GrContext,
     ideal_vanishing_check,
     oracle_quantum_mn,
@@ -12,11 +13,7 @@ from mnrules.quantum import (
     sampled_max_minus_min_partitions,
 )
 from mnrules.symfun import mn_classical
-from oracles import partitions_in_box, skew_cell_set
-
-
-def skew_height(inner, outer):
-    return len({r for (r, c) in skew_cell_set(inner, outer)})
+from oracles import is_rim_hook, partitions_in_box, rim_hook_height
 
 
 def test_context_validation():
@@ -151,9 +148,9 @@ def test_quantum_terms_certify_as_single_rim_hook_wraps():
             assert sum(mu) - sum(nu) == ctx.n
             res = n_core(mu, ctx.n)
             assert res.core == nu and res.hooks_removed == 1
-            h_removed = skew_height(nu, lam)
-            h_added = skew_height(lam, mu)
-            h_full = skew_height(nu, mu)
+            h_removed = rim_hook_height(nu, lam)
+            h_added = rim_hook_height(lam, mu)
+            h_full = rim_hook_height(nu, mu)
             assert h_removed + h_added == h_full + 1
             checked += 1
     assert checked > 500
@@ -180,7 +177,9 @@ def test_sampled_generators_are_pinned():
         (5, 6, 4): [(2, 2, 2, 2), (2, 2, 2, 1), (2, 2, 2), (2, 2, 1, 1)],
     }
     for (k, n, count), expected in pinned.items():
-        assert sampled_max_minus_min_partitions(GrContext(k, n), count) == expected
+        sample = sampled_max_minus_min_partitions(GrContext(k, n))
+        assert sample[:count] == expected
+        assert len(sample) == (GENERATOR_SAMPLES if k > 1 else 0)
 
 
 def test_quantum_class_json_round_trip():

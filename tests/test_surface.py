@@ -12,6 +12,11 @@ only over-approximate.  Operator and protocol dunders are never named, so
 ``PROTOCOL_MEMBERS`` lists the ones the package relies on.  Anything the walk
 never reaches is code only tests call, and belongs in ``tests/oracles.py`` or
 nowhere.
+
+Because an export counts as reached, the walk runs a second time from
+``cli.main`` alone.  Every name in ``__all__`` must resolve to a definition,
+and each one this walk does not reach is library API only: ``LIBRARY_API``
+says why it is public.
 """
 
 import ast
@@ -48,10 +53,18 @@ PROTOCOL_MEMBERS = {
     "quantum.GeneratorCheck.__init__": "the constructor, GeneratorCheck(...) in ideal_vanishing_check",
 }
 
+# Exports that no CLI command uses.
+LIBRARY_API = {
+    "__version__": "package metadata, the release in pyproject.toml",
+    "grassmannian_permutation": "ties mn_schubert to mn_classical; the README gives its size limit",
+}
 
-def walk() -> tuple[set[str], set[str], set[str]]:
-    """(every name defined, every class member, every name reached), as
-    ``mod.name`` and ``mod.Class.member``."""
+
+def walk(from_all: bool = True) -> tuple[set[str], set[str], set[str], dict[str, str | None]]:
+    """(every name defined, every class member, every name reached, and each
+    name in ``__all__`` with the definition it resolves to or None), as
+    ``mod.name`` and ``mod.Class.member``.  Without ``from_all`` the walk
+    starts from ``cli.main`` alone."""
     defs: dict[tuple[str, str], ast.AST] = {}
     members: dict[tuple[str, str], list[str]] = {}
     aliases: dict[tuple[str, str], tuple[str, str]] = {}
@@ -73,7 +86,7 @@ def walk() -> tuple[set[str], set[str], set[str]]:
             elif isinstance(node, (ast.Assign, ast.AnnAssign)):
                 targets = node.targets if isinstance(node, ast.Assign) else [node.target]
                 for t in targets:
-                    if isinstance(t, ast.Name) and not t.id.startswith("__"):
+                    if isinstance(t, ast.Name) and t.id != "__all__":
                         defs[(mod, t.id)] = node
             elif isinstance(node, ast.ImportFrom) and node.level == 1:
                 for alias in node.names:
@@ -112,8 +125,8 @@ def walk() -> tuple[set[str], set[str], set[str]]:
 
     named: set[str] = set()
     seen: set[tuple[str, str]] = set()
-    todo = [resolve(("__init__", name)) for name in mnrules.__all__]
-    todo.append(("cli", "main"))
+    exports = {name: resolve(("__init__", name)) for name in mnrules.__all__}
+    todo = [("cli", "main"), *exports.values()] if from_all else [("cli", "main")]
     while todo:
         key = todo.pop()
         if key is not None and key not in seen:
@@ -122,7 +135,8 @@ def walk() -> tuple[set[str], set[str], set[str]]:
         if not todo:
             todo.extend(key for key in reachable_members() if key not in seen)
     member_keys = {f"{mod}.{cls}.{name}" for (mod, cls), own in members.items() for name in own}
-    return {f"{m}.{n}" for m, n in defs}, member_keys, {f"{m}.{n}" for m, n in seen}
+    export_keys = {name: key and f"{key[0]}.{key[1]}" for name, key in exports.items()}
+    return {f"{m}.{n}" for m, n in defs}, member_keys, {f"{m}.{n}" for m, n in seen}, export_keys
 
 
 def member_names(item: ast.stmt) -> list[str]:
@@ -137,11 +151,19 @@ def member_names(item: ast.stmt) -> list[str]:
 
 
 def test_every_src_name_is_reached_from_the_library_or_the_cli():
-    defined, members, reached = walk()
+    defined, members, reached, _ = walk()
     assert sorted(defined - members - reached) == []
 
 
 def test_every_class_member_is_reached_from_the_library_or_the_cli():
-    defined, members, reached = walk()
+    defined, members, reached, _ = walk()
     assert sorted(members - reached) == []
     assert sorted(set(PROTOCOL_MEMBERS) - members) == [], "allowlisted members that no longer exist"
+
+
+def test_every_export_is_used_by_the_cli_or_listed_as_library_api():
+    _, _, reached, exports = walk(from_all=False)
+    assert sorted(name for name, key in exports.items() if key is None) == [], "unresolved exports"
+    library_only = {name for name, key in exports.items() if key not in reached}
+    assert sorted(library_only - set(LIBRARY_API)) == []
+    assert sorted(set(LIBRARY_API) - library_only) == [], "listed names no longer exported, or used by the CLI"

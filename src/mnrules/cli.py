@@ -242,8 +242,8 @@ def _selfcheck_results() -> list[tuple[str, bool, str]]:
     checks.append(
         (
             "ideal vanishing in qH*(Gr(4,8))",
-            all(c.ok for c in generators),
-            f"{sum(c.ok for c in generators)}/{len(generators)} generators vanish correctly",
+            all(ok for _, ok in generators),
+            f"{sum(ok for _, ok in generators)}/{len(generators)} generators vanish correctly",
         )
     )
     return checks
@@ -344,6 +344,10 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     except MemoryError:
         print("error: out of memory", file=sys.stderr)
+        return 2
+    except RecursionError:
+        # _schubert_cached recurses once per step up to the longest word
+        print("error: recursion too deep for this input", file=sys.stderr)
         return 2
 
 

@@ -22,6 +22,14 @@ Permutation = tuple[int, ...]
 SUPPORT_LIMIT = 100_000
 
 
+def require_support(letters: int) -> int:
+    """Return ``letters``, the length of a word about to be built, or raise
+    ValueError when it is over ``SUPPORT_LIMIT``."""
+    if letters > SUPPORT_LIMIT:
+        raise ValueError(f"needs words of {letters} letters, over the limit of {SUPPORT_LIMIT}")
+    return letters
+
+
 def canonical(word: Iterable[int]) -> Permutation:
     """Validate one-line notation and trim trailing fixed points.
 
@@ -74,6 +82,9 @@ def length(w: Permutation) -> int:
 def from_lehmer_code(code: Iterable[int]) -> Permutation:
     """The unique permutation with the given Lehmer code.
 
+    It is built from a pool of len(code) + max(code) + 1 letters, so a pool
+    over ``SUPPORT_LIMIT`` raises ValueError before it is built.
+
     >>> from_lehmer_code((1, 2))
     (2, 4, 1, 3)
     """
@@ -83,7 +94,8 @@ def from_lehmer_code(code: Iterable[int]) -> Permutation:
         raise ValueError(f"code entries must be integers, got {code}") from None
     if any(x < 0 for x in c):
         raise ValueError(f"code entries must be nonnegative: {c}")
-    pool = list(range(1, len(c) + max(c, default=0) + 2))
+    size = require_support(len(c) + max(c, default=0) + 1)
+    pool = list(range(1, size + 1))
     word = []
     for x in c:
         word.append(pool.pop(x))
@@ -100,10 +112,7 @@ def default_max_support(w: Permutation, k: int, steps: int) -> int:
     A bound over ``SUPPORT_LIMIT`` raises ValueError before anything of
     that length is built.
     """
-    bound = max(len(w), k) + steps
-    if bound > SUPPORT_LIMIT:
-        raise ValueError(f"needs words of {bound} letters, over the limit of {SUPPORT_LIMIT}")
-    return bound
+    return require_support(max(len(w), k) + steps)
 
 
 def k_bruhat_covers(w: Permutation, k: int, max_support: int) -> list[Permutation]:

@@ -12,6 +12,8 @@ import operator
 import re
 from typing import Iterable, Mapping
 
+from .perm import SUPPORT_LIMIT
+
 Exponents = tuple[int, ...]
 
 
@@ -142,29 +144,6 @@ class SparsePoly:
 
     __rmul__ = __mul__
 
-    def leading_term(self) -> tuple[Exponents, int]:
-        """The colexicographically greatest monomial and its coefficient.
-
-        Colex compares exponent vectors at the rightmost position where they
-        differ (missing trailing exponents count as zero), so a monomial in
-        later variables beats any monomial in earlier ones: x2 > x1^5.
-        """
-        if not self.terms:
-            raise ValueError("zero polynomial has no leading term")
-        width = max(len(e) for e in self.terms)
-
-        def colex(e: Exponents) -> tuple[int, ...]:
-            return tuple(reversed(e + (0,) * (width - len(e))))
-
-        e = max(self.terms, key=colex)
-        return e, self.terms[e]
-
-    def homogeneous_components(self) -> dict[int, "SparsePoly"]:
-        comps: dict[int, dict[Exponents, int]] = {}
-        for e, c in self.terms.items():
-            comps.setdefault(sum(e), {})[e] = c
-        return {d: SparsePoly._from_clean(t) for d, t in sorted(comps.items())}
-
     def __str__(self) -> str:
         items = []
         for e in sorted(self.terms, key=lambda e: (-sum(e), tuple(-x for x in e))):
@@ -181,7 +160,11 @@ class SparsePoly:
 
     @classmethod
     def parse(cls, text: str) -> "SparsePoly":
-        """Inverse of ``str``: accepts forms like ``3*x1^2*x3 - x2 + 7``."""
+        """Inverse of ``str``: accepts forms like ``3*x1^2*x3 - x2 + 7``.
+
+        A variable index over ``perm.SUPPORT_LIMIT`` raises ValueError
+        before its exponent tuple is built.
+        """
         s = text.replace(" ", "")
         if not s:
             raise ValueError("empty polynomial text")
@@ -205,6 +188,8 @@ class SparsePoly:
                     i = int(m.group(1))
                     if i < 1:
                         raise ValueError(f"variables are 1-indexed: {factor!r}")
+                    if i > SUPPORT_LIMIT:
+                        raise ValueError(f"variable x{i} is over the limit of {SUPPORT_LIMIT}")
                     exps[i - 1] = exps.get(i - 1, 0) + int(m.group(2) or 1)
                 elif factor.isdigit():
                     coeff *= int(factor)

@@ -13,7 +13,6 @@ from operator import indexOf, ne
 
 from .partitions import Partition, part, require_fits
 from .perm import (
-    SUPPORT_LIMIT,
     Permutation,
     canonical,
     chain_endpoints,
@@ -21,8 +20,9 @@ from .perm import (
     from_lehmer_code,
     inverse,
     k_bruhat_covers,
+    require_support,
 )
-from .poly import SparsePoly, _trim
+from .poly import Exponents, SparsePoly, _trim
 
 SchubertExpansion = dict[Permutation, int]
 
@@ -83,41 +83,45 @@ def schubert_poly(w: Permutation) -> SparsePoly:
     return _schubert_cached(canonical(w))
 
 
-def _colex_less(a: tuple[int, ...], b: tuple[int, ...]) -> bool:
-    """Compare two reversed exponent tuples, padding the shorter in front."""
-    width = max(len(a), len(b))
-    return (0,) * (width - len(a)) + a < (0,) * (width - len(b)) + b
+def _colex_key(e: Exponents) -> tuple[int, Exponents]:
+    """Sort key of the colexicographic order on trimmed exponent tuples,
+    which compares at the rightmost position where two tuples differ.
+
+    A longer trimmed tuple has a nonzero exponent in a later variable, so it
+    is the greater one, and no padding is needed: x2 > x1^5.
+    """
+    return len(e), e[::-1]
 
 
 def expand_in_schubert(f: SparsePoly) -> SchubertExpansion:
     """Write an integer polynomial in the Schubert basis.
 
-    Works degree by degree.  The colexicographically greatest monomial of a
-    Schubert polynomial S_u is x raised to the Lehmer code of u, so the
-    colex-greatest monomial of any integer combination is the code of one of
-    its support permutations, carrying that permutation's coefficient.
-    Peeling it off strictly lowers the leading monomial, which forces
-    termination, and a zero remainder is itself the reconstruction identity:
-    the result needs no separate verification pass.  Raises RuntimeError if
-    a peel ever fails to make progress (impossible for honest input, i.e.
-    any integer polynomial, since the Schubert polynomials are a basis).
+    The colexicographically greatest monomial of a Schubert polynomial S_u
+    is x raised to the Lehmer code of u, and distinct permutations have
+    distinct codes.  So the colex-greatest monomial of any integer
+    combination, whatever mix of degrees it holds, is the code of exactly
+    one of its support permutations, carrying that permutation's
+    coefficient.  Peeling it off strictly lowers the leading monomial, which
+    forces termination, and a zero remainder is itself the reconstruction
+    identity: the result needs no separate verification pass.  Raises
+    RuntimeError if a peel ever fails to make progress (impossible for
+    honest input, i.e. any integer polynomial, since the Schubert
+    polynomials are a basis).
     """
     out: SchubertExpansion = {}
-    for _deg, component in f.homogeneous_components().items():
-        rem = component
-        last_key = None
-        while rem:
-            exps, coeff = rem.leading_term()
-            key = tuple(reversed(exps))
-            if last_key is not None and not _colex_less(key, last_key):
-                raise RuntimeError(
-                    f"Schubert expansion failed to make progress at {exps}"
-                )
-            last_key = key
-            u = from_lehmer_code(exps)
-            # Leading monomials strictly decrease, so u is peeled only once.
-            out[u] = coeff
-            rem = rem - coeff * schubert_poly(u)
+    rem = f
+    last_key = None
+    while rem:
+        exps = max(rem.terms, key=_colex_key)
+        key = _colex_key(exps)
+        if last_key is not None and key >= last_key:
+            raise RuntimeError(f"Schubert expansion failed to make progress at {exps}")
+        last_key = key
+        coeff = rem.terms[exps]
+        u = from_lehmer_code(exps)
+        # Leading monomials strictly decrease, so u is peeled only once.
+        out[u] = coeff
+        rem = rem - coeff * schubert_poly(u)
     return out
 
 
@@ -200,9 +204,7 @@ def grassmannian_permutation(lam: Partition, k: int) -> Permutation:
     ValueError before it is built.
     """
     lam = require_fits(lam, k)
-    size = k + part(lam, 0)
-    if size > SUPPORT_LIMIT:
-        raise ValueError(f"needs words of {size} letters, over the limit of {SUPPORT_LIMIT}")
+    require_support(k + part(lam, 0))
     if not lam:
         return ()
     head = [((lam[k - i] if k - i < len(lam) else 0) + i) for i in range(1, k + 1)]

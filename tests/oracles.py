@@ -27,7 +27,10 @@ The paper's other routes to its rules live here too:
 
 ``variable`` and ``swap_variables`` are the polynomial helpers the tests
 build with; the swap is the s_i in the defining identity
-(x_i - x_{i+1}) d_i f = f - s_i f of the divided difference.  ``apply``,
+(x_i - x_{i+1}) d_i f = f - s_i f of the divided difference.  Expansion in
+the Schubert basis is also peeled one homogeneous component at a time
+(``oracle_expand_in_schubert``), under a colex order that pads exponent
+vectors instead of ranking trimmed ones by length.  ``apply``,
 ``compose`` and ``lehmer_code`` do the same for permutations, and
 ``grassmannian_project`` cuts a Schur expansion down to a k x (n-k) box.
 """
@@ -520,6 +523,59 @@ def swap_variables(f: SparsePoly, i: int, j: int) -> SparsePoly:
         ee[i - 1], ee[j - 1] = ee[j - 1], ee[i - 1]
         data[tuple(ee)] = c
     return SparsePoly(data)
+
+
+def homogeneous_components(f: SparsePoly) -> dict[int, SparsePoly]:
+    """f split by total degree, in increasing degree."""
+    comps: dict[int, dict[tuple[int, ...], int]] = {}
+    for e, c in f.terms.items():
+        comps.setdefault(sum(e), {})[e] = c
+    return {d: SparsePoly(t) for d, t in sorted(comps.items())}
+
+
+def leading_term(f: SparsePoly) -> tuple[tuple[int, ...], int]:
+    """The colexicographically greatest monomial of f and its coefficient.
+
+    Colex compares exponent vectors at the rightmost position where they
+    differ; here every vector is padded with zeros to the widest one and
+    reversed, instead of ranking trimmed tuples by length first.
+    """
+    if not f.terms:
+        raise ValueError("zero polynomial has no leading term")
+    width = max(len(e) for e in f.terms)
+
+    def colex(e: tuple[int, ...]) -> tuple[int, ...]:
+        return tuple(reversed(e + (0,) * (width - len(e))))
+
+    e = max(f.terms, key=colex)
+    return e, f.terms[e]
+
+
+def _colex_less(a: tuple[int, ...], b: tuple[int, ...]) -> bool:
+    """Compare two reversed exponent tuples, padding the shorter in front."""
+    width = max(len(a), len(b))
+    return (0,) * (width - len(a)) + a < (0,) * (width - len(b)) + b
+
+
+def oracle_expand_in_schubert(f: SparsePoly) -> dict[perm.Permutation, int]:
+    """``schubert.expand_in_schubert`` one homogeneous component at a time:
+    the colex leader is peeled within each degree, not across all of f."""
+    out: dict[perm.Permutation, int] = {}
+    for _deg, component in homogeneous_components(f).items():
+        rem = component
+        last_key = None
+        while rem:
+            exps, coeff = leading_term(rem)
+            key = tuple(reversed(exps))
+            if last_key is not None and not _colex_less(key, last_key):
+                raise RuntimeError(
+                    f"Schubert expansion failed to make progress at {exps}"
+                )
+            last_key = key
+            u = perm.from_lehmer_code(exps)
+            out[u] = coeff
+            rem = rem - coeff * schubert.schubert_poly(u)
+    return out
 
 
 @functools.cache

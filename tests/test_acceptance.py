@@ -279,12 +279,13 @@ def test_acceptance_09_ideal_vanishing(capsys):
     for k, n in [(4, 8), (3, 6)]:
         ctx = GrContext(k, n)
         checks = ideal_vanishing_check(ctx)
-        assert all(c.ok for c in checks)
-        named = {c.name: c for c in checks}
+        assert all(ok for _, ok in checks)
+        names = [name for name, _ in checks]
         for j in range(n - k + 1, n):
-            assert named[f"h_{j}"].actual == {}
+            assert f"h_{j}" in names
+            assert psi_reduce((j,), ctx) == {}
         assert psi_reduce((n,), ctx) == {(1, ()): 1 if k % 2 else -1}
-        sampled = [c for c in checks if c.name.startswith("s_")]
+        sampled = [name for name in names if name.startswith("s_")]
         assert len(sampled) == 20
     report(capsys, 9, 60, started, "quotient generators vanish for Gr(4,8) and Gr(3,6)")
 

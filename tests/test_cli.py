@@ -9,7 +9,7 @@ import sys
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from mnrules import cli, schubert
 from mnrules.quantum import oracle_quantum_mn
@@ -301,6 +301,27 @@ def test_out_of_memory_exits_2_not_1(capsys, monkeypatch, target, flags):
     assert err == "error: out of memory\n"
 
 
+@pytest.mark.parametrize(
+    "argv, printed",
+    [
+        (["schubert-expand", "--poly", "x1^40"], ""),
+        (
+            ["mn-schubert", "--w", "21", "--k", "50", "--r", "1", "--verify"],
+            f"S{cli.fmt_partition((2, 1, *range(3, 50), 51, 50))}\n",
+        ),
+    ],
+    ids=["expand", "verify"],
+)
+def test_recursion_too_deep_exits_2_not_1(capsys, argv, printed):
+    # schubert_poly recurses once per step from its word up to w0: 780 steps
+    # for S[41,1,...,40], the one-term answer for x1^40.  Exit 1 would read
+    # as a --verify mismatch of the result mn-schubert has already printed.
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == printed
+    assert err == "error: recursion too deep for this input\n"
+
+
 def run_capped(*argv, memory=1 << 30, timeout=20):
     """Run ``mnrules`` in a child whose address space is capped at ``memory`` bytes."""
     cap = lambda: resource.setrlimit(resource.RLIMIT_AS, (memory, memory))
@@ -313,11 +334,17 @@ def run_capped(*argv, memory=1 << 30, timeout=20):
 
 def test_size_limits_exit_2_before_any_allocation():
     # Without the limits the first two ask for 80 GB and 800 TB of padded
-    # word, and the third strips 5 * 10**16 hooks one at a time.
+    # word, and the third strips 5 * 10**16 hooks one at a time.  The
+    # schubert-expand inputs would build a Lehmer-code pool or an exponent
+    # tuple of 10**6 to 10**20 entries.
     for argv in (
         ["monk", "--w", "21", "--k", "9999999999"],
         ["mn-schubert", "--w", "21", "--k", "99999999999999", "--r", "2"],
         ["core", "--partition", "99999999999999999", "--n", "2"],
+        ["schubert-expand", "--poly", "x1^99999999999999999999"],
+        ["schubert-expand", "--poly", "x99999999999999999999"],
+        ["schubert-expand", "--poly", "x1^1000000"],
+        ["schubert-expand", "--poly", "x1000000"],
     ):
         proc = run_capped(*argv)
         assert proc.returncode == 2, proc.stderr
@@ -388,10 +415,17 @@ commands = st.one_of(
     command("pieri", partition=partition_text, size=st.integers(-1, 4), kind=st.sampled_from("eh"), k=any_int),
     command("monk", w=perm_text, k=any_int),
     command("core", partition=partition_text, n=any_int, k=st.none() | any_int),
+    command(
+        "schubert-expand",
+        poly=st.lists(st.tuples(small_or_huge, small_or_huge), min_size=1, max_size=3).map(
+            lambda monomials: " + ".join(f"x{i}^{e}" for i, e in monomials)
+        ),
+    ),
 )
 
 
 @given(commands, st.booleans())
+@example(["schubert-expand", "--poly", "x1^99999999999999999999"], False)
 @settings(max_examples=150, deadline=None)
 def test_every_command_exits_0_or_2_without_a_traceback(argv, as_json):
     out, err = io.StringIO(), io.StringIO()

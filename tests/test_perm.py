@@ -128,6 +128,16 @@ def test_from_lehmer_code_examples():
     assert from_lehmer_code((2, 0, 1)) == (3, 1, 4, 2)
 
 
+def test_from_lehmer_code_refuses_pools_over_the_support_limit():
+    # the pool has len(code) + max(code) + 1 letters: the limit itself is
+    # allowed, and canonical() then trims the pool's last letter
+    limit = perm.SUPPORT_LIMIT
+    assert from_lehmer_code((limit - 2,)) == (limit - 1, *range(1, limit - 1))
+    for code, size in [((limit - 1,), limit + 1), ((0,) * limit, limit + 1), ((10**20,), 10**20 + 2)]:
+        with pytest.raises(ValueError, match=f"needs words of {size} letters, over the limit"):
+            from_lehmer_code(code)
+
+
 def test_transpositions():
     assert transposition(1, 3) == (3, 2, 1)
     assert right_transposed((3, 4, 1, 6, 5, 2), 4, 7) == (3, 4, 1, 7, 5, 2, 6)

@@ -5,7 +5,8 @@ from hypothesis import given, settings, strategies as st
 
 from mnrules import canonical, validate_partition
 from mnrules.poly import SparsePoly
-from oracles import swap_variables, variable
+from mnrules.schubert import _colex_key
+from oracles import homogeneous_components, leading_term, swap_variables, variable
 
 exponents = st.tuples(*[st.integers(0, 4)] * 3)
 coeffs = st.integers(-9, 9)
@@ -62,6 +63,16 @@ def test_parse_examples():
         SparsePoly.parse("3*y1")
 
 
+def test_parse_refuses_variables_past_the_support_limit():
+    # x_i is a tuple of i exponents, built only up to the limit
+    assert SparsePoly.parse("x100000").terms == {(0,) * 99_999 + (1,): 1}
+    for text in ("x100001", "x99999999999999999999", "x1 + 2*x3^4*x100001"):
+        with pytest.raises(ValueError, match="over the limit of 100000"):
+            SparsePoly.parse(text)
+    with pytest.raises(ValueError, match="1-indexed"):
+        SparsePoly.parse("x0")
+
+
 @given(polys)
 @settings(max_examples=40, deadline=None)
 def test_swap_variables_is_an_involution(f):
@@ -71,18 +82,23 @@ def test_swap_variables_is_an_involution(f):
 def test_leading_term_is_colex_greatest():
     x1, x2, x3 = (variable(i) for i in (1, 2, 3))
     x1_5 = x1 * x1 * x1 * x1 * x1
-    assert (x1_5 + x2).leading_term() == ((0, 1), 1)
-    assert (x1 + x2 * x3 + x3).leading_term() == ((0, 1, 1), 1)
-    assert (x1_5 * x2 + x3).leading_term() == ((0, 0, 1), 1)
-    assert (x1 * x1 + 2 * x1 * x2).leading_term() == ((1, 1), 2)
+    cases = [
+        (x1_5 + x2, (0, 1)),
+        (x1 + x2 * x3 + x3, (0, 1, 1)),
+        (x1_5 * x2 + x3, (0, 0, 1)),
+        (x1 * x1 + 2 * x1 * x2, (1, 1)),
+    ]
+    for f, leader in cases:
+        assert max(f.terms, key=_colex_key) == leader
+        assert leading_term(f) == (leader, f.terms[leader])
     with pytest.raises(ValueError):
-        SparsePoly.zero().leading_term()
+        leading_term(SparsePoly.zero())
 
 
 @given(polys)
 @settings(max_examples=40, deadline=None)
 def test_homogeneous_components_recombine(f):
-    comps = f.homogeneous_components()
+    comps = homogeneous_components(f)
     assert sum(comps.values(), SparsePoly.zero()) == f
     for degree, comp in comps.items():
         assert all(sum(e) == degree for e in comp.terms)

@@ -22,6 +22,7 @@ from oracles import (
     het,
     hook_partition,
     hook_times_schubert,
+    oracle_expand_in_schubert,
     oracle_mn_schubert,
     p_as_hooks,
     partitions_in_box,
@@ -154,6 +155,40 @@ def test_expand_edge_cases():
     assert expand_in_schubert(SparsePoly.zero()) == {}
     assert expand_in_schubert(SparsePoly.constant(4)) == {(): 4}
     assert expand_in_schubert(x[2]) == {(1, 3, 2): 1, (2, 1): -1}
+
+
+def test_one_pass_expansion_matches_the_per_degree_oracle():
+    from mnrules.symfun import power_sum_poly
+
+    rng = random.Random(14)
+    pool = all_perms(5)
+    # integer combinations of S_u across degrees, plus a constant S_()
+    for _ in range(1000):
+        combo = {u: rng.choice([-3, -2, -1, 1, 2, 3]) for u in rng.sample(pool[1:], rng.randint(1, 6))}
+        const = rng.randint(-2, 2)
+        f = sum((c * schubert_poly(u) for u, c in combo.items()), SparsePoly.constant(const))
+        got = expand_in_schubert(f)
+        assert got == oracle_expand_in_schubert(f)
+        assert got == {**combo, **({(): const} if const else {})}
+    # p_r * S_w, the products mn-schubert --verify expands
+    for w in pool:
+        for k in range(1, 5):
+            for r in range(1, 4):
+                f = power_sum_poly(r, k) * schubert_poly(w)
+                assert expand_in_schubert(f) == oracle_expand_in_schubert(f), (w, k, r)
+    # polynomials that are not Schubert combinations, degrees mixed
+    for _ in range(1000):
+        f = SparsePoly(
+            {tuple(rng.randint(0, 3) for _ in range(rng.randint(0, 4))): rng.randint(-4, 4) for _ in range(5)}
+        )
+        assert expand_in_schubert(f) == oracle_expand_in_schubert(f), f
+
+
+def test_expansion_without_progress_raises(monkeypatch):
+    # A peel that leaves its leader in place must not loop forever.
+    monkeypatch.setattr(schubert, "schubert_poly", lambda u: SparsePoly.zero())
+    with pytest.raises(RuntimeError, match="failed to make progress"):
+        expand_in_schubert(x[2] + x[1])
 
 
 # --- Monk and transition ---------------------------------------------------

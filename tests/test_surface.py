@@ -49,8 +49,6 @@ PROTOCOL_MEMBERS = {
     "partitions.CoreResult.__init__": "the constructor, CoreResult(...) in n_core",
     "quantum.GrContext.__slots__": "instance layout: k, n",
     "quantum.GrContext.__init__": "the constructor; checks that k and n are integers with 0 < k < n",
-    "quantum.GeneratorCheck.__slots__": "instance layout: name, expected, actual, ok",
-    "quantum.GeneratorCheck.__init__": "the constructor, GeneratorCheck(...) in ideal_vanishing_check",
 }
 
 # Exports that no CLI command uses.

@@ -9,7 +9,9 @@ others:
   polynomials indexed by (r+1)-cycles, found by walking saturated chains in
   the k-Bruhat order.
 - ``quantum.quantum_mn``: p_r * sigma_lambda in the quantum cohomology of a
-  Grassmannian, with the q-terms produced by removing (n-r)-rim hooks.
+  Grassmannian, each bead of lambda's abacus stepping r places around a
+  circle of n positions: a bead that wraps past n removes an (n-r)-rim
+  hook and gives a q-term.
 
 Supporting layers: ``partitions`` (rim hooks, strips, n-cores),
 ``poly`` (exact sparse integer polynomials), ``perm`` (Lehmer codes, k-Bruhat

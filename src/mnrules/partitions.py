@@ -139,6 +139,27 @@ class _Record:
         raise AttributeError(f"cannot delete field {name!r}")
 
 
+def _splice(lam: Partition, rows: Partition, beads: int, i: int, j: int, c: int) -> Partition:
+    """The shape after the bead of row i moves to the empty position c and
+    lands in row j (see :func:`_bead_moves`).
+
+    ``rows`` is lam padded with zeros to ``beads`` rows.  A bead moving up
+    (j < i) passes rows j..i-1, which each grow by one cell and move down a
+    row; a bead moving down (j >= i) passes rows i+1..j, which each lose a
+    cell and move up a row.  Either way row j becomes c - beads + 1 + j.
+    The padding beads fill 0..beads-1-len(lam) and c is empty, so j <=
+    len(lam) and moving down also j < len(lam): slicing lam instead of rows
+    drops the padding, and only a move down can leave trailing zeros.
+    """
+    if j < i:
+        return lam[:j] + (c - beads + 1 + j,) + tuple([p + 1 for p in rows[j:i]]) + lam[i + 1:]
+    shape = lam[:i] + tuple([p - 1 for p in lam[i + 1:j + 1]]) + (c - beads + 1 + j,) + lam[j + 1:]
+    n = len(shape)
+    while n and not shape[n - 1]:
+        n -= 1
+    return shape[:n]
+
+
 def _bead_moves(lam: Partition, shift: int, beads: int) -> Iterator[tuple[Partition, int]]:
     """Move one bead of lam's abacus by ``shift``: yield (new shape, hook height).
 
@@ -147,20 +168,21 @@ def _bead_moves(lam: Partition, shift: int, beads: int) -> Iterator[tuple[Partit
     moving to an empty c = lam_i + m - 1 - i + shift >= 0 adds (shift > 0)
     or removes (shift < 0) a rim hook of |shift| cells.  The bead lands in
     row j, the number of other beads above c, and the rows it passes each
-    shift by one place, so the new shape is one splice of the padded rows:
+    shift by one place, so the new shape is one splice of the rows
+    (:func:`_splice`).  The hook's height is the number of rows it spans,
+    |i - j| + 1, and each move costs O(m).
 
-    - adding (j <= i): rows j..i-1 each grow by one cell and move down a
-      row, and row j becomes c - m + 1 + j;
-    - removing (j >= i): rows i+1..j each lose a cell and move up a row,
-      and row j becomes c - m + 1 + j.
-
-    The hook's height is the number of rows it spans, |i - j| + 1.  Each
-    move costs O(m).  Moves come largest bead first, which is the hook
-    whose top row is highest.
+    Moves come largest bead first, which is the hook whose top row is
+    highest.  Adds come in strictly decreasing lexicographic order of shape
+    and removals in strictly increasing order.  The move of row i leaves the
+    rows above min(i, j) alone and strictly raises (add) or lowers (remove)
+    row min(i, j), and min(i, j) does not fall as i rises; two adds landing
+    in the same row j set it to c - m + 1 + j, which falls with c.
     """
     rows = lam + (0,) * (beads - len(lam))
     pos = [p + beads - 1 - i for i, p in enumerate(rows)]
     above = 0  # beads strictly above c; c falls as i rises, so this only grows
+    down = shift < 0  # moving down, the bead itself is one of the beads above c
     for i, b in enumerate(pos):
         c = b + shift
         if c < 0:
@@ -169,26 +191,8 @@ def _bead_moves(lam: Partition, shift: int, beads: int) -> Iterator[tuple[Partit
             above += 1
         if above < beads and pos[above] == c:
             continue
-        # The padding rows' beads fill 0..m-1-len(lam), so c lies above them
-        # all: j <= len(lam) when adding and j < len(lam) when removing, and
-        # slicing lam instead of rows drops the padding from the result.
-        if shift > 0:
-            j = above
-            shape = (
-                lam[:j] + (c - beads + 1 + j,)
-                + tuple([p + 1 for p in rows[j:i]]) + lam[i + 1:]
-            )
-            yield shape, i - j + 1
-        else:
-            j = above - 1  # the moving bead is one of the beads above c
-            shape = (
-                lam[:i] + tuple([p - 1 for p in lam[i + 1:j + 1]])
-                + (c - beads + 1 + j,) + lam[j + 1:]
-            )
-            n = len(shape)
-            while n and not shape[n - 1]:
-                n -= 1
-            yield shape[:n], j - i + 1
+        j = above - down
+        yield _splice(lam, rows, beads, i, j, c), abs(i - j) + 1
 
 
 def add_rim_hooks(lam: Partition, r: int, max_rows: int) -> list[tuple[Partition, int]]:
@@ -196,8 +200,9 @@ def add_rim_hooks(lam: Partition, r: int, max_rows: int) -> list[tuple[Partition
 
     On the abacus of ``max_rows`` beads, each bead that can move up by r to
     an empty position gives one hook (see :func:`_bead_moves`).  Returns
-    (outer shape, hook height) pairs sorted lexicographically by shape; the
-    shapes are distinct.  ``max_rows`` over ``ROW_LIMIT`` raises ValueError.
+    (outer shape, hook height) pairs sorted lexicographically by shape (the
+    bead order reversed); the shapes are distinct.  ``max_rows`` over
+    ``ROW_LIMIT`` raises ValueError.
 
     >>> add_rim_hooks((1,), 2, 3)
     [((1, 1, 1), 2), ((3,), 1)]
@@ -210,7 +215,7 @@ def add_rim_hooks(lam: Partition, r: int, max_rows: int) -> list[tuple[Partition
     _require_rows(max_rows)
     if len(lam) > max_rows:
         return []
-    return sorted(_bead_moves(lam, r, max_rows))
+    return list(_bead_moves(lam, r, max_rows))[::-1]
 
 
 def remove_rim_hooks(lam: Partition, r: int) -> list[tuple[Partition, int]]:
@@ -218,7 +223,8 @@ def remove_rim_hooks(lam: Partition, r: int) -> list[tuple[Partition, int]]:
 
     On the abacus of len(lam) beads, each bead that can move down by r to an
     empty position >= 0 gives one hook.  Returns (inner shape, hook height)
-    pairs sorted lexicographically by shape; the shapes are distinct.
+    pairs sorted lexicographically by shape (the bead order); the shapes are
+    distinct.  The inverse of :func:`add_rim_hooks`.
 
     >>> remove_rim_hooks((2, 2), 3)
     [((1,), 2)]
@@ -226,7 +232,7 @@ def remove_rim_hooks(lam: Partition, r: int) -> list[tuple[Partition, int]]:
     lam = validate_partition(lam)
     if r < 1:
         raise ValueError(f"rim hook size must be positive, got {r}")
-    return sorted(_bead_moves(lam, -r, len(lam)))
+    return list(_bead_moves(lam, -r, len(lam)))
 
 
 class CoreResult(_Record):

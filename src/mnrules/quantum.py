@@ -16,10 +16,10 @@ from .partitions import (
     CoreResult,
     Partition,
     _Record,
+    _splice,
     box_partition,
     leq,
     n_core,
-    remove_rim_hooks,
     require_fits,
     validate_partition,
 )
@@ -56,12 +56,12 @@ class GrContext(_Record):
         return box_partition(self.k, self.n)
 
 
-def _require_in_box(lam: Partition, ctx: GrContext) -> tuple[Partition, Partition]:
-    """Validate ``lam`` against the k x (n-k) box; return lam and that box."""
-    lam, box = validate_partition(lam), ctx.box
-    if not leq(lam, box):
+def _require_in_box(lam: Partition, ctx: GrContext) -> Partition:
+    """Validate ``lam`` against the k x (n-k) box and return it."""
+    lam = validate_partition(lam)
+    if not leq(lam, ctx.box):
         raise ValueError(f"{lam} does not fit in the {ctx.k} x {ctx.n - ctx.k} box")
-    return lam, box
+    return lam
 
 
 def psi_sign(res: CoreResult, k: int) -> int:
@@ -87,20 +87,47 @@ def psi_reduce(lam: Partition, ctx: GrContext) -> QuantumClass:
 def quantum_mn(lam: Partition, r: int, ctx: GrContext) -> QuantumClass:
     """Multiply the Schubert cycle of lam by the power sum p_r in qH*(Gr(k, n)).
 
-    Classical part: the terms of :func:`mn_classical` in k variables that
-    fit in the box.  Quantum part: rim hooks of n - r cells removed from
-    lam, each contributing q with sign -(-1)**k * (-1)**(height + 1).
+    On the abacus of lam with k beads (row i at lam_i + k - 1 - i, all in
+    0..n-1), each bead steps r places around a circle of n positions to an
+    empty one.  A bead landing at c = b + r < n adds an r-hook inside the
+    box: a q**0 term with sign (-1)**(beads passed).  A bead that wraps to
+    c = b + r - n removes an (n - r)-hook: a q**1 term with sign
+    (-1)**(k + height).  One pass over the k beads, O(k) per term.  The
+    q**0 terms come first, each half in increasing order of shape.
     Requires 1 <= r < n.
+
+    >>> quantum_mn((3, 2, 1), 5, GrContext(4, 8))
+    {(0, (3, 3, 3, 2)): 1, (0, (4, 4, 3)): 1, (1, (1, 1, 1)): 1, (1, (3,)): 1}
     """
-    lam, box = _require_in_box(lam, ctx)
-    if not 1 <= r < ctx.n:
-        raise ValueError(f"need 1 <= r < n={ctx.n}, got r={r}")
-    out: QuantumClass = {
-        (0, mu): c for mu, c in mn_classical(lam, r, ctx.k).items() if leq(mu, box)
-    }
-    for nu, height in remove_rim_hooks(lam, ctx.n - r):
-        out[(1, nu)] = 1 if (ctx.k + height) % 2 == 0 else -1
-    return out
+    lam = _require_in_box(lam, ctx)
+    k, n = ctx.k, ctx.n
+    if not 1 <= r < n:
+        raise ValueError(f"need 1 <= r < n={n}, got r={r}")
+    rows = lam + (0,) * (k - len(lam))
+    pos = [p + k - 1 - i for i, p in enumerate(rows)]
+    q0, q1 = [], []
+    # The top beads wrap and the rest do not.  Within each run c falls as i
+    # rises, so ``above``, the beads strictly above c, only grows; it starts
+    # again at the first bead that does not wrap, whose c is the run's top.
+    wraps, above = True, 0
+    for i, b in enumerate(pos):
+        c = b + r
+        if c >= n:
+            c -= n
+        elif wraps:
+            wraps, above = False, 0
+        while above < k and pos[above] > c:
+            above += 1
+        if above < k and pos[above] == c:
+            continue
+        if wraps:  # moving down, the bead itself is one of the beads above c
+            j = above - 1
+            q1.append(((1, _splice(lam, rows, k, i, j, c)), -1 if (k + j - i + 1) % 2 else 1))
+        else:
+            q0.append(((0, _splice(lam, rows, k, i, above, c)), -1 if (i - above) % 2 else 1))
+    # bead order lists the moves down in increasing order of shape and the
+    # moves up in decreasing order (see _bead_moves)
+    return dict(q0[::-1] + q1)
 
 
 def wrap_power_sum(
@@ -138,7 +165,7 @@ def oracle_quantum_mn(lam: Partition, r: int, ctx: GrContext) -> QuantumClass:
     """Independent route to quantum_mn: multiply in the symmetric-function
     ring with k rows allowed to run past the box, then push every term
     through psi_reduce and collect."""
-    lam, _ = _require_in_box(lam, ctx)
+    lam = _require_in_box(lam, ctx)
     if not 1 <= r < ctx.n:
         raise ValueError(f"need 1 <= r < n={ctx.n}, got r={r}")
     out: QuantumClass = {}

@@ -22,6 +22,9 @@ The paper's other routes to its rules live here too:
   the (r+1)-cycle rule of mn_schubert;
 - Monk's rule via the transition formula, one variable x_i at a time,
   instead of k-Bruhat covers;
+- the quantum rule as the Schur rule's terms that fit in the box plus the
+  (n-r)-hooks removed (``two_route_quantum_mn``), instead of one pass of
+  the beads around a circle;
 - Schur polynomials via semistandard tableaux and via a Jacobi-Trudi
   determinant, and p_r as an alternating sum of hooks.
 
@@ -48,9 +51,12 @@ from mnrules.partitions import (
     box_partition,
     leq,
     part,
+    remove_rim_hooks,
     validate_partition,
 )
 from mnrules.poly import SparsePoly
+from mnrules.quantum import GrContext, QuantumClass, _require_in_box
+from mnrules.symfun import mn_classical
 
 Cell = tuple[int, int]
 
@@ -746,6 +752,24 @@ def grassmannian_project(expansion: dict[Partition, int], k: int, n: int) -> dic
         for lam, c in expansion.items()
         if c and leq(validate_partition(lam), box)
     }
+
+
+def two_route_quantum_mn(lam: Partition, r: int, ctx: GrContext) -> QuantumClass:
+    """quantum_mn from two rules instead of one pass around the abacus.
+
+    The q**0 terms are the terms of mn_classical in k variables that fit in
+    the box; the q**1 terms are the rim hooks of n - r cells removed from
+    lam, each with sign -(-1)**k * (-1)**(height + 1).
+    """
+    lam, box = _require_in_box(lam, ctx), ctx.box
+    if not 1 <= r < ctx.n:
+        raise ValueError(f"need 1 <= r < n={ctx.n}, got r={r}")
+    out: QuantumClass = {
+        (0, mu): c for mu, c in mn_classical(lam, r, ctx.k).items() if leq(mu, box)
+    }
+    for nu, height in remove_rim_hooks(lam, ctx.n - r):
+        out[(1, nu)] = 1 if (ctx.k + height) % 2 == 0 else -1
+    return out
 
 
 def hook_partition(b: int, a: int) -> Partition:

@@ -12,7 +12,9 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from mnrules import cli, schubert
+from mnrules.partitions import leq
 from mnrules.quantum import oracle_quantum_mn
+from mnrules.symfun import mn_classical
 
 
 def run(capsys, *argv):
@@ -274,8 +276,17 @@ def test_selfcheck_detects_broken_sign_rule(capsys, monkeypatch):
             lambda lam, r, ctx: {t: -c for t, c in oracle_quantum_mn(lam, r, ctx).items()},
             ["mn-quantum", "--partition", "3,2,1", "--r", "5", "--k", "4", "--n", "8"],
         ),
+        (
+            # only the q**0 half of the psi route reads the box-fitting
+            # terms, so this catches a quantum_mn that shares mn_classical
+            "mnrules.quantum.mn_classical",
+            lambda lam, r, k: {
+                mu: -c if leq(mu, (4,) * 4) else c for mu, c in mn_classical(lam, r, k).items()
+            },
+            ["mn-quantum", "--partition", "3,2,1", "--r", "5", "--k", "4", "--n", "8"],
+        ),
     ],
-    ids=["mn-schubert", "mn-quantum"],
+    ids=["mn-schubert", "mn-quantum", "mn-quantum-q0"],
 )
 def test_verify_reports_mismatch(capsys, monkeypatch, target, broken, argv):
     monkeypatch.setattr(target, broken)

@@ -259,6 +259,23 @@ def test_bead_moves_match_resorting_oracle_move_for_move():
     assert compared == 18 * 4 * (272 + 20)
 
 
+def test_bead_moves_come_in_lex_order():
+    # add_rim_hooks and remove_rim_hooks return the moves unsorted: adds
+    # must come in strictly decreasing order of shape, removals in strictly
+    # increasing order
+    compared = 0
+    for size in range(16):
+        for lam in partitions_of(size):
+            for r in range(1, 10):
+                for beads in range(len(lam), len(lam) + 3):
+                    added = [shape for shape, _ in partitions._bead_moves(lam, r, beads)]
+                    removed = [shape for shape, _ in partitions._bead_moves(lam, -r, beads)]
+                    assert all(a > b for a, b in zip(added, added[1:])), (lam, r, beads)
+                    assert all(a < b for a, b in zip(removed, removed[1:])), (lam, r, beads)
+                    compared += 1
+    assert compared == 684 * 9 * 3
+
+
 @given(tall_partitions, st.integers(1, 15), st.integers(0, 5))
 @settings(max_examples=100, deadline=None)
 def test_rim_hooks_match_diagonal_oracles_on_tall_partitions(lam, r, extra_rows):

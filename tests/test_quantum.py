@@ -1,6 +1,8 @@
+import random
+
 import pytest
 
-from mnrules import cli
+from mnrules import cli, partitions, quantum, symfun
 from mnrules.partitions import leq, n_core
 from mnrules.quantum import (
     GENERATOR_SAMPLES,
@@ -13,7 +15,14 @@ from mnrules.quantum import (
     sampled_max_minus_min_partitions,
 )
 from mnrules.symfun import mn_classical
-from oracles import is_rim_hook, partitions_in_box, rim_hook_height
+from oracles import is_rim_hook, partitions_in_box, rim_hook_height, two_route_quantum_mn
+
+WORKED_EXAMPLE = {
+    (0, (3, 3, 3, 2)): 1,
+    (0, (4, 4, 3)): 1,
+    (1, (3,)): 1,
+    (1, (1, 1, 1)): 1,
+}
 
 
 def test_context_validation():
@@ -48,23 +57,43 @@ def test_psi_reduce_rejects_too_many_rows():
 
 
 def test_quantum_mn_worked_example():
+    assert quantum_mn((3, 2, 1), 5, GrContext(4, 8)) == WORKED_EXAMPLE
+
+
+def test_quantum_mn_does_not_call_the_schur_rule_or_the_rim_hook_kernels(monkeypatch):
+    # oracle_quantum_mn, behind mn-quantum --verify, reads mn_classical, so
+    # quantum_mn must find its q**0 terms without it.
+    def refuse(*args):
+        raise AssertionError("quantum_mn called the Schur rule or a rim-hook kernel")
+
+    for module, name in [
+        (partitions, "_bead_moves"),
+        (partitions, "add_rim_hooks"),
+        (partitions, "remove_rim_hooks"),
+        (symfun, "add_rim_hooks"),
+        (symfun, "mn_classical"),
+        (quantum, "mn_classical"),
+    ]:
+        monkeypatch.setattr(module, name, refuse)
     ctx = GrContext(4, 8)
-    assert quantum_mn((3, 2, 1), 5, ctx) == {
-        (0, (3, 3, 3, 2)): 1,
-        (0, (4, 4, 3)): 1,
-        (1, (3,)): 1,
-        (1, (1, 1, 1)): 1,
-    }
+    assert quantum_mn((3, 2, 1), 5, ctx) == WORKED_EXAMPLE
+    shifted = {(d + 1, mu): c for (d, mu), c in WORKED_EXAMPLE.items()}
+    assert quantum_mn_extended((3, 2, 1), 13, ctx) == shifted
 
 
 def test_quantum_mn_rejects_bad_input():
-    ctx = GrContext(4, 8)
-    with pytest.raises(ValueError):
-        quantum_mn((3, 2, 1), 0, ctx)
-    with pytest.raises(ValueError):
-        quantum_mn((3, 2, 1), 8, ctx)
-    with pytest.raises(ValueError):
-        quantum_mn((5, 2, 1), 3, ctx)  # outside the 4x4 box
+    cases = [
+        ((3, 2, 1), 0, "need 1 <= r < n=8, got r=0"),
+        ((3, 2, 1), 8, "need 1 <= r < n=8, got r=8"),
+        ((5, 2, 1), 3, "(5, 2, 1) does not fit in the 4 x 4 box"),  # outside the 4x4 box
+        ((1, 1, 1, 1, 1), 3, "(1, 1, 1, 1, 1) does not fit in the 4 x 4 box"),  # over k rows
+        ((5, 2, 1), 8, "(5, 2, 1) does not fit in the 4 x 4 box"),  # the box is checked first
+    ]
+    for lam, r, message in cases:
+        for rule in (quantum_mn, two_route_quantum_mn):
+            with pytest.raises(ValueError) as err:
+                rule(lam, r, GrContext(4, 8))
+            assert str(err.value) == message, (rule, lam, r)
 
 
 def test_quantum_mn_extended_wraps():
@@ -112,6 +141,32 @@ def test_quantum_mn_matches_reduction_oracle_on_gr_5_10_and_6_12():
         assert quantum_mn(lam, r, ctx) == oracle_quantum_mn(lam, r, ctx), (ctx, lam, r)
         count += 1
     assert count == 2268 + 10164
+
+
+def test_quantum_mn_matches_both_oracles_for_every_n_up_to_10():
+    # the two-route oracle also pins the order of the terms, which the
+    # README shows
+    count = 0
+    shapes = [(k, n) for n in range(2, 11) for k in range(1, n)]
+    for ctx, lam, r in sweep_cases(shapes):
+        got = quantum_mn(lam, r, ctx)
+        assert list(got.items()) == list(two_route_quantum_mn(lam, r, ctx).items()), (ctx, lam, r)
+        assert got == oracle_quantum_mn(lam, r, ctx), (ctx, lam, r)
+        count += 1
+    assert count == 16298
+
+
+@pytest.mark.parametrize("k, n", [(1, 24), (12, 24), (23, 24), (1, 40), (20, 40), (39, 40)])
+def test_quantum_mn_matches_both_oracles_on_seeded_large_grassmannians(k, n):
+    rng = random.Random(100 * k + n)
+    ctx = GrContext(k, n)
+    for _ in range(150):
+        lam = tuple(sorted((rng.randint(0, n - k) for _ in range(k)), reverse=True))
+        r = rng.randint(1, n - 1)
+        got = quantum_mn(lam, r, ctx)
+        assert got == two_route_quantum_mn(lam, r, ctx) == oracle_quantum_mn(lam, r, ctx), (
+            lam, r,
+        )
 
 
 def test_quantum_mn_grading():

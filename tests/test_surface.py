@@ -55,6 +55,7 @@ PROTOCOL_MEMBERS = {
 LIBRARY_API = {
     "__version__": "package metadata, the release in pyproject.toml",
     "grassmannian_permutation": "ties mn_schubert to mn_classical; the README gives its size limit",
+    "remove_rim_hooks": "the documented inverse of add_rim_hooks; n_core moves its beads directly",
 }
 
 

@@ -346,7 +346,8 @@ def main(argv: list[str] | None = None) -> int:
         print("error: out of memory", file=sys.stderr)
         return 2
     except RecursionError:
-        # _schubert_cached recurses once per step up to the longest word
+        # no known input gets here: the deepest recursion left is the strip
+        # search, one frame per row, and rows stop at partitions.ROW_LIMIT
         print("error: recursion too deep for this input", file=sys.stderr)
         return 2
 

@@ -121,13 +121,16 @@ def k_bruhat_covers(w: Permutation, k: int, max_support: int) -> list[Permutatio
 
     For each i the scan keeps ``best``, the smallest value above w(i) at
     positions i+1..j-1; (i, j) is a cover exactly when w(i) < w(j) < best
-    (Bergeron-Sottile, Duke 1998).  Past the stored word each position holds
-    its own index, which is above every earlier value, so the scan ends at
-    the first such position after i; it also ends at w(j) = w(i) + 1.  With
-    m = max(len(w), k), a call costs O(k * m) scan steps plus O(m) to copy
-    each endpoint, however large ``max_support`` is; validating w costs
-    O(m log m).  The padded word has m + 1 entries, so m + 1 over
-    ``SUPPORT_LIMIT`` raises ValueError.
+    (Bergeron-Sottile, Duke 1998).  With m = len(w), the scan reads only the
+    stored word and ends early at w(j) = w(i) + 1.  Past the word each
+    position holds its own index, above every earlier value, so the first
+    fixed point m + 1 is the only candidate there, and a cover exactly when
+    the scan saw nothing above w(i).  When k > m, every j > k is past that
+    fixed point, which leaves the one cover (k, k + 1).  A call costs
+    O(k * m) scan steps plus O(m) to build each endpoint, whatever
+    ``max_support`` is, and no padded copy of w is made.  Validating w costs
+    O(m log m).  The longest endpoint has max(m, k) + 1 letters; over
+    ``SUPPORT_LIMIT`` that raises ValueError.
 
     >>> k_bruhat_covers((2, 1), 2, 4)
     [(3, 1, 2), (2, 3, 1)]
@@ -136,25 +139,36 @@ def k_bruhat_covers(w: Permutation, k: int, max_support: int) -> list[Permutatio
     if k < 1:
         raise ValueError(f"k must be positive, got {k}")
     size = len(w)
-    word = list(w) + list(range(size + 1, default_max_support(w, k, 1) + 1))
-    top = len(word) + 1
+    require_support(max(size, k) + 1)
     ends: list[Permutation] = []
+    if k > size:
+        if k < max_support:
+            ends.append(w + tuple(range(size + 1, k)) + (k + 1, k))
+        return ends
     add = ends.append
+    word = list(w)
+    stop = min(size, max_support)
+    top = size + 1
+    top_fits = top <= max_support
     for i in range(k):
         wi = word[i]
         best = top
-        for j in range(i + 1, min(size if size > i else i + 1, max_support - 1) + 1):
+        for j in range(i + 1, stop):
             wj = word[j]
             if wi < wj < best:
                 best = wj
                 if j >= k:
-                    # Swapping keeps a permutation, and the swapped word ends
-                    # in a moved point at max(len(w), j + 1): no canonical().
+                    # Swapping keeps a permutation, and its last letter is
+                    # still a moved point: no canonical().
                     word[i], word[j] = wj, wi
-                    add(tuple(word[: size if size > j else j + 1]))
+                    add(tuple(word))
                     word[i], word[j] = wi, wj
                 if wj == wi + 1:
                     break
+        if best == top and top_fits:
+            word[i] = top
+            add(tuple(word) + (wi,))
+            word[i] = wi
     return ends
 
 

@@ -20,11 +20,21 @@ from .perm import (
     from_lehmer_code,
     inverse,
     k_bruhat_covers,
+    length,
     require_support,
 )
 from .poly import Exponents, SparsePoly, _trim
 
 SchubertExpansion = dict[Permutation, int]
+
+# Most letters schubert_poly's first-ascent chain may hold in the cache:
+# --poly x1^e walks about e^2 / 2 steps of e + 1 letters, and x1^1000 would
+# keep about 4 GB of words.
+CHAIN_LIMIT = 10_000_000
+# Most first-ascent steps one schubert_poly call lets _schubert_cached
+# recurse: about 200 frames, well under the interpreter's default limit of
+# 1000, and chains this short need no walk.
+RECURSION_STEPS = 100
 
 
 def divided_difference(f: SparsePoly, i: int) -> SparsePoly:
@@ -64,6 +74,16 @@ def staircase_monomial(n: int) -> SparsePoly:
     return SparsePoly.monomial(tuple(range(n - 1, 0, -1)))
 
 
+def _first_ascent_swap(w: Permutation) -> tuple[int, Permutation]:
+    """(i, w with positions i and i + 1 swapped) for the first ascent i of w.
+
+    Swapping keeps the word canonical: the last letter either stays or
+    becomes w(n - 1) < w(n) <= n, not a fixed point.
+    """
+    i = next(i for i in range(1, len(w)) if w[i - 1] < w[i])
+    return i, w[: i - 1] + (w[i], w[i - 1]) + w[i + 1 :]
+
+
 @cache
 def _schubert_cached(w: Permutation) -> SparsePoly:
     n = len(w)
@@ -71,16 +91,38 @@ def _schubert_cached(w: Permutation) -> SparsePoly:
         return SparsePoly.one()
     if w == tuple(range(n, 0, -1)):
         return staircase_monomial(n)
-    # Swapping the first ascent keeps the word canonical: the last letter
-    # either stays or becomes w(n - 1) < w(n) <= n, not a fixed point.
-    i = next(i for i in range(1, n) if w[i - 1] < w[i])
-    swapped = w[: i - 1] + (w[i], w[i - 1]) + w[i + 1 :]
+    i, swapped = _first_ascent_swap(w)
     return divided_difference(_schubert_cached(swapped), i)
 
 
 def schubert_poly(w: Permutation) -> SparsePoly:
-    """Schubert polynomial of w (cached; computed in the smallest S_n)."""
-    return _schubert_cached(canonical(w))
+    """Schubert polynomial of w (cached; computed in the smallest S_n).
+
+    ``_schubert_cached`` recurses once per first-ascent step from w up to
+    w_0.  So a chain of ``RECURSION_STEPS`` steps or more is walked first,
+    and every ``RECURSION_STEPS``-th word on it is cached from the top down:
+    each call then finds a cached word within that many steps, however
+    long the chain is.  The cache keeps one word of n = len(w) letters per
+    step, and there are n(n-1)/2 - length(w) steps: over ``CHAIN_LIMIT``
+    letters in all raises ValueError before the walk.
+    """
+    w = canonical(w)
+    n = len(w)
+    steps = n * (n - 1) // 2 - length(w)
+    if steps * n > CHAIN_LIMIT:
+        raise ValueError(
+            f"needs {steps} steps of {n} letters up to the longest word, "
+            f"over the limit of {CHAIN_LIMIT} letters"
+        )
+    marks = []
+    u = w
+    for _ in range(steps // RECURSION_STEPS):
+        for _ in range(RECURSION_STEPS):
+            u = _first_ascent_swap(u)[1]
+        marks.append(u)
+    for u in reversed(marks):
+        _schubert_cached(u)
+    return _schubert_cached(w)
 
 
 def _colex_key(e: Exponents) -> tuple[int, Exponents]:

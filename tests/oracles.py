@@ -7,7 +7,9 @@ bead moves; adding and removing rim hooks row by row along the diagonals,
 and n-cores by stripping one such hook at a time, instead of moving beads on
 an abacus; n-cores also by sliding every bead down its runner at once; one
 abacus move by re-sorting every bead instead of splicing the rows; k-Bruhat
-covers via one interval scan per pair instead of a running minimum;
+covers via one interval scan per pair instead of a running minimum, and by
+the running minimum over a word padded with fixed points
+(``padded_scan_covers``) instead of over the stored word alone;
 permutation lengths by comparing every pair instead of counting on
 insertion; and the (r+1)-cycle test of mn_schubert by ``compose``, a set of
 moved points and ``het`` instead of one moved-point count and one cycle walk
@@ -23,8 +25,10 @@ The paper's other routes to its rules live here too:
 - Monk's rule via the transition formula, one variable x_i at a time,
   instead of k-Bruhat covers;
 - the quantum rule as the Schur rule's terms that fit in the box plus the
-  (n-r)-hooks removed (``two_route_quantum_mn``), instead of one pass of
-  the beads around a circle;
+  (n-r)-hooks removed (``two_route_quantum_mn``), and as mn_schubert on a
+  Grassmannian permutation pushed through psi_reduce
+  (``schubert_route_quantum_mn``), instead of one pass of the beads around
+  a circle;
 - Schur polynomials via semistandard tableaux and via a Jacobi-Trudi
   determinant, and p_r as an alternating sum of hooks.
 
@@ -55,7 +59,7 @@ from mnrules.partitions import (
     validate_partition,
 )
 from mnrules.poly import SparsePoly
-from mnrules.quantum import GrContext, QuantumClass, _require_in_box
+from mnrules.quantum import GrContext, QuantumClass, _require_in_box, psi_reduce
 from mnrules.symfun import mn_classical
 
 Cell = tuple[int, int]
@@ -416,6 +420,38 @@ def oracle_k_bruhat_covers(
     return covers
 
 
+def padded_scan_covers(w: perm.Permutation, k: int, max_support: int) -> list[perm.Permutation]:
+    """k-Bruhat cover endpoints by a running-minimum scan over w padded with
+    fixed points to max(len(w), k) + 1 letters.
+
+    Each row recomputes its last position, at most one past the stored word
+    or past i, and each endpoint is a slice of the padded word cut back to
+    canonical length.  ``k_bruhat_covers`` scans only the stored word and
+    treats the first fixed point, and the rows past the word, on their own.
+    """
+    w = perm.canonical(w)
+    if k < 1:
+        raise ValueError(f"k must be positive, got {k}")
+    size = len(w)
+    word = list(w) + list(range(size + 1, perm.default_max_support(w, k, 1) + 1))
+    top = len(word) + 1
+    ends: list[perm.Permutation] = []
+    for i in range(k):
+        wi = word[i]
+        best = top
+        for j in range(i + 1, min(size if size > i else i + 1, max_support - 1) + 1):
+            wj = word[j]
+            if wi < wj < best:
+                best = wj
+                if j >= k:
+                    word[i], word[j] = wj, wi
+                    ends.append(tuple(word[: size if size > j else j + 1]))
+                    word[i], word[j] = wi, wj
+                if wj == wi + 1:
+                    break
+    return ends
+
+
 def oracle_length(w: perm.Permutation) -> int:
     """Number of inversions, by comparing every pair of positions."""
     return sum(
@@ -769,6 +805,38 @@ def two_route_quantum_mn(lam: Partition, r: int, ctx: GrContext) -> QuantumClass
     }
     for nu, height in remove_rim_hooks(lam, ctx.n - r):
         out[(1, nu)] = 1 if (ctx.k + height) % 2 == 0 else -1
+    return out
+
+
+def grassmannian_shape(u: perm.Permutation, k: int) -> Partition:
+    """The partition lam with ``grassmannian_permutation(lam, k) == u``:
+    lam_i = u(k + 1 - i) - (k + 1 - i).  Raises ValueError when u has a
+    descent other than at k."""
+    word = u + tuple(range(len(u) + 1, k + 1))
+    lam = validate_partition(tuple(word[k - 1 - t] - (k - t) for t in range(k)))
+    if schubert.grassmannian_permutation(lam, k) != u:
+        raise ValueError(f"{u} has a descent other than at {k}")
+    return lam
+
+
+def schubert_route_quantum_mn(lam: Partition, r: int, ctx: GrContext) -> QuantumClass:
+    """quantum_mn through the Schubert rule: s_lam(x_1..x_k) is the Schubert
+    polynomial of ``grassmannian_permutation(lam, k)``, so ``mn_schubert``
+    gives p_r * s_lam in k variables.  Each term's shape is read back off its
+    permutation, pushed through psi_reduce and collected.  Shares no code
+    with the circle move of quantum_mn or with mn_classical."""
+    lam = _require_in_box(lam, ctx)
+    if not 1 <= r < ctx.n:
+        raise ValueError(f"need 1 <= r < n={ctx.n}, got r={r}")
+    k = ctx.k
+    out: QuantumClass = {}
+    for u, coeff in schubert.mn_schubert(schubert.grassmannian_permutation(lam, k), k, r).items():
+        for key, sign in psi_reduce(grassmannian_shape(u, k), ctx).items():
+            c = out.get(key, 0) + coeff * sign
+            if c:
+                out[key] = c
+            else:
+                out.pop(key, None)
     return out
 
 

@@ -312,6 +312,10 @@ def test_out_of_memory_exits_2_not_1(capsys, monkeypatch, target, flags):
     assert err == "error: out of memory\n"
 
 
+def recursion_too_deep(*args):
+    raise RecursionError
+
+
 @pytest.mark.parametrize(
     "argv, printed",
     [
@@ -323,14 +327,37 @@ def test_out_of_memory_exits_2_not_1(capsys, monkeypatch, target, flags):
     ],
     ids=["expand", "verify"],
 )
-def test_recursion_too_deep_exits_2_not_1(capsys, argv, printed):
-    # schubert_poly recurses once per step from its word up to w0: 780 steps
-    # for S[41,1,...,40], the one-term answer for x1^40.  Exit 1 would read
-    # as a --verify mismatch of the result mn-schubert has already printed.
+def test_recursion_too_deep_exits_2_not_1(capsys, monkeypatch, argv, printed):
+    # Exit 1 would read as a --verify mismatch of the result mn-schubert has
+    # already printed.
+    monkeypatch.setattr("mnrules.schubert._schubert_cached", recursion_too_deep)
     code, out, err = run(capsys, *argv)
     assert code == 2
     assert out == printed
     assert err == "error: recursion too deep for this input\n"
+
+
+def test_long_first_ascent_chains_answer(capsys):
+    # 780 and 1,273 steps from the word up to w0, past the interpreter's
+    # recursion limit of 1,000 frames
+    code, out, err = run(capsys, "schubert-expand", "--poly", "x1^40")
+    assert (code, out, err) == (0, f"S{cli.fmt_partition((41, *range(1, 41)))}\n", "")
+    code, out, err = run(capsys, "mn-schubert", "--w", "21", "--k", "50", "--r", "1", "--verify")
+    assert code == 0
+    assert out == f"S{cli.fmt_partition((2, 1, *range(3, 50), 51, 50))}\n"
+    assert err == "verify: MATCH\n"
+
+
+def test_first_ascent_chain_over_the_limit_exits_2_before_the_walk(capsys):
+    # x1^272 has 36,856 steps of 273 letters; x1^271 fits
+    cached = schubert._schubert_cached.cache_info().currsize
+    code, out, err = run(capsys, "schubert-expand", "--poly", "x1^272")
+    assert schubert._schubert_cached.cache_info().currsize == cached
+    assert (code, out) == (2, "")
+    assert err == (
+        "error: needs 36856 steps of 273 letters up to the longest word, "
+        "over the limit of 10000000 letters\n"
+    )
 
 
 def run_capped(*argv, memory=1 << 30, timeout=20):

@@ -1,6 +1,7 @@
 import inspect
 import itertools
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -26,6 +27,7 @@ from oracles import (
     lehmer_code,
     oracle_k_bruhat_covers,
     oracle_length,
+    padded_scan_covers,
     peakless_endpoints,
     right_transposed,
     transition_xi,
@@ -194,6 +196,67 @@ def test_covers_match_pairwise_oracle_on_s12_chain_states():
                 nxt.update(got)
             level = nxt
         assert level == chain_endpoints(w, k, r)
+
+
+def test_covers_match_the_padded_scan():
+    # List for list, so the (i, j) order is compared too.  Words come as
+    # given and with two trailing fixed points; k runs past len(w), where
+    # only the cover (k, k + 1) is left, and bounds cut the result anywhere.
+    # S7 is sampled to keep this test near two seconds.
+    rng = random.Random(1601)
+    compared = 0
+    for n in range(8):
+        words = list(itertools.permutations(range(1, n + 1)))
+        if n == 7:
+            words = rng.sample(words, 300)
+        for word in words:
+            for given_word in (word, word + (n + 1, n + 2)):
+                for k in range(1, n + 3):
+                    for bound in range(1, n + 4):
+                        got = k_bruhat_covers(given_word, k, bound)
+                        assert got == padded_scan_covers(given_word, k, bound), (given_word, k, bound)
+                        compared += 1
+    # every BFS state of seeded S12 walks
+    for k in (4, 6, 8):
+        w = canonical(rng.sample(range(1, 13), 12))
+        bound = default_max_support(w, k, 5)
+        level = {w}
+        for _ in range(5):
+            nxt = set()
+            for v in level:
+                got = k_bruhat_covers(v, k, bound)
+                assert got == padded_scan_covers(v, k, bound), (v, k)
+                nxt.update(got)
+                compared += 1
+            level = nxt
+    assert compared == 174169
+
+
+LIMIT = perm.SUPPORT_LIMIT
+
+
+@pytest.mark.parametrize(
+    "w, k, message",
+    [
+        # the word is checked first, then k, then the support bound
+        ((1.0, 2), LIMIT, "entries must be integers, got (1.0, 2)"),
+        ((1, 1), 0, "not a permutation of 1..2: (1, 1)"),
+        ((2, 1), 0, "k must be positive, got 0"),
+        ((2, 1), LIMIT, f"needs words of {LIMIT + 1} letters, over the limit of {LIMIT}"),
+    ],
+    ids=["non-integer", "non-permutation", "k-below-1", "over-support-limit"],
+)
+def test_covers_keep_their_input_checks(w, k, message):
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError) as raised:
+            k_bruhat_covers(w, k, 2 * LIMIT)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert str(raised.value) == message
+    # a word of LIMIT letters alone takes 800 kB of pointers
+    assert peak < 100_000
 
 
 def test_chain_endpoints_calls_the_kernel_once_per_state(monkeypatch):

@@ -14,8 +14,16 @@ from mnrules.quantum import (
     quantum_mn_extended,
     sampled_max_minus_min_partitions,
 )
+from mnrules.schubert import grassmannian_permutation
 from mnrules.symfun import mn_classical
-from oracles import is_rim_hook, partitions_in_box, rim_hook_height, two_route_quantum_mn
+from oracles import (
+    grassmannian_shape,
+    is_rim_hook,
+    partitions_in_box,
+    rim_hook_height,
+    schubert_route_quantum_mn,
+    two_route_quantum_mn,
+)
 
 WORKED_EXAMPLE = {
     (0, (3, 3, 3, 2)): 1,
@@ -141,6 +149,27 @@ def test_quantum_mn_matches_reduction_oracle_on_gr_5_10_and_6_12():
         assert quantum_mn(lam, r, ctx) == oracle_quantum_mn(lam, r, ctx), (ctx, lam, r)
         count += 1
     assert count == 2268 + 10164
+
+
+def test_quantum_mn_matches_the_schubert_rule_route():
+    # all three rules in one chain: the Schubert rule on Grassmannian
+    # permutations, read back as shapes and reduced by psi, against the
+    # circle move; the cover kernel runs on every BFS state on the way
+    shapes = [(k, 2 * k) for k in range(1, 6)]
+    shapes += [(k, n) for n in range(3, 7) for k in (1, n - 1)]
+    count = 0
+    for ctx, lam, r in sweep_cases(shapes):
+        assert schubert_route_quantum_mn(lam, r, ctx) == quantum_mn(lam, r, ctx), (ctx, lam, r)
+        count += 1
+    assert count == 3014
+
+
+def test_grassmannian_shape_reads_back_the_partition():
+    for k in range(1, 5):
+        for lam in partitions_in_box(k, 4):
+            assert grassmannian_shape(grassmannian_permutation(lam, k), k) == lam
+    with pytest.raises(ValueError, match="descent other than at 1"):
+        grassmannian_shape((1, 3, 2), 1)
 
 
 def test_quantum_mn_matches_both_oracles_for_every_n_up_to_10():

@@ -14,10 +14,10 @@ others:
   hook and gives a q-term.
 
 Supporting layers: ``partitions`` (rim hooks, strips, n-cores),
-``poly`` (exact sparse integer polynomials), ``perm`` (Lehmer codes, k-Bruhat
+``poly`` (exact sparse integer polynomials), ``perm`` (permutations, k-Bruhat
 covers), and the ``mnrules`` command-line tool (see ``cli``), whose
-``--verify`` flags recompute a product by a second route: polynomial
-arithmetic for Schubert products, the reduction map psi for quantum ones.
+``--verify`` flags recompute a product by a second route: Monk's rule for
+one variable for Schubert products, the reduction map psi for quantum ones.
 The package holds no code that only tests call; the brute-force oracles the
 test suite checks against live in ``tests/oracles.py``.
 """

@@ -320,9 +320,3 @@ def strips(lam: Partition, size: int, kind: StripKind, max_rows: int) -> list[Pa
 
     grow(0, size, [])
     return sorted(found)
-
-
-if __name__ == "__main__":
-    import doctest
-
-    doctest.testmod()

@@ -79,30 +79,6 @@ def length(w: Permutation) -> int:
     return count
 
 
-def from_lehmer_code(code: Iterable[int]) -> Permutation:
-    """The unique permutation with the given Lehmer code.
-
-    It is built from a pool of len(code) + max(code) + 1 letters, so a pool
-    over ``SUPPORT_LIMIT`` raises ValueError before it is built.
-
-    >>> from_lehmer_code((1, 2))
-    (2, 4, 1, 3)
-    """
-    try:
-        c = tuple(map(operator.index, code))
-    except TypeError:
-        raise ValueError(f"code entries must be integers, got {code}") from None
-    if any(x < 0 for x in c):
-        raise ValueError(f"code entries must be nonnegative: {c}")
-    size = require_support(len(c) + max(c, default=0) + 1)
-    pool = list(range(1, size + 1))
-    word = []
-    for x in c:
-        word.append(pool.pop(x))
-    word.extend(pool)
-    return canonical(word)
-
-
 def default_max_support(w: Permutation, k: int, steps: int) -> int:
     """Support bound for ``steps`` cover steps above w.
 
@@ -186,9 +162,3 @@ def chain_endpoints(w: Permutation, k: int, r: int) -> set[Permutation]:
     for _ in range(r):
         level = {u for v in level for u in k_bruhat_covers(v, k, bound)}
     return level
-
-
-if __name__ == "__main__":
-    import doctest
-
-    doctest.testmod()

@@ -86,16 +86,8 @@ class SparsePoly:
         return cls._from_clean({})
 
     @classmethod
-    def one(cls) -> "SparsePoly":
-        return cls._from_clean({(): 1})
-
-    @classmethod
     def constant(cls, c: int) -> "SparsePoly":
         return cls._from_clean({(): c} if c else {})
-
-    @classmethod
-    def monomial(cls, exps: Iterable[int], coeff: int = 1) -> "SparsePoly":
-        return cls({tuple(exps): coeff})
 
     def __bool__(self) -> bool:
         return bool(self.terms)

@@ -1,14 +1,15 @@
-"""Schubert polynomials, divided differences, and power-sum products.
+"""Schubert polynomials, Monk's rule, and power-sum products.
 
-The Schubert polynomial of the longest element of S_n is the staircase
-monomial x_1^(n-1) x_2^(n-2) ... x_{n-1}; every other one is reached by
-divided differences, which lower degree by one.  Expansions in the Schubert
-basis are dicts mapping canonical permutations to nonzero integers.
+The Schubert layer has one kernel, ``_times_x``: x_i times a Schubert
+expansion, by Monk's rule for one variable.  A Schubert polynomial is that
+rule solved for its top term, an expansion folds a polynomial onto the
+identity one variable at a time, and ``mn-schubert --verify`` folds the
+power sum onto S_w.  Expansions in the Schubert basis are dicts mapping
+canonical permutations to nonzero integers.
 """
 
 from __future__ import annotations
 
-from functools import cache
 from operator import indexOf, ne
 
 from .partitions import Partition, part, require_fits
@@ -17,154 +18,161 @@ from .perm import (
     canonical,
     chain_endpoints,
     default_max_support,
-    from_lehmer_code,
     inverse,
     k_bruhat_covers,
-    length,
     require_support,
 )
-from .poly import Exponents, SparsePoly, _trim
+from .poly import Exponents, SparsePoly
+from .symfun import power_sum_poly
 
 SchubertExpansion = dict[Permutation, int]
 
-# Most letters schubert_poly's first-ascent chain may hold in the cache:
-# --poly x1^e walks about e^2 / 2 steps of e + 1 letters, and x1^1000 would
-# keep about 4 GB of words.
-CHAIN_LIMIT = 10_000_000
-# Most first-ascent steps one schubert_poly call lets _schubert_cached
-# recurse: about 200 frames, well under the interpreter's default limit of
-# 1000, and chains this short need no walk.
-RECURSION_STEPS = 100
+# Most letters of words one call of the Schubert layer may build up front
+# (``expand_in_schubert``, ``power_sum_times``) or keep (``schubert_poly``).
+LETTER_LIMIT = 10_000_000
 
 
-def divided_difference(f: SparsePoly, i: int) -> SparsePoly:
-    """The i-th divided difference: (f - f with x_i, x_{i+1} swapped) / (x_i - x_{i+1}).
+def _require_letters(letters: int, what: str) -> None:
+    if letters > LETTER_LIMIT:
+        raise ValueError(f"{what} needs {letters} letters, over the limit of {LETTER_LIMIT}")
 
-    The quotient of each monomial is expanded in closed form, so the division
-    is exact by construction: x^p y^q maps to the geometric sum
-    sign * (x^(hi-1) y^lo + ... + x^lo y^(hi-1)) in the two affected slots.
+
+def _add(a: dict, b: dict, scale: int = 1) -> dict:
+    """a + scale * b for dicts of nonzero ints, written into a."""
+    for u, c in b.items():
+        c = a.get(u, 0) + scale * c
+        if c:
+            a[u] = c
+        else:
+            del a[u]
+    return a
+
+
+def _times_x(expansion: SchubertExpansion, i: int) -> SchubertExpansion:
+    """x_i times a Schubert expansion, by Monk's rule for one variable:
+    x_i S_w sums +S_w(i,b) over b > i and -S_w(a,i) over a < i where the
+    length goes up by one (Lascoux-Schützenberger).  (i, b) is such a cover
+    when w(i) < w(b) < each value above w(i) between them (Bergeron-Sottile),
+    so one running bound on each side of i finds the terms.  Past the word,
+    padded to i letters, only its first fixed point can cover.
     """
-    if i < 1:
-        raise ValueError(f"divided differences are 1-indexed, got {i}")
-    data: dict[tuple[int, ...], int] = {}
-    for exps, coeff in f.terms.items():
-        p = exps[i - 1] if len(exps) >= i else 0
-        q = exps[i] if len(exps) >= i + 1 else 0
-        if p == q:
-            continue
-        sign = 1 if p > q else -1
-        lo, hi = min(p, q), max(p, q)
-        base = list(exps) + [0] * (i + 1 - len(exps))
-        for t in range(hi - lo):
-            base[i - 1] = hi - 1 - t
-            base[i] = lo + t
-            e = _trim(base)
-            s = data.get(e, 0) + sign * coeff
-            if s:
-                data[e] = s
-            else:
-                data.pop(e, None)
-    return SparsePoly._from_clean(data)
-
-
-def staircase_monomial(n: int) -> SparsePoly:
-    """x_1^(n-1) x_2^(n-2) ... x_{n-1}, the top Schubert polynomial of S_n."""
-    if n < 1:
-        raise ValueError(f"need n >= 1, got {n}")
-    return SparsePoly.monomial(tuple(range(n - 1, 0, -1)))
-
-
-def _first_ascent_swap(w: Permutation) -> tuple[int, Permutation]:
-    """(i, w with positions i and i + 1 swapped) for the first ascent i of w.
-
-    Swapping keeps the word canonical: the last letter either stays or
-    becomes w(n - 1) < w(n) <= n, not a fixed point.
-    """
-    i = next(i for i in range(1, len(w)) if w[i - 1] < w[i])
-    return i, w[: i - 1] + (w[i], w[i - 1]) + w[i + 1 :]
-
-
-@cache
-def _schubert_cached(w: Permutation) -> SparsePoly:
-    n = len(w)
-    if n == 0:
-        return SparsePoly.one()
-    if w == tuple(range(n, 0, -1)):
-        return staircase_monomial(n)
-    i, swapped = _first_ascent_swap(w)
-    return divided_difference(_schubert_cached(swapped), i)
+    out: SchubertExpansion = {}
+    for w, c in expansion.items():
+        word = [*w, *range(len(w) + 1, i + 1)]
+        top = len(word) + 1
+        wi = word[i - 1]
+        ends = {}
+        best = top
+        for b in range(i, len(word)):
+            wb = word[b]
+            if wi < wb < best:
+                best = wb
+                word[i - 1], word[b] = wb, wi
+                ends[tuple(word)] = c
+                word[i - 1], word[b] = wi, wb
+                if wb == wi + 1:
+                    break
+        if best == top:
+            ends[(*word[: i - 1], top, *word[i:], wi)] = c
+        low = 0
+        for a in range(i - 2, -1, -1):
+            wa = word[a]
+            if low < wa < wi:
+                low = wa
+                word[a], word[i - 1] = wi, wa
+                ends[tuple(word)] = -c
+                word[a], word[i - 1] = wa, wi
+                if wa == wi - 1:
+                    break
+        _add(out, ends)
+    return out
 
 
 def schubert_poly(w: Permutation) -> SparsePoly:
-    """Schubert polynomial of w (cached; computed in the smallest S_n).
+    """Schubert polynomial of w, by Monk's rule solved for its top term.
 
-    ``_schubert_cached`` recurses once per first-ascent step from w up to
-    w_0.  So a chain of ``RECURSION_STEPS`` steps or more is walked first,
-    and every ``RECURSION_STEPS``-th word on it is cached from the top down:
-    each call then finds a cached word within that many steps, however
-    long the chain is.  The cache keeps one word of n = len(w) letters per
-    step, and there are n(n-1)/2 - length(w) steps: over ``CHAIN_LIMIT``
-    letters in all raises ValueError before the walk.
+    With r the last descent of w and v = w(r, s) for the last s > r with
+    w(s) < w(r), S_w = x_r S_v minus the other terms of x_r S_v, which are as
+    long as w and lexicographically greater: every word needed lies in
+    S_len(w).  One loop over an explicit stack fills a memo scoped to the
+    call; over ``LETTER_LIMIT`` letters of words it raises ValueError.
     """
     w = canonical(w)
-    n = len(w)
-    steps = n * (n - 1) // 2 - length(w)
-    if steps * n > CHAIN_LIMIT:
-        raise ValueError(
-            f"needs {steps} steps of {n} letters up to the longest word, "
-            f"over the limit of {CHAIN_LIMIT} letters"
-        )
-    marks = []
-    u = w
-    for _ in range(steps // RECURSION_STEPS):
-        for _ in range(RECURSION_STEPS):
-            u = _first_ascent_swap(u)[1]
-        marks.append(u)
-    for u in reversed(marks):
-        _schubert_cached(u)
-    return _schubert_cached(w)
+    memo = {(): SparsePoly.constant(1)}
+    letters = 0
+    stack = [w]
+    while stack:
+        u = stack[-1]
+        if u in memo:
+            stack.pop()
+            continue
+        r = max(a for a in range(1, len(u)) if u[a - 1] > u[a])
+        s = max(b for b in range(r + 1, len(u) + 1) if u[b - 1] < u[r - 1])
+        v = canonical((*u[: r - 1], u[s - 1], *u[r : s - 1], u[r - 1], *u[s:]))
+        others = _times_x({v: 1}, r)
+        del others[u]
+        missing = [t for t in (v, *others) if t not in memo]
+        if missing:
+            stack += missing
+            continue
+        letters += len(u)
+        _require_letters(letters, f"the Schubert polynomial of a word of {len(w)} letters")
+        data = {}  # x_r S_v: each exponent of x_r one higher
+        for e, c in memo[v].terms.items():
+            e += (0,) * (r - len(e))
+            data[e[: r - 1] + (e[r - 1] + 1,) + e[r:]] = c
+        for t, c in others.items():
+            _add(data, memo[t].terms, -c)
+        memo[u] = SparsePoly._from_clean(data)
+        stack.pop()
+    return memo[w]
 
 
-def _colex_key(e: Exponents) -> tuple[int, Exponents]:
-    """Sort key of the colexicographic order on trimmed exponent tuples,
-    which compares at the rightmost position where two tuples differ.
+def _horner(f: SparsePoly, start: SchubertExpansion) -> SchubertExpansion:
+    """f times the expansion ``start``, by Horner's rule from x_1 up.
 
-    A longer trimmed tuple has a nonzero exponent in a later variable, so it
-    is the greater one, and no padding is needed: x2 > x1^5.
+    ``rows`` maps each exponent tuple of f, folded variables set to 0, to the
+    expansion it multiplies.  Folding x_i merges the rows that agree past x_i
+    into E_0 + x_i (E_1 + x_i (E_2 + ...)), so terms cancel before the next
+    product.
     """
-    return len(e), e[::-1]
+    rows = {e: {u: c * a for u, a in start.items()} for e, c in f.terms.items()}
+    for i in sorted({i for e in f.terms for i, p in enumerate(e, 1) if p}):
+        groups: dict[Exponents, dict[int, SchubertExpansion]] = {}
+        for e in [e for e in rows if len(e) >= i and e[i - 1]]:
+            rest = (0,) * i + e[i:] if len(e) > i else ()
+            groups.setdefault(rest, {})[e[i - 1]] = rows.pop(e)
+        for rest, powers in groups.items():
+            acc: SchubertExpansion = {}
+            for p in range(max(powers), 0, -1):
+                acc = _times_x(_add(acc, powers.get(p, {})), i)
+            rows[rest] = _add(acc, rows.get(rest, {}))
+    return rows.get((), {})
 
 
 def expand_in_schubert(f: SparsePoly) -> SchubertExpansion:
-    """Write an integer polynomial in the Schubert basis.
-
-    The colexicographically greatest monomial of a Schubert polynomial S_u
-    is x raised to the Lehmer code of u, and distinct permutations have
-    distinct codes.  So the colex-greatest monomial of any integer
-    combination, whatever mix of degrees it holds, is the code of exactly
-    one of its support permutations, carrying that permutation's
-    coefficient.  Peeling it off strictly lowers the leading monomial, which
-    forces termination, and a zero remainder is itself the reconstruction
-    identity: the result needs no separate verification pass.  Raises
-    RuntimeError if a peel ever fails to make progress (impossible for
-    honest input, i.e. any integer polynomial, since the Schubert
-    polynomials are a basis).
+    """Write an integer polynomial in the Schubert basis: f folded onto
+    S_() = 1.  With n variables and largest degree d, words of n + d letters
+    over ``perm.SUPPORT_LIMIT``, or d (n + d) letters in all over
+    ``LETTER_LIMIT``, raise ValueError before any word is built.
     """
-    out: SchubertExpansion = {}
-    rem = f
-    last_key = None
-    while rem:
-        exps = max(rem.terms, key=_colex_key)
-        key = _colex_key(exps)
-        if last_key is not None and key >= last_key:
-            raise RuntimeError(f"Schubert expansion failed to make progress at {exps}")
-        last_key = key
-        coeff = rem.terms[exps]
-        u = from_lehmer_code(exps)
-        # Leading monomials strictly decrease, so u is peeled only once.
-        out[u] = coeff
-        rem = rem - coeff * schubert_poly(u)
-    return out
+    n = max(map(len, f.terms), default=0)
+    d = max(map(sum, f.terms), default=0)
+    require_support(n + d)
+    _require_letters(d * (n + d), f"expanding degree {d} with words of {n + d} letters")
+    return _horner(f, {(): 1})
+
+
+def power_sum_times(w: Permutation, k: int, r: int) -> SchubertExpansion:
+    """p_r(x_1..x_k) S_w, the sum of x_i^r S_w over i <= k by Monk's rule:
+    the ``mn-schubert --verify`` route.  k r (max(len(w), k) + r) letters
+    over ``LETTER_LIMIT`` raise ValueError before any word is built.
+    """
+    w = canonical(w)
+    if k < 1 or r < 1:
+        raise ValueError(f"need k, r >= 1, got k={k}, r={r}")
+    _require_letters(k * r * default_max_support(w, k, r), f"p_{r}(x_1..x_{k}) times S_w")
+    return _horner(power_sum_poly(r, k), {w: 1})
 
 
 def monk(w: Permutation, k: int) -> SchubertExpansion:

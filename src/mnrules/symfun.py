@@ -8,6 +8,7 @@ x_1..x_k, so partitions with more than k rows never appear.
 from __future__ import annotations
 
 from .partitions import (
+    ROW_LIMIT,
     Partition,
     add_rim_hooks,
     require_fits,
@@ -43,11 +44,17 @@ def mn_classical(lam: Partition, r: int, k: int) -> SchurExpansion:
 
     Each mu that adds a rim hook of r cells to lam (within k rows)
     contributes sign (-1)**(height + 1).  Multiplicity-free by construction.
+    With r and k in range, ``add_rim_hooks`` is the one check of lam, and it
+    finds no hook only when lam has more than k rows or k is 0.
     """
-    lam = require_fits(lam, k)
-    if r < 1:
-        raise ValueError(f"need r >= 1, got {r}")
-    return {mu: 1 if height % 2 else -1 for mu, height in add_rim_hooks(lam, r, k)}
+    if r < 1 or not 0 <= k <= ROW_LIMIT:
+        lam = require_fits(lam, k)  # lam's own errors come first
+        if r < 1:
+            raise ValueError(f"need r >= 1, got {r}")
+    hooks = add_rim_hooks(lam, r, k)
+    if not hooks:
+        require_fits(lam, k)
+    return {mu: 1 if height % 2 else -1 for mu, height in hooks}
 
 
 def power_sum_poly(r: int, k: int) -> SparsePoly:

@@ -18,8 +18,10 @@ over padded tables.
 The paper's other routes to its rules live here too:
 
 - Schubert polynomials via reduced words and compatible sequences, and top
-  down from w_0 in any S_n: the divided differences along one reduced word
-  of w^{-1} w_0 applied to the staircase monomial;
+  down from w_0 by divided differences: along one reduced word of
+  w^{-1} w_0 in any S_n, and along the first-ascent chain
+  (``first_ascent_schubert_poly``, the library's route before Monk's rule
+  solved for its top term);
 - hook products s_(b,1^(a-1)) * S_w via peakless k-Bruhat chains, instead of
   the (r+1)-cycle rule of mn_schubert;
 - Monk's rule via the transition formula, one variable x_i at a time,
@@ -35,16 +37,22 @@ The paper's other routes to its rules live here too:
 ``variable`` and ``swap_variables`` are the polynomial helpers the tests
 build with; the swap is the s_i in the defining identity
 (x_i - x_{i+1}) d_i f = f - s_i f of the divided difference.  Expansion in
-the Schubert basis is also peeled one homogeneous component at a time
-(``oracle_expand_in_schubert``), under a colex order that pads exponent
-vectors instead of ranking trimmed ones by length.  ``apply``,
-``compose`` and ``lehmer_code`` do the same for permutations, and
-``grassmannian_project`` cuts a Schur expansion down to a k x (n-k) box.
+the Schubert basis is peeled by leading monomials instead of folded one
+variable at a time: in one pass (``peel_expand_in_schubert``) and one
+homogeneous component at a time (``oracle_expand_in_schubert``, under a
+colex order that pads exponent vectors instead of ranking trimmed ones by
+length), both with each S_u from divided differences, so they share no
+code with the library's Monk kernel; ``polynomial_route_mn_schubert`` peels
+p_r * S_w, the route ``mn-schubert --verify`` took before.  ``apply``,
+``compose``, ``lehmer_code`` and ``from_lehmer_code`` do the same for
+permutations, and ``grassmannian_project`` cuts a Schur expansion down to a
+k x (n-k) box.
 """
 
 from __future__ import annotations
 
 import functools
+import operator
 from itertools import combinations_with_replacement
 from typing import Iterator
 
@@ -58,9 +66,9 @@ from mnrules.partitions import (
     remove_rim_hooks,
     validate_partition,
 )
-from mnrules.poly import SparsePoly
+from mnrules.poly import SparsePoly, _trim
 from mnrules.quantum import GrContext, QuantumClass, _require_in_box, psi_reduce
-from mnrules.symfun import mn_classical
+from mnrules.symfun import mn_classical, power_sum_poly
 
 Cell = tuple[int, int]
 
@@ -550,7 +558,7 @@ def transition_xi(w: perm.Permutation, i: int) -> dict:
 
 def variable(i: int) -> SparsePoly:
     """The variable x_i (1-indexed)."""
-    return SparsePoly.monomial((0,) * (i - 1) + (1,))
+    return SparsePoly({(0,) * (i - 1) + (1,): 1})
 
 
 def swap_variables(f: SparsePoly, i: int, j: int) -> SparsePoly:
@@ -599,8 +607,85 @@ def _colex_less(a: tuple[int, ...], b: tuple[int, ...]) -> bool:
     return (0,) * (width - len(a)) + a < (0,) * (width - len(b)) + b
 
 
+def from_lehmer_code(code) -> perm.Permutation:
+    """The unique permutation with the given Lehmer code.
+
+    It is built from a pool of len(code) + max(code) + 1 letters, so a pool
+    over ``perm.SUPPORT_LIMIT`` raises ValueError before it is built.
+
+    >>> from_lehmer_code((1, 2))
+    (2, 4, 1, 3)
+    """
+    try:
+        c = tuple(map(operator.index, code))
+    except TypeError:
+        raise ValueError(f"code entries must be integers, got {code}") from None
+    if any(x < 0 for x in c):
+        raise ValueError(f"code entries must be nonnegative: {c}")
+    size = perm.require_support(len(c) + max(c, default=0) + 1)
+    pool = list(range(1, size + 1))
+    word = []
+    for x in c:
+        word.append(pool.pop(x))
+    word.extend(pool)
+    return perm.canonical(word)
+
+
+def colex_key(e: tuple[int, ...]) -> tuple[int, tuple[int, ...]]:
+    """Sort key of the colexicographic order on trimmed exponent tuples,
+    which compares at the rightmost position where two tuples differ.
+
+    A longer trimmed tuple has a nonzero exponent in a later variable, so it
+    is the greater one, and no padding is needed: x2 > x1^5.
+    """
+    return len(e), e[::-1]
+
+
+@functools.cache
+def peeled_schubert_poly(u: perm.Permutation) -> SparsePoly:
+    """S_u for the peels below, by divided differences (``schubert_poly_in``),
+    so no peel shares code with the library's Monk kernel."""
+    return schubert_poly_in(u, max(len(u), 1))
+
+
+def peel_expand_in_schubert(f: SparsePoly) -> dict[perm.Permutation, int]:
+    """Write f in the Schubert basis by peeling leading monomials.
+
+    The colexicographically greatest monomial of a Schubert polynomial S_u
+    is x raised to the Lehmer code of u, and distinct permutations have
+    distinct codes.  So the colex-greatest monomial of any integer
+    combination, whatever mix of degrees it holds, is the code of exactly
+    one of its support permutations, carrying that permutation's
+    coefficient.  Peeling it off strictly lowers the leading monomial, and a
+    zero remainder is itself the reconstruction identity.  Raises
+    RuntimeError if a peel ever fails to make progress.
+    """
+    out: dict[perm.Permutation, int] = {}
+    rem = f
+    last_key = None
+    while rem:
+        exps = max(rem.terms, key=colex_key)
+        key = colex_key(exps)
+        if last_key is not None and key >= last_key:
+            raise RuntimeError(f"Schubert expansion failed to make progress at {exps}")
+        last_key = key
+        coeff = rem.terms[exps]
+        u = from_lehmer_code(exps)
+        out[u] = coeff
+        rem = rem - coeff * peeled_schubert_poly(u)
+    return out
+
+
+def polynomial_route_mn_schubert(w: perm.Permutation, k: int, r: int) -> dict:
+    """p_r(x_1..x_k) S_w as a polynomial product, peeled back into the
+    Schubert basis: the route ``mn-schubert --verify`` took before Monk's
+    rule."""
+    w = perm.canonical(w)
+    return peel_expand_in_schubert(power_sum_poly(r, k) * peeled_schubert_poly(w))
+
+
 def oracle_expand_in_schubert(f: SparsePoly) -> dict[perm.Permutation, int]:
-    """``schubert.expand_in_schubert`` one homogeneous component at a time:
+    """``peel_expand_in_schubert`` one homogeneous component at a time:
     the colex leader is peeled within each degree, not across all of f."""
     out: dict[perm.Permutation, int] = {}
     for _deg, component in homogeneous_components(f).items():
@@ -614,9 +699,9 @@ def oracle_expand_in_schubert(f: SparsePoly) -> dict[perm.Permutation, int]:
                     f"Schubert expansion failed to make progress at {exps}"
                 )
             last_key = key
-            u = perm.from_lehmer_code(exps)
+            u = from_lehmer_code(exps)
             out[u] = coeff
-            rem = rem - coeff * schubert.schubert_poly(u)
+            rem = rem - coeff * peeled_schubert_poly(u)
     return out
 
 
@@ -657,7 +742,7 @@ def bjs_schubert(w: perm.Permutation) -> SparsePoly:
                     yield (i,) + rest
 
         for seq in go(0, 0):
-            mono = SparsePoly.one()
+            mono = SparsePoly.constant(1)
             for i in seq:
                 mono = mono * variable(i)
             total = total + mono
@@ -692,7 +777,7 @@ def apply_divided_word(f: SparsePoly, word: tuple[int, ...]) -> SparsePoly:
     letters in the same order.
     """
     for a in reversed(word):
-        f = schubert.divided_difference(f, a)
+        f = divided_difference(f, a)
     return f
 
 
@@ -707,7 +792,71 @@ def schubert_poly_in(w: perm.Permutation, n: int) -> SparsePoly:
         raise ValueError(f"{w} does not lie in S_{n}")
     w0 = tuple(range(n, 0, -1))
     v = compose(perm.inverse(w), w0)
-    return apply_divided_word(schubert.staircase_monomial(n), reduced_word(v))
+    return apply_divided_word(staircase_monomial(n), reduced_word(v))
+
+
+def divided_difference(f: SparsePoly, i: int) -> SparsePoly:
+    """The i-th divided difference: (f - f with x_i, x_{i+1} swapped) / (x_i - x_{i+1}).
+
+    The quotient of each monomial is expanded in closed form, so the division
+    is exact by construction: x^p y^q maps to the geometric sum
+    sign * (x^(hi-1) y^lo + ... + x^lo y^(hi-1)) in the two affected slots.
+    """
+    if i < 1:
+        raise ValueError(f"divided differences are 1-indexed, got {i}")
+    data: dict[tuple[int, ...], int] = {}
+    for exps, coeff in f.terms.items():
+        p = exps[i - 1] if len(exps) >= i else 0
+        q = exps[i] if len(exps) >= i + 1 else 0
+        if p == q:
+            continue
+        sign = 1 if p > q else -1
+        lo, hi = min(p, q), max(p, q)
+        base = list(exps) + [0] * (i + 1 - len(exps))
+        for t in range(hi - lo):
+            base[i - 1] = hi - 1 - t
+            base[i] = lo + t
+            e = _trim(base)
+            s = data.get(e, 0) + sign * coeff
+            if s:
+                data[e] = s
+            else:
+                data.pop(e, None)
+    return SparsePoly._from_clean(data)
+
+
+def staircase_monomial(n: int) -> SparsePoly:
+    """x_1^(n-1) x_2^(n-2) ... x_{n-1}, the top Schubert polynomial of S_n."""
+    if n < 1:
+        raise ValueError(f"need n >= 1, got {n}")
+    return SparsePoly({tuple(range(n - 1, 0, -1)): 1})
+
+
+def first_ascent_swap(w: perm.Permutation) -> tuple[int, perm.Permutation]:
+    """(i, w with positions i and i + 1 swapped) for the first ascent i of w.
+
+    Swapping keeps the word canonical: the last letter either stays or
+    becomes w(n - 1) < w(n) <= n, not a fixed point.
+    """
+    i = next(i for i in range(1, len(w)) if w[i - 1] < w[i])
+    return i, w[: i - 1] + (w[i], w[i - 1]) + w[i + 1 :]
+
+
+def first_ascent_schubert_poly(w: perm.Permutation) -> SparsePoly:
+    """Schubert polynomial of w by divided differences down from the
+    staircase of S_n, n = len(w), along the first-ascent chain from w up to
+    w_0: the route the library took before Monk's rule, as a loop."""
+    w = perm.canonical(w)
+    n = len(w)
+    steps = []
+    u = w
+    while u != tuple(range(n, 0, -1)):
+        i, u = first_ascent_swap(u)
+        steps.append(i)
+    f = staircase_monomial(n) if n else SparsePoly.constant(1)
+    for i in reversed(steps):
+        f = divided_difference(f, i)
+    return f
 
 
 def complete_homogeneous_poly(degree: int, k: int) -> SparsePoly:
@@ -716,7 +865,7 @@ def complete_homogeneous_poly(degree: int, k: int) -> SparsePoly:
         return SparsePoly.zero()
     total = SparsePoly.zero()
     for combo in combinations_with_replacement(range(1, k + 1), degree):
-        mono = SparsePoly.one()
+        mono = SparsePoly.constant(1)
         for i in combo:
             mono = mono * variable(i)
         total = total + mono
@@ -730,10 +879,10 @@ def jacobi_trudi_schur_poly(lam: Partition, k: int) -> SparsePoly:
     lam = validate_partition(lam)
     size = len(lam)
     if size == 0:
-        return SparsePoly.one()
+        return SparsePoly.constant(1)
     total = SparsePoly.zero()
     for sigma in iperms(range(1, size + 1)):
-        entry = SparsePoly.one()
+        entry = SparsePoly.constant(1)
         for i in range(1, size + 1):
             entry = entry * complete_homogeneous_poly(lam[i - 1] - i + sigma[i - 1], k)
             if not entry:

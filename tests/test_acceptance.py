@@ -20,7 +20,6 @@ from mnrules.quantum import (
     quantum_mn,
 )
 from mnrules.schubert import (
-    divided_difference,
     expand_in_schubert,
     mn_schubert,
     monk,
@@ -30,6 +29,7 @@ from mnrules.symfun import mn_classical, power_sum_poly
 from oracles import (
     compose,
     cycle_type_check,
+    divided_difference,
     het,
     hook_times_schur,
     is_rim_hook,

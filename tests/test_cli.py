@@ -6,6 +6,8 @@ import resource
 import shlex
 import subprocess
 import sys
+import time
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -13,6 +15,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from mnrules import cli, schubert
 from mnrules.partitions import leq
+from mnrules.poly import SparsePoly
 from mnrules.quantum import oracle_quantum_mn
 from mnrules.symfun import mn_classical
 
@@ -301,7 +304,7 @@ def out_of_memory(*args):
 
 @pytest.mark.parametrize(
     "target, flags",
-    [("mnrules.schubert.mn_schubert", []), ("mnrules.schubert.expand_in_schubert", ["--verify"])],
+    [("mnrules.schubert.mn_schubert", []), ("mnrules.schubert._times_x", ["--verify"])],
     ids=["compute", "verify"],
 )
 def test_out_of_memory_exits_2_not_1(capsys, monkeypatch, target, flags):
@@ -330,7 +333,7 @@ def recursion_too_deep(*args):
 def test_recursion_too_deep_exits_2_not_1(capsys, monkeypatch, argv, printed):
     # Exit 1 would read as a --verify mismatch of the result mn-schubert has
     # already printed.
-    monkeypatch.setattr("mnrules.schubert._schubert_cached", recursion_too_deep)
+    monkeypatch.setattr("mnrules.schubert._times_x", recursion_too_deep)
     code, out, err = run(capsys, *argv)
     assert code == 2
     assert out == printed
@@ -348,16 +351,69 @@ def test_long_first_ascent_chains_answer(capsys):
     assert err == "verify: MATCH\n"
 
 
-def test_first_ascent_chain_over_the_limit_exits_2_before_the_walk(capsys):
-    # x1^272 has 36,856 steps of 273 letters; x1^271 fits
-    cached = schubert._schubert_cached.cache_info().currsize
+def test_inputs_past_the_old_chain_limit_answer(capsys):
+    # The divided-difference route refused these: x1^272 had 36,856 steps
+    # of 273 letters up to the longest word, and x300 and k = 400 more.
     code, out, err = run(capsys, "schubert-expand", "--poly", "x1^272")
-    assert schubert._schubert_cached.cache_info().currsize == cached
-    assert (code, out) == (2, "")
-    assert err == (
-        "error: needs 36856 steps of 273 letters up to the longest word, "
-        "over the limit of 10000000 letters\n"
+    assert (code, out, err) == (0, f"S{cli.fmt_partition((273, *range(1, 273)))}\n", "")
+    code, out, err = run(capsys, "schubert-expand", "--poly", "x300")
+    assert (code, err) == (0, "")
+    assert out == f"S{cli.fmt_partition((*range(1, 300), 301, 300))} - S{cli.fmt_partition((*range(1, 299), 300, 299))}\n"
+    code, out, err = run(capsys, "mn-schubert", "--w", "21", "--k", "400", "--r", "2", "--verify")
+    assert (code, err) == (0, "verify: MATCH\n")
+
+
+def exit_and_peak(capsys, *argv):
+    """(exit code, stderr, peak bytes tracemalloc saw) of one command."""
+    tracemalloc.start()
+    try:
+        code = cli.main(list(argv))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return code, capsys.readouterr().err, peak
+
+
+def test_letter_limit_exits_2_before_building_words(capsys):
+    # x1^3000 is 3000 * 3001 letter steps, under the limit; x1^3200 is over
+    limit = schubert.LETTER_LIMIT
+    code, err, peak = exit_and_peak(capsys, "schubert-expand", "--poly", "x1^3200")
+    assert (code, err) == (
+        2,
+        f"error: expanding degree 3200 with words of 3201 letters needs 10243200 letters, "
+        f"over the limit of {limit}\n",
     )
+    assert peak < 1_000_000
+    # p_1(x_1..x_50000) alone would hold 50000 exponent tuples of up to
+    # 50000 entries; the rule itself, on words of 50001 letters, peaks near 5.5 MB
+    code, err, peak = exit_and_peak(capsys, "mn-schubert", "--w", "21", "--k", "50000", "--r", "1", "--verify")
+    assert (code, err) == (
+        2,
+        f"error: p_1(x_1..x_50000) times S_w needs 2500050000 letters, over the limit of {limit}\n",
+    )
+    assert peak < 8_000_000
+
+
+def test_schubert_poly_memo_over_the_letter_limit_raises(monkeypatch):
+    # S_1432 = x3 S_1423 + S_2413, and so on down to S_() = 1: the memo ends
+    # with eight words of 26 letters in all, and is checked as it fills
+    w = (1, 4, 3, 2)
+    monkeypatch.setattr(schubert, "LETTER_LIMIT", 26)
+    assert schubert.schubert_poly(w) == SparsePoly.parse("x1^2*x2 + x1^2*x3 + x1*x2^2 + x1*x2*x3 + x2^2*x3")
+    monkeypatch.setattr(schubert, "LETTER_LIMIT", 25)
+    message = "the Schubert polynomial of a word of 4 letters needs 26 letters, over the limit of 25"
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        schubert.schubert_poly(w)
+
+
+def test_s12_verify_answers_in_time(capsys):
+    # The polynomial route built S_w (491,072 monomials) and a product of
+    # 2,122,797 monomials first; Monk's rule takes about 0.1 s.
+    started = time.perf_counter()
+    code, out, err = run(capsys, "mn-schubert", "--w", "7,4,1,5,9,2,3,12,11,10,8,6", "--k", "6", "--r", "3", "--verify")
+    elapsed = time.perf_counter() - started
+    assert (code, out.count("S["), err) == (0, 59, "verify: MATCH\n")
+    assert elapsed < 5.0
 
 
 def run_capped(*argv, memory=1 << 30, timeout=20):
@@ -409,11 +465,13 @@ def test_size_limits_sit_at_their_bounds(capsys):
 
 # Small values, and values past every size limit.  mn-schubert takes nothing
 # in between: its chain search has no work budget yet, and its cost climbs
-# fast with k and r (--w 21 --k 40 --r 40 takes about 13 s).  The other
+# fast with k and r (--w 21 --k 40 --r 40 takes about 13 s).  schubert-expand
+# also takes exponents and variable indices from 7 to 400, and the other
 # commands take any value up to 10**20.
 small_or_huge = st.one_of(
     st.integers(-3, 6), st.integers(10**6, 10**20), st.integers(-(10**20), -(10**6))
 )
+expand_int = small_or_huge | st.integers(7, 400)
 any_int = st.one_of(small_or_huge, st.integers(-(10**20), 10**20))
 perm_text = st.one_of(
     st.integers(0, 7).flatmap(lambda m: st.permutations(range(1, m + 1))).flatmap(
@@ -445,7 +503,7 @@ def command(name, **options):
 
 commands = st.one_of(
     command("mn-schur", partition=partition_text, r=any_int, k=any_int),
-    command("mn-schubert", w=perm_text, k=small_or_huge, r=small_or_huge),
+    command("mn-schubert", w=perm_text, k=small_or_huge, r=small_or_huge, verify=st.booleans()),
     command(
         "mn-quantum", partition=partition_text, r=any_int, k=st.integers(1, 6) | any_int,
         n=any_int, verify=st.booleans(),
@@ -455,7 +513,7 @@ commands = st.one_of(
     command("core", partition=partition_text, n=any_int, k=st.none() | any_int),
     command(
         "schubert-expand",
-        poly=st.lists(st.tuples(small_or_huge, small_or_huge), min_size=1, max_size=3).map(
+        poly=st.lists(st.tuples(expand_int, expand_int), min_size=1, max_size=3).map(
             lambda monomials: " + ".join(f"x{i}^{e}" for i, e in monomials)
         ),
     ),

@@ -12,7 +12,6 @@ from mnrules.perm import (
     canonical,
     chain_endpoints,
     default_max_support,
-    from_lehmer_code,
     inverse,
     k_bruhat_covers,
     length,
@@ -21,6 +20,7 @@ from oracles import (
     apply,
     compose,
     cycle_type_check,
+    from_lehmer_code,
     het,
     hook_times_schubert,
     is_cover_transposition,

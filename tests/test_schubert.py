@@ -7,7 +7,6 @@ from hypothesis import given, settings, strategies as st
 from mnrules import cli, perm, schubert
 from mnrules.poly import SparsePoly
 from mnrules.schubert import (
-    divided_difference,
     expand_in_schubert,
     grassmannian_permutation,
     mn_schubert,
@@ -15,10 +14,13 @@ from mnrules.schubert import (
     schubert_poly,
 )
 from mnrules.symfun import mn_classical
+import oracles
 from oracles import (
     bjs_schubert,
     compose,
     cycle_type_check,
+    divided_difference,
+    first_ascent_schubert_poly,
     het,
     hook_partition,
     hook_times_schubert,
@@ -26,6 +28,9 @@ from oracles import (
     oracle_mn_schubert,
     p_as_hooks,
     partitions_in_box,
+    peel_expand_in_schubert,
+    peeled_schubert_poly,
+    polynomial_route_mn_schubert,
     schubert_poly_in,
     schur_to_monomials,
     swap_variables,
@@ -85,7 +90,7 @@ def test_divided_difference_commutes_when_far(f, i):
 
 
 def test_schubert_poly_s3_table():
-    assert schubert_poly(()) == SparsePoly.one()
+    assert schubert_poly(()) == SparsePoly.constant(1)
     assert schubert_poly((2, 1)) == x[1]
     assert schubert_poly((1, 3, 2)) == x[1] + x[2]
     assert schubert_poly((2, 3, 1)) == x[1] * x[2]
@@ -186,9 +191,121 @@ def test_one_pass_expansion_matches_the_per_degree_oracle():
 
 def test_expansion_without_progress_raises(monkeypatch):
     # A peel that leaves its leader in place must not loop forever.
-    monkeypatch.setattr(schubert, "schubert_poly", lambda u: SparsePoly.zero())
+    monkeypatch.setattr(oracles, "peeled_schubert_poly", lambda u: SparsePoly.zero())
     with pytest.raises(RuntimeError, match="failed to make progress"):
-        expand_in_schubert(x[2] + x[1])
+        peel_expand_in_schubert(x[2] + x[1])
+    with pytest.raises(RuntimeError, match="failed to make progress"):
+        oracle_expand_in_schubert(x[2] + x[1])
+
+
+def test_expansion_matches_both_peels():
+    # the peels take each S_u from divided differences, not from Monk's rule
+    rng = random.Random(1700)
+    for _ in range(500):
+        f = SparsePoly(
+            {tuple(rng.randint(0, 3) for _ in range(rng.randint(0, 5))): rng.randint(-4, 4) for _ in range(6)}
+        )
+        got = expand_in_schubert(f)
+        assert got == peel_expand_in_schubert(f) == oracle_expand_in_schubert(f), f
+
+
+def test_expansion_of_a_single_variable_power():
+    # x_i^d by Horner's rule is d products by x_i: the peel agrees
+    for i, d in [(1, 9), (3, 4), (5, 3), (2, 6)]:
+        f = SparsePoly({(0,) * (i - 1) + (d,): 1})
+        assert expand_in_schubert(f) == peel_expand_in_schubert(f), (i, d)
+    assert expand_in_schubert(SparsePoly.parse("x1^3000")) == {(3001, *range(1, 3001)): 1}
+
+
+# --- Monk's rule for one variable -----------------------------------------
+
+
+def test_times_x_matches_the_pairwise_transition_oracle():
+    for n in range(7):
+        for w in all_perms(n):
+            for i in range(1, n + 3):
+                assert schubert._times_x({w: 1}, i) == transition_xi(w, i), (w, i)
+
+
+def test_times_x_is_linear_and_cancels():
+    # x_2 S_132 - x_2 S_21 = x_2 (x_1 + x_2) - x_1 x_2 = x_2^2
+    assert schubert._times_x({(1, 3, 2): 1, (2, 1): -1}, 2) == expand_in_schubert(x[2] * x[2])
+    rng = random.Random(23)
+    pool = all_perms(5)
+    for _ in range(200):
+        combo = {u: rng.choice([-2, -1, 1, 3]) for u in rng.sample(pool, 4)}
+        i = rng.randint(1, 6)
+        f = sum((c * peeled_schubert_poly(u) for u, c in combo.items()), SparsePoly.zero())
+        assert schubert._times_x(combo, i) == oracle_expand_in_schubert(x[i] * f), (combo, i)
+
+
+def test_schubert_poly_matches_divided_differences_and_reduced_words():
+    for n in range(7):
+        for w in all_perms(n):
+            expected = schubert_poly_in(w, max(n, 1))
+            assert schubert_poly(w) == expected, w
+            if n <= 5:
+                assert expected == bjs_schubert(w), w
+    rng = random.Random(78)
+    # every reduced word of every w in S_6 takes about 15 s: a sample
+    for w in rng.sample(all_perms(6), 10):
+        assert schubert_poly(w) == bjs_schubert(w), w
+    for n, count in ((7, 30), (8, 8)):
+        for _ in range(count):
+            w = perm.canonical(rng.sample(range(1, n + 1), n))
+            got = schubert_poly(w)
+            assert got == schubert_poly_in(w, n) == first_ascent_schubert_poly(w), w
+    w = perm.canonical(rng.sample(range(1, 8), 7))
+    assert schubert_poly(w) == bjs_schubert(w)
+
+
+def test_verify_route_matches_the_rule():
+    # every w in S_0..S_5 with k <= n + 1 and r <= 3, and seeded S_6, S_7
+    cases = 0
+    for n in range(6):
+        for w in all_perms(n):
+            for k in range(1, n + 2):
+                for r in range(1, 4):
+                    assert schubert.power_sum_times(w, k, r) == mn_schubert(w, k, r), (w, k, r)
+                    cases += 1
+    assert cases == 3 * sum(len(all_perms(n)) * (n + 1) for n in range(6))
+    rng = random.Random(67)
+    for n, count in ((6, 60), (7, 30)):
+        for _ in range(count):
+            w = perm.canonical(rng.sample(range(1, n + 1), n))
+            k, r = rng.randint(1, n + 1), rng.randint(1, 5)
+            assert schubert.power_sum_times(w, k, r) == mn_schubert(w, k, r), (w, k, r)
+
+
+def test_verify_route_matches_the_polynomial_route():
+    # the old --verify route: p_r * S_w as polynomials, peeled back
+    for w in all_perms(4):
+        for k in (1, 2, 3):
+            for r in (1, 2, 3):
+                expected = polynomial_route_mn_schubert(w, k, r)
+                assert schubert.power_sum_times(w, k, r) == expected == mn_schubert(w, k, r), (w, k, r)
+
+
+def test_verify_route_does_not_call_the_kernel(monkeypatch):
+    # --verify checks mn_schubert, so it must get there without k-Bruhat covers
+    cases = [(W_EXAMPLE, 4, 4), ((2, 4, 1, 3), 2, 3), ((), 3, 2), ((7, 4, 1, 5, 9, 2, 3, 12, 11, 10, 8, 6), 6, 3)]
+    expected = [mn_schubert(*case) for case in cases]
+
+    def refuse(*args):
+        raise AssertionError("the --verify route called k_bruhat_covers")
+
+    monkeypatch.setattr(perm, "k_bruhat_covers", refuse)
+    monkeypatch.setattr(schubert, "k_bruhat_covers", refuse)
+    assert [schubert.power_sum_times(*case) for case in cases] == expected
+
+
+def test_verify_route_rejects_bad_input():
+    with pytest.raises(ValueError, match="need k, r >= 1, got k=0, r=1"):
+        schubert.power_sum_times((2, 1), 0, 1)
+    with pytest.raises(ValueError, match="must be integers"):
+        schubert.power_sum_times((2.5, 1), 1, 1)
+    with pytest.raises(ValueError, match="needs words of 100002 letters"):
+        schubert.power_sum_times((2, 1), 100_000, 2)
 
 
 # --- Monk and transition ---------------------------------------------------

@@ -27,14 +27,14 @@ import mnrules
 # Members that are called by syntax or by the runtime, never by name.
 PROTOCOL_MEMBERS = {
     "poly.SparsePoly.__slots__": "instance layout: ``terms`` is the only attribute",
-    "poly.SparsePoly.__init__": "the constructor, SparsePoly({...}) in power_sum_poly and monomial",
-    "poly.SparsePoly.__bool__": "``while rem`` in expand_in_schubert",
+    "poly.SparsePoly.__init__": "the constructor, SparsePoly({...}) in power_sum_poly",
+    "poly.SparsePoly.__bool__": "value protocol of an exported class: a polynomial is false when zero",
     "poly.SparsePoly.__eq__": "value protocol of an exported class",
     "poly.SparsePoly.__neg__": "``-other`` in __sub__",
     "poly.SparsePoly.__add__": "``self + (-other)`` in __sub__",
-    "poly.SparsePoly.__sub__": "``rem - coeff * schubert_poly(u)`` in expand_in_schubert",
-    "poly.SparsePoly.__mul__": "``power_sum_poly(r, k) * schubert_poly(w)`` in mn-schubert --verify",
-    "poly.SparsePoly.__rmul__": "``coeff * schubert_poly(u)``; perfbench asserts it is __mul__",
+    "poly.SparsePoly.__sub__": "ring protocol of an exported class",
+    "poly.SparsePoly.__mul__": "ring protocol of an exported class",
+    "poly.SparsePoly.__rmul__": "``c * f`` for an int c; perfbench asserts it is __mul__",
     "poly.SparsePoly.__str__": "display protocol of an exported class",
     "poly.SparsePoly.__repr__": "display protocol of an exported class",
     "partitions._Record.__slots__": "instance layout: no fields of its own, and no ``__dict__``",
@@ -56,6 +56,7 @@ LIBRARY_API = {
     "__version__": "package metadata, the release in pyproject.toml",
     "grassmannian_permutation": "ties mn_schubert to mn_classical; the README gives its size limit",
     "remove_rim_hooks": "the documented inverse of add_rim_hooks; n_core moves its beads directly",
+    "schubert_poly": "the Schubert polynomial itself; no command prints one",
 }
 
 

@@ -48,7 +48,7 @@ from .schubert import (
     monk,
     schubert_poly,
 )
-from .symfun import mn_classical, pieri_e, pieri_h
+from .symfun import mn_classical, pieri_e, pieri_h, power_sum_poly
 
 __version__ = "0.1.0"
 
@@ -72,6 +72,7 @@ __all__ = [
     "n_core",
     "pieri_e",
     "pieri_h",
+    "power_sum_poly",
     "psi_reduce",
     "quantum_mn",
     "quantum_mn_extended",

@@ -4,6 +4,9 @@ A polynomial is a dict from exponent tuples to nonzero ints.  Exponent tuples
 never carry trailing zeros, so each monomial has a single stored form no
 matter how many variables its polynomial mentions.  Variables are 1-indexed
 in the textual form: x1, x2, x3, ...
+
+Every expansion in the package is such a dict of nonzero ints, whatever its
+keys, and ``_add`` is the one place that adds into one and drops the zeros.
 """
 
 from __future__ import annotations
@@ -23,6 +26,19 @@ def _trim(exps: Iterable[int]) -> Exponents:
     while n and e[n - 1] == 0:
         n -= 1
     return e[:n]
+
+
+def _add(a: dict, b: dict, scale: int = 1) -> dict:
+    """a + scale * b for dicts of nonzero ints, written into a.  A zero
+    addend is safe: a key it would leave at 0 is dropped whether or not a
+    held it."""
+    for u, c in b.items():
+        c = a.get(u, 0) + scale * c
+        if c:
+            a[u] = c
+        else:
+            a.pop(u, None)
+    return a
 
 
 def join_signed(items: list[tuple[int, str]], mag_sep: str = "*") -> str:
@@ -54,24 +70,17 @@ class SparsePoly:
 
     def __init__(self, terms: Mapping[Iterable[int], int] | None = None):
         data: dict[Exponents, int] = {}
-        if terms:
-            for exps, coeff in terms.items():
-                try:
-                    e = _trim(map(operator.index, exps))
-                    coeff = operator.index(coeff)
-                except TypeError:
-                    raise ValueError(
-                        f"exponents and coefficients must be integers, got {exps}: {coeff!r}"
-                    ) from None
-                if coeff == 0:
-                    continue
-                if any(x < 0 for x in e):
-                    raise ValueError(f"negative exponent in {e}")
-                c = data.get(e, 0) + coeff
-                if c:
-                    data[e] = c
-                else:
-                    data.pop(e, None)
+        for exps, coeff in (terms or {}).items():
+            try:
+                e = _trim(map(operator.index, exps))
+                coeff = operator.index(coeff)
+            except TypeError:
+                raise ValueError(
+                    f"exponents and coefficients must be integers, got {exps}: {coeff!r}"
+                ) from None
+            if coeff and any(x < 0 for x in e):
+                raise ValueError(f"negative exponent in {e}")
+            _add(data, {e: coeff})
         self.terms = data
 
     @classmethod
@@ -105,14 +114,7 @@ class SparsePoly:
     def __add__(self, other: "SparsePoly | int") -> "SparsePoly":
         if isinstance(other, int):
             other = SparsePoly.constant(other)
-        data = dict(self.terms)
-        for e, c in other.terms.items():
-            s = data.get(e, 0) + c
-            if s:
-                data[e] = s
-            else:
-                data.pop(e, None)
-        return SparsePoly._from_clean(data)
+        return SparsePoly._from_clean(_add(dict(self.terms), other.terms))
 
     def __sub__(self, other: "SparsePoly | int") -> "SparsePoly":
         return self + (-other)
@@ -124,14 +126,11 @@ class SparsePoly:
             return SparsePoly._from_clean({e: c * other for e, c in self.terms.items()})
         data: dict[Exponents, int] = {}
         for ea, ca in self.terms.items():
+            row = {}  # x^ea times other: distinct eb give distinct products
             for eb, cb in other.terms.items():
                 tail = ea[len(eb):] if len(ea) >= len(eb) else eb[len(ea):]
-                e = tuple(x + y for x, y in zip(ea, eb)) + tail
-                s = data.get(e, 0) + ca * cb
-                if s:
-                    data[e] = s
-                else:
-                    data.pop(e, None)
+                row[tuple(x + y for x, y in zip(ea, eb)) + tail] = cb
+            _add(data, row, ca)
         return SparsePoly._from_clean(data)
 
     __rmul__ = __mul__
@@ -190,10 +189,5 @@ class SparsePoly:
             vec = [0] * (max(exps) + 1 if exps else 0)
             for i, p in exps.items():
                 vec[i] = p
-            e = _trim(vec)
-            c = terms.get(e, 0) + coeff
-            if c:
-                terms[e] = c
-            else:
-                terms.pop(e, None)
+            _add(terms, {_trim(vec): coeff})
         return cls._from_clean(terms)

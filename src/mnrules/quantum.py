@@ -23,6 +23,7 @@ from .partitions import (
     require_fits,
     validate_partition,
 )
+from .poly import _add
 from .symfun import mn_classical
 
 QuantumClass = dict[tuple[int, Partition], int]
@@ -170,13 +171,7 @@ def oracle_quantum_mn(lam: Partition, r: int, ctx: GrContext) -> QuantumClass:
         raise ValueError(f"need 1 <= r < n={ctx.n}, got r={r}")
     out: QuantumClass = {}
     for mu, coeff in mn_classical(lam, r, ctx.k).items():
-        for (d, core), sign in psi_reduce(mu, ctx).items():
-            key = (d, core)
-            c = out.get(key, 0) + coeff * sign
-            if c:
-                out[key] = c
-            else:
-                out.pop(key, None)
+        _add(out, psi_reduce(mu, ctx), coeff)
     return out
 
 

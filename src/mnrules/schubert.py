@@ -3,9 +3,9 @@
 The Schubert layer has one kernel, ``_times_x``: x_i times a Schubert
 expansion, by Monk's rule for one variable.  A Schubert polynomial is that
 rule solved for its top term, an expansion folds a polynomial onto the
-identity one variable at a time, and ``mn-schubert --verify`` folds the
-power sum onto S_w.  Expansions in the Schubert basis are dicts mapping
-canonical permutations to nonzero integers.
+identity one variable at a time, and ``mn-schubert --verify`` adds up
+x_i^r S_w over i <= k.  Expansions in the Schubert basis are dicts mapping
+canonical permutations to nonzero integers, summed with ``poly._add``.
 """
 
 from __future__ import annotations
@@ -22,8 +22,7 @@ from .perm import (
     k_bruhat_covers,
     require_support,
 )
-from .poly import Exponents, SparsePoly
-from .symfun import power_sum_poly
+from .poly import Exponents, SparsePoly, _add
 
 SchubertExpansion = dict[Permutation, int]
 
@@ -35,17 +34,6 @@ LETTER_LIMIT = 10_000_000
 def _require_letters(letters: int, what: str) -> None:
     if letters > LETTER_LIMIT:
         raise ValueError(f"{what} needs {letters} letters, over the limit of {LETTER_LIMIT}")
-
-
-def _add(a: dict, b: dict, scale: int = 1) -> dict:
-    """a + scale * b for dicts of nonzero ints, written into a."""
-    for u, c in b.items():
-        c = a.get(u, 0) + scale * c
-        if c:
-            a[u] = c
-        else:
-            del a[u]
-    return a
 
 
 def _times_x(expansion: SchubertExpansion, i: int) -> SchubertExpansion:
@@ -128,15 +116,23 @@ def schubert_poly(w: Permutation) -> SparsePoly:
     return memo[w]
 
 
-def _horner(f: SparsePoly, start: SchubertExpansion) -> SchubertExpansion:
-    """f times the expansion ``start``, by Horner's rule from x_1 up.
+def expand_in_schubert(f: SparsePoly) -> SchubertExpansion:
+    """Write an integer polynomial in the Schubert basis: f folded onto
+    S_() = 1 by Horner's rule from x_1 up.  With n variables and largest
+    degree d, words of n + d letters over ``perm.SUPPORT_LIMIT``, or d (n + d)
+    letters in all over ``LETTER_LIMIT``, raise ValueError before any word is
+    built.
 
     ``rows`` maps each exponent tuple of f, folded variables set to 0, to the
     expansion it multiplies.  Folding x_i merges the rows that agree past x_i
     into E_0 + x_i (E_1 + x_i (E_2 + ...)), so terms cancel before the next
     product.
     """
-    rows = {e: {u: c * a for u, a in start.items()} for e, c in f.terms.items()}
+    n = max(map(len, f.terms), default=0)
+    d = max(map(sum, f.terms), default=0)
+    require_support(n + d)
+    _require_letters(d * (n + d), f"expanding degree {d} with words of {n + d} letters")
+    rows = {e: {(): c} for e, c in f.terms.items()}
     for i in sorted({i for e in f.terms for i, p in enumerate(e, 1) if p}):
         groups: dict[Exponents, dict[int, SchubertExpansion]] = {}
         for e in [e for e in rows if len(e) >= i and e[i - 1]]:
@@ -150,19 +146,6 @@ def _horner(f: SparsePoly, start: SchubertExpansion) -> SchubertExpansion:
     return rows.get((), {})
 
 
-def expand_in_schubert(f: SparsePoly) -> SchubertExpansion:
-    """Write an integer polynomial in the Schubert basis: f folded onto
-    S_() = 1.  With n variables and largest degree d, words of n + d letters
-    over ``perm.SUPPORT_LIMIT``, or d (n + d) letters in all over
-    ``LETTER_LIMIT``, raise ValueError before any word is built.
-    """
-    n = max(map(len, f.terms), default=0)
-    d = max(map(sum, f.terms), default=0)
-    require_support(n + d)
-    _require_letters(d * (n + d), f"expanding degree {d} with words of {n + d} letters")
-    return _horner(f, {(): 1})
-
-
 def power_sum_times(w: Permutation, k: int, r: int) -> SchubertExpansion:
     """p_r(x_1..x_k) S_w, the sum of x_i^r S_w over i <= k by Monk's rule:
     the ``mn-schubert --verify`` route.  k r (max(len(w), k) + r) letters
@@ -172,7 +155,13 @@ def power_sum_times(w: Permutation, k: int, r: int) -> SchubertExpansion:
     if k < 1 or r < 1:
         raise ValueError(f"need k, r >= 1, got k={k}, r={r}")
     _require_letters(k * r * default_max_support(w, k, r), f"p_{r}(x_1..x_{k}) times S_w")
-    return _horner(power_sum_poly(r, k), {w: 1})
+    out: SchubertExpansion = {}
+    for i in range(1, k + 1):
+        term = {w: 1}
+        for _ in range(r):
+            term = _times_x(term, i)
+        _add(out, term)
+    return out
 
 
 def monk(w: Permutation, k: int) -> SchubertExpansion:

@@ -33,6 +33,12 @@ def test_basic_construction():
 def test_trailing_zero_exponents_are_trimmed():
     assert SparsePoly({(1, 0, 0): 1}) == variable(1)
     assert SparsePoly({(): 1}) == 1
+    # two spellings of one monomial meet after trimming and cancel
+    cancelled = SparsePoly({(1,): 2, (1, 0): -2})
+    assert cancelled == 0
+    assert cancelled.terms == {}
+    # a zero coefficient leaves no key, trimmed or not
+    assert SparsePoly({(2, 0): 0, (0, 1): 1}).terms == {(0, 1): 1}
 
 
 @given(polys, polys, polys)
@@ -58,6 +64,10 @@ def test_parse_examples():
     f = SparsePoly.parse("3*x1^2*x3 - x2 + 7")
     x1, x2, x3 = (variable(i) for i in (1, 2, 3))
     assert f == 3 * x1 * x1 * x3 - x2 + 7
+    # zero terms, added to nothing or cancelling each other, leave no key
+    assert SparsePoly.parse("0*x1 + x2").terms == {(0, 1): 1}
+    assert SparsePoly.parse("x1 - x1").terms == {}
+    assert SparsePoly.parse("2*x1*0").terms == {}
     with pytest.raises(ValueError):
         SparsePoly.parse("3*y1")
 

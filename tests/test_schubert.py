@@ -1,5 +1,6 @@
 import itertools
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -297,6 +298,20 @@ def test_verify_route_does_not_call_the_kernel(monkeypatch):
     monkeypatch.setattr(perm, "k_bruhat_covers", refuse)
     monkeypatch.setattr(schubert, "k_bruhat_covers", refuse)
     assert [schubert.power_sum_times(*case) for case in cases] == expected
+
+
+def test_verify_route_keeps_only_the_running_sum():
+    # x_i S_21 has words of about i letters, and the running sum cancels
+    # down to p_1 S_21's one term as it goes: p_1(x_1..x_1000) itself would
+    # hold about 500,000 exponent entries
+    tracemalloc.start()
+    try:
+        got = schubert.power_sum_times((2, 1), 1000, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got == monk((2, 1), 1000)
+    assert peak < 1 << 20
 
 
 def test_verify_route_rejects_bad_input():

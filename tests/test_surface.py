@@ -55,6 +55,7 @@ PROTOCOL_MEMBERS = {
 LIBRARY_API = {
     "__version__": "package metadata, the release in pyproject.toml",
     "grassmannian_permutation": "ties mn_schubert to mn_classical; the README gives its size limit",
+    "power_sum_poly": "p_r(x_1..x_k) as a polynomial: the README's reference route, the tests and perfbench's recorder",
     "remove_rim_hooks": "the documented inverse of add_rim_hooks; n_core moves its beads directly",
     "schubert_poly": "the Schubert polynomial itself; no command prints one",
 }

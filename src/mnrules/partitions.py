@@ -74,17 +74,6 @@ def part(lam: Partition, i: int) -> int:
     return lam[i] if 0 <= i < len(lam) else 0
 
 
-def leq(a: Partition, b: Partition) -> bool:
-    """Containment of Young diagrams: every row of ``a`` fits inside ``b``.
-
-    >>> leq((3, 1), (5, 4, 3, 1))
-    True
-    >>> leq((1, 1), (2,))
-    False
-    """
-    return len(a) <= len(b) and all(x <= y for x, y in zip(a, b))
-
-
 def box_partition(k: int, n: int) -> Partition:
     """The k-row rectangle with rows of length n - k (k at most ``ROW_LIMIT``).
 

@@ -73,13 +73,13 @@ class SparsePoly:
         for exps, coeff in (terms or {}).items():
             try:
                 e = _trim(map(operator.index, exps))
+                if any(x < 0 for x in e):
+                    raise ValueError(f"negative exponent in {e}")
                 coeff = operator.index(coeff)
             except TypeError:
                 raise ValueError(
                     f"exponents and coefficients must be integers, got {exps}: {coeff!r}"
                 ) from None
-            if coeff and any(x < 0 for x in e):
-                raise ValueError(f"negative exponent in {e}")
             _add(data, {e: coeff})
         self.terms = data
 

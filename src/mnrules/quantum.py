@@ -18,8 +18,8 @@ from .partitions import (
     _Record,
     _splice,
     box_partition,
-    leq,
     n_core,
+    part,
     require_fits,
     validate_partition,
 )
@@ -33,7 +33,8 @@ GENERATOR_SAMPLES = 20
 
 
 class GrContext(_Record):
-    """The Grassmannian Gr(k, n) of k-planes in n-space, 0 < k < n.
+    """The Grassmannian Gr(k, n) of k-planes in n-space: 0 < k < n, and k at
+    most ``ROW_LIMIT``, both checked once here by ``box_partition``.
 
     k and n are read with ``operator.index``: integers (int subclasses
     included) pass, anything else raises ValueError.
@@ -46,22 +47,20 @@ class GrContext(_Record):
             k, n = operator.index(k), operator.index(n)
         except TypeError:
             raise ValueError(f"k and n must be integers, got k={k!r}, n={n!r}") from None
-        if not 0 < k < n:
-            raise ValueError(f"need 0 < k < n, got k={k}, n={n}")
+        box_partition(k, n)
         set_k, set_n = self._setters
         set_k(self, k)
         set_n(self, n)
 
-    @property
-    def box(self) -> Partition:
-        return box_partition(self.k, self.n)
 
-
-def _require_in_box(lam: Partition, ctx: GrContext) -> Partition:
-    """Validate ``lam`` against the k x (n-k) box and return it."""
+def _require_args(lam: Partition, r: int, ctx: GrContext) -> Partition:
+    """Validate ``lam`` against the k x (n-k) box, then 1 <= r < n, and
+    return ``lam``."""
     lam = validate_partition(lam)
-    if not leq(lam, ctx.box):
+    if len(lam) > ctx.k or part(lam, 0) > ctx.n - ctx.k:
         raise ValueError(f"{lam} does not fit in the {ctx.k} x {ctx.n - ctx.k} box")
+    if not 1 <= r < ctx.n:
+        raise ValueError(f"need 1 <= r < n={ctx.n}, got r={r}")
     return lam
 
 
@@ -80,7 +79,7 @@ def psi_reduce(lam: Partition, ctx: GrContext) -> QuantumClass:
     """
     lam = require_fits(lam, ctx.k)
     res = n_core(lam, ctx.n)
-    if not leq(res.core, ctx.box):
+    if part(res.core, 0) > ctx.n - ctx.k:  # the core has no more rows than lam
         return {}
     return {(res.hooks_removed, res.core): psi_sign(res, ctx.k)}
 
@@ -100,10 +99,8 @@ def quantum_mn(lam: Partition, r: int, ctx: GrContext) -> QuantumClass:
     >>> quantum_mn((3, 2, 1), 5, GrContext(4, 8))
     {(0, (3, 3, 3, 2)): 1, (0, (4, 4, 3)): 1, (1, (1, 1, 1)): 1, (1, (3,)): 1}
     """
-    lam = _require_in_box(lam, ctx)
+    lam = _require_args(lam, r, ctx)
     k, n = ctx.k, ctx.n
-    if not 1 <= r < n:
-        raise ValueError(f"need 1 <= r < n={n}, got r={r}")
     rows = lam + (0,) * (k - len(lam))
     pos = [p + k - 1 - i for i, p in enumerate(rows)]
     q0, q1 = [], []
@@ -166,9 +163,7 @@ def oracle_quantum_mn(lam: Partition, r: int, ctx: GrContext) -> QuantumClass:
     """Independent route to quantum_mn: multiply in the symmetric-function
     ring with k rows allowed to run past the box, then push every term
     through psi_reduce and collect."""
-    lam = _require_in_box(lam, ctx)
-    if not 1 <= r < ctx.n:
-        raise ValueError(f"need 1 <= r < n={ctx.n}, got r={r}")
+    lam = _require_args(lam, r, ctx)
     out: QuantumClass = {}
     for mu, coeff in mn_classical(lam, r, ctx.k).items():
         _add(out, psi_reduce(mu, ctx), coeff)

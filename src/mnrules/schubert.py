@@ -246,6 +246,6 @@ def grassmannian_permutation(lam: Partition, k: int) -> Permutation:
     require_support(k + part(lam, 0))
     if not lam:
         return ()
-    head = [((lam[k - i] if k - i < len(lam) else 0) + i) for i in range(1, k + 1)]
+    head = [part(lam, k - i) + i for i in range(1, k + 1)]
     tail = sorted(set(range(1, k + lam[0] + 1)) - set(head))
     return canonical(head + tail)

@@ -61,16 +61,26 @@ from mnrules.partitions import (
     CoreResult,
     Partition,
     box_partition,
-    leq,
     part,
     remove_rim_hooks,
     validate_partition,
 )
 from mnrules.poly import SparsePoly, _trim
-from mnrules.quantum import GrContext, QuantumClass, _require_in_box, psi_reduce
+from mnrules.quantum import GrContext, QuantumClass, _require_args, psi_reduce
 from mnrules.symfun import mn_classical, power_sum_poly
 
 Cell = tuple[int, int]
+
+
+def leq(a: Partition, b: Partition) -> bool:
+    """Containment of Young diagrams: every row of ``a`` fits inside ``b``.
+
+    >>> leq((3, 1), (5, 4, 3, 1))
+    True
+    >>> leq((1, 1), (2,))
+    False
+    """
+    return len(a) <= len(b) and all(x <= y for x, y in zip(a, b))
 
 
 def row_len(lam: Partition, i: int) -> int:
@@ -946,9 +956,7 @@ def two_route_quantum_mn(lam: Partition, r: int, ctx: GrContext) -> QuantumClass
     the box; the q**1 terms are the rim hooks of n - r cells removed from
     lam, each with sign -(-1)**k * (-1)**(height + 1).
     """
-    lam, box = _require_in_box(lam, ctx), ctx.box
-    if not 1 <= r < ctx.n:
-        raise ValueError(f"need 1 <= r < n={ctx.n}, got r={r}")
+    lam, box = _require_args(lam, r, ctx), box_partition(ctx.k, ctx.n)
     out: QuantumClass = {
         (0, mu): c for mu, c in mn_classical(lam, r, ctx.k).items() if leq(mu, box)
     }
@@ -974,9 +982,7 @@ def schubert_route_quantum_mn(lam: Partition, r: int, ctx: GrContext) -> Quantum
     gives p_r * s_lam in k variables.  Each term's shape is read back off its
     permutation, pushed through psi_reduce and collected.  Shares no code
     with the circle move of quantum_mn or with mn_classical."""
-    lam = _require_in_box(lam, ctx)
-    if not 1 <= r < ctx.n:
-        raise ValueError(f"need 1 <= r < n={ctx.n}, got r={r}")
+    lam = _require_args(lam, r, ctx)
     k = ctx.k
     out: QuantumClass = {}
     for u, coeff in schubert.mn_schubert(schubert.grassmannian_permutation(lam, k), k, r).items():

@@ -10,7 +10,7 @@ import random
 import time
 
 from mnrules import cli, perm, schubert, symfun
-from mnrules.partitions import leq, n_core
+from mnrules.partitions import box_partition, n_core
 from mnrules.poly import SparsePoly
 from mnrules.quantum import (
     GrContext,
@@ -33,6 +33,7 @@ from oracles import (
     het,
     hook_times_schur,
     is_rim_hook,
+    leq,
     partitions_in_box,
     partitions_of,
     removal_observables,
@@ -166,7 +167,7 @@ def test_acceptance_05_quantum_rule_oracle_sweep(capsys):
     count = 0
     certified = 0
     for k, n in [(2, 4), (2, 5), (3, 6), (4, 8)]:
-        ctx = GrContext(k, n)
+        ctx, box = GrContext(k, n), box_partition(k, n)
         for lam in partitions_in_box(k, n - k):
             for r in range(1, n):
                 got = quantum_mn(lam, r, ctx)
@@ -176,7 +177,7 @@ def test_acceptance_05_quantum_rule_oracle_sweep(capsys):
                 if not q_terms:
                     continue
                 over_the_box = [
-                    mu for mu in mn_classical(lam, r, k) if not leq(mu, ctx.box)
+                    mu for mu in mn_classical(lam, r, k) if not leq(mu, box)
                 ]
                 for nu in q_terms:
                     # exactly one over-the-box Schur term wraps onto nu ...

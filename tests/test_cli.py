@@ -14,10 +14,10 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from mnrules import cli, schubert
-from mnrules.partitions import leq
 from mnrules.poly import SparsePoly
 from mnrules.quantum import oracle_quantum_mn
 from mnrules.symfun import mn_classical
+from oracles import leq
 
 
 def run(capsys, *argv):
@@ -454,6 +454,7 @@ def test_size_limits_sit_at_their_bounds(capsys):
     code, _, err = run(capsys, "core", "--partition", "200002", "--n", "2")
     assert code == 2 and "may strip up to 100001 hooks" in err
     assert run(capsys, "mn-schur", "--partition", "1", "--r", "2", "--k", "500")[0] == 0
+    assert run(capsys, "mn-quantum", "--partition", "1", "--r", "2", "--k", "500", "--n", "1000")[0] == 0
     for argv in (
         ["mn-schur", "--partition", "1", "--r", "2", "--k", "501"],
         ["pieri", "--partition", "1", "--size", "2", "--kind", "h", "--k", "501"],
@@ -461,6 +462,9 @@ def test_size_limits_sit_at_their_bounds(capsys):
     ):
         code, _, err = run(capsys, *argv)
         assert code == 2 and "501 rows is over the limit of 500" in err
+    # the context is refused before r, which is also divisible by n here
+    code, _, err = run(capsys, "mn-quantum", "--partition", "1", "--r", "1200", "--k", "600", "--n", "1200")
+    assert (code, err) == (2, "error: 600 rows is over the limit of 500\n")
 
 
 # Small values, and values past every size limit.  mn-schubert takes nothing

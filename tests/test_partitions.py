@@ -9,7 +9,6 @@ from mnrules import partitions
 from mnrules.partitions import (
     add_rim_hooks,
     box_partition,
-    leq,
     n_core,
     part,
     remove_rim_hooks,
@@ -19,6 +18,7 @@ from mnrules.partitions import (
 from oracles import (
     abacus_core,
     is_rim_hook,
+    leq,
     oracle_add_rim_hooks,
     oracle_bead_moves,
     oracle_is_rim_hook,

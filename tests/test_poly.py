@@ -120,6 +120,13 @@ def test_constructor_rejects_non_integer_exponents_and_coefficients():
     assert SparsePoly({(True, 0): True}) == variable(1)
 
 
+def test_constructor_rejects_negative_exponents_whatever_the_coefficient():
+    for terms, shown in (({(-1,): 1}, "(-1,)"), ({(-1,): 0}, "(-1,)"), ({(2, -1): 0}, "(2, -1)")):
+        with pytest.raises(ValueError) as err:
+            SparsePoly(terms)
+        assert str(err.value) == f"negative exponent in {shown}"
+
+
 TRAILING = 200_000
 
 

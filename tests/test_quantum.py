@@ -3,7 +3,7 @@ import random
 import pytest
 
 from mnrules import cli, partitions, quantum, symfun
-from mnrules.partitions import leq, n_core
+from mnrules.partitions import box_partition, n_core
 from mnrules.quantum import (
     GENERATOR_SAMPLES,
     GrContext,
@@ -19,6 +19,7 @@ from mnrules.symfun import mn_classical
 from oracles import (
     grassmannian_shape,
     is_rim_hook,
+    leq,
     partitions_in_box,
     rim_hook_height,
     schubert_route_quantum_mn,
@@ -35,7 +36,7 @@ WORKED_EXAMPLE = {
 
 def test_context_validation():
     ctx = GrContext(4, 8)
-    assert ctx.box == (4, 4, 4, 4)
+    assert box_partition(ctx.k, ctx.n) == (4, 4, 4, 4)
     with pytest.raises(ValueError):
         GrContext(0, 4)
     with pytest.raises(ValueError):
@@ -98,10 +99,29 @@ def test_quantum_mn_rejects_bad_input():
         ((5, 2, 1), 8, "(5, 2, 1) does not fit in the 4 x 4 box"),  # the box is checked first
     ]
     for lam, r, message in cases:
-        for rule in (quantum_mn, two_route_quantum_mn):
+        for rule in (quantum_mn, oracle_quantum_mn, two_route_quantum_mn, schubert_route_quantum_mn):
             with pytest.raises(ValueError) as err:
                 rule(lam, r, GrContext(4, 8))
             assert str(err.value) == message, (rule, lam, r)
+
+
+def test_fit_check_agrees_with_containment_in_the_box():
+    # one row and one column past the box on each side: the row-count test
+    # and the first-row test each refuse some shape the other lets through
+    refused = 0
+    for n in range(2, 8):
+        for k in range(1, n):
+            ctx, box = GrContext(k, n), box_partition(k, n)
+            for lam in partitions_in_box(k + 1, n - k + 1):
+                if leq(lam, box):
+                    assert quantum._require_args(lam, 1, ctx) == lam
+                    continue
+                refused += 1
+                for check in (quantum._require_args, quantum_mn):
+                    with pytest.raises(ValueError) as err:
+                        check(lam, 1, ctx)
+                    assert str(err.value) == f"{lam} does not fit in the {k} x {n - k} box"
+    assert refused > 0
 
 
 def test_quantum_mn_extended_wraps():
@@ -204,7 +224,7 @@ def test_quantum_mn_grading():
             assert sum(mu) + ctx.n * d == sum(lam) + r
             assert c in (-1, 1)
             assert d in (0, 1)
-            assert leq(mu, ctx.box)
+            assert leq(mu, box_partition(ctx.k, ctx.n))
 
 
 def test_quantum_terms_certify_as_single_rim_hook_wraps():
@@ -219,7 +239,7 @@ def test_quantum_terms_certify_as_single_rim_hook_wraps():
         if not any(d == 1 for (d, _) in qm):
             continue
         cls = mn_classical(lam, r, ctx.k)
-        out_of_box = [mu for mu in cls if not leq(mu, ctx.box)]
+        out_of_box = [mu for mu in cls if not leq(mu, box_partition(ctx.k, ctx.n))]
         for (d, nu), c in qm.items():
             if d != 1:
                 continue

@@ -92,6 +92,9 @@ def test_grassmannian_needs_0_lt_k_lt_n():
     with pytest.raises(ValueError) as err:
         GrContext(3, 3)
     assert str(err.value) == "need 0 < k < n, got k=3, n=3"
+    with pytest.raises(ValueError) as err:
+        GrContext(501, 1000)  # k is the row count of every shape in the box
+    assert str(err.value) == "501 rows is over the limit of 500"
 
 
 class Small(int):

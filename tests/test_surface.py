@@ -48,7 +48,7 @@ PROTOCOL_MEMBERS = {
     "partitions.CoreResult.__slots__": "instance layout: core, hooks_removed, height_sum",
     "partitions.CoreResult.__init__": "the constructor, CoreResult(...) in n_core",
     "quantum.GrContext.__slots__": "instance layout: k, n",
-    "quantum.GrContext.__init__": "the constructor; checks that k and n are integers with 0 < k < n",
+    "quantum.GrContext.__init__": "the constructor; checks that k and n are integers with 0 < k < n and k at most ROW_LIMIT",
 }
 
 # Exports that no CLI command uses.

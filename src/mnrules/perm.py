@@ -92,8 +92,8 @@ def default_max_support(w: Permutation, k: int, steps: int) -> int:
 
 
 def k_bruhat_covers(w: Permutation, k: int, max_support: int) -> list[Permutation]:
-    """Endpoints of the covers w -> w(i, j) with i <= k < j <= max_support
-    and length up by 1: canonical words, ordered by (i, j).
+    """Endpoints of the covers w -> w(i, j) with i <= k < j and length up by
+    1: canonical words, ordered by (i, j).
 
     For each i the scan keeps ``best``, the smallest value above w(i) at
     positions i+1..j-1; (i, j) is a cover exactly when w(i) < w(j) < best
@@ -103,10 +103,14 @@ def k_bruhat_covers(w: Permutation, k: int, max_support: int) -> list[Permutatio
     fixed point m + 1 is the only candidate there, and a cover exactly when
     the scan saw nothing above w(i).  When k > m, every j > k is past that
     fixed point, which leaves the one cover (k, k + 1).  A call costs
-    O(k * m) scan steps plus O(m) to build each endpoint, whatever
-    ``max_support`` is, and no padded copy of w is made.  Validating w costs
-    O(m log m).  The longest endpoint has max(m, k) + 1 letters; over
-    ``SUPPORT_LIMIT`` that raises ValueError.
+    O(k * m) scan steps plus O(m) to build each endpoint, and no padded copy
+    of w is made.  Validating w costs O(m log m).
+
+    Every endpoint has at most need = max(m, k) + 1 letters.  ``max_support``
+    must be at least need, and the whole cover set is returned: a smaller
+    bound raises ValueError and never truncates the result.  The checks run
+    in order: the word, then k, then need against ``SUPPORT_LIMIT``, then
+    ``max_support`` against need.
 
     >>> k_bruhat_covers((2, 1), 2, 4)
     [(3, 1, 2), (2, 3, 1)]
@@ -114,22 +118,20 @@ def k_bruhat_covers(w: Permutation, k: int, max_support: int) -> list[Permutatio
     w = canonical(w)
     if k < 1:
         raise ValueError(f"k must be positive, got {k}")
+    need = default_max_support(w, k, 1)
+    if max_support < need:
+        raise ValueError(f"max_support={max_support} is below max(len(w), k) + 1 = {need}")
     size = len(w)
-    require_support(max(size, k) + 1)
-    ends: list[Permutation] = []
     if k > size:
-        if k < max_support:
-            ends.append(w + tuple(range(size + 1, k)) + (k + 1, k))
-        return ends
+        return [w + tuple(range(size + 1, k)) + (k + 1, k)]
+    ends: list[Permutation] = []
     add = ends.append
     word = list(w)
-    stop = min(size, max_support)
     top = size + 1
-    top_fits = top <= max_support
     for i in range(k):
         wi = word[i]
         best = top
-        for j in range(i + 1, stop):
+        for j in range(i + 1, size):
             wj = word[j]
             if wi < wj < best:
                 best = wj
@@ -141,7 +143,7 @@ def k_bruhat_covers(w: Permutation, k: int, max_support: int) -> list[Permutatio
                     word[i], word[j] = wi, wj
                 if wj == wi + 1:
                     break
-        if best == top and top_fits:
+        if best == top:
             word[i] = top
             add(tuple(word) + (wi,))
             word[i] = wi

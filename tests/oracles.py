@@ -30,7 +30,9 @@ The paper's other routes to its rules live here too:
   (n-r)-hooks removed (``two_route_quantum_mn``), and as mn_schubert on a
   Grassmannian permutation pushed through psi_reduce
   (``schubert_route_quantum_mn``), instead of one pass of the beads around
-  a circle;
+  a circle; and for r past n, as the Schur rule for the full r pushed
+  through psi_reduce (``psi_route_quantum_mn``), instead of a wrap of the
+  rule for r mod n;
 - Schur polynomials via semistandard tableaux and via a Jacobi-Trudi
   determinant, and p_r as an alternating sum of hooks.
 
@@ -65,7 +67,7 @@ from mnrules.partitions import (
     remove_rim_hooks,
     validate_partition,
 )
-from mnrules.poly import SparsePoly, _trim
+from mnrules.poly import SparsePoly, _add, _trim
 from mnrules.quantum import GrContext, QuantumClass, _require_args, psi_reduce
 from mnrules.symfun import mn_classical, power_sum_poly
 
@@ -962,6 +964,16 @@ def two_route_quantum_mn(lam: Partition, r: int, ctx: GrContext) -> QuantumClass
     }
     for nu, height in remove_rim_hooks(lam, ctx.n - r):
         out[(1, nu)] = 1 if (ctx.k + height) % 2 == 0 else -1
+    return out
+
+
+def psi_route_quantum_mn(lam: Partition, r: int, ctx: GrContext) -> QuantumClass:
+    """p_r * sigma_lam for any r >= 1 and lam with at most k rows: the terms
+    of mn_classical in k variables for the full r, each pushed through
+    psi_reduce and collected.  psi is a ring map, so no r needs a wrap."""
+    out: QuantumClass = {}
+    for mu, coeff in mn_classical(lam, r, ctx.k).items():
+        _add(out, psi_reduce(mu, ctx), coeff)
     return out
 
 

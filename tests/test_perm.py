@@ -169,16 +169,23 @@ def test_covers_small_frozen():
 
 
 def test_covers_match_pairwise_oracle_exhaustively():
-    # every bound from 1 up, so bounds below len(w) and below k are included
-    compared = 0
+    # every bound from 1 up: below max(len(w), k) + 1 the kernel refuses,
+    # from there on it equals the oracle list for list
+    compared = refused = 0
     for n in range(7):
         for word in itertools.permutations(range(1, n + 1)):
             for k in range(1, n + 3):
+                need = max(len(canonical(word)), k) + 1
                 for bound in range(1, n + 4):
-                    got = k_bruhat_covers(word, k, bound)
-                    assert got == oracle_ends(word, k, bound), (word, k, bound)
-                    compared += 1
-    assert compared == 59806
+                    if bound < need:
+                        with pytest.raises(ValueError, match="is below max"):
+                            k_bruhat_covers(word, k, bound)
+                        refused += 1
+                    else:
+                        got = k_bruhat_covers(word, k, bound)
+                        assert got == oracle_ends(word, k, bound), (word, k, bound)
+                        compared += 1
+    assert (compared, refused) == (18606, 41200)
 
 
 def test_covers_match_pairwise_oracle_on_s12_chain_states():
@@ -201,10 +208,10 @@ def test_covers_match_pairwise_oracle_on_s12_chain_states():
 def test_covers_match_the_padded_scan():
     # List for list, so the (i, j) order is compared too.  Words come as
     # given and with two trailing fixed points; k runs past len(w), where
-    # only the cover (k, k + 1) is left, and bounds cut the result anywhere.
-    # S7 is sampled to keep this test near two seconds.
+    # only the cover (k, k + 1) is left, and bounds below max(len(w), k) + 1
+    # must be refused.  S7 is sampled to keep this test near two seconds.
     rng = random.Random(1601)
-    compared = 0
+    compared = refused = 0
     for n in range(8):
         words = list(itertools.permutations(range(1, n + 1)))
         if n == 7:
@@ -212,10 +219,16 @@ def test_covers_match_the_padded_scan():
         for word in words:
             for given_word in (word, word + (n + 1, n + 2)):
                 for k in range(1, n + 3):
+                    need = max(len(canonical(word)), k) + 1
                     for bound in range(1, n + 4):
-                        got = k_bruhat_covers(given_word, k, bound)
-                        assert got == padded_scan_covers(given_word, k, bound), (given_word, k, bound)
-                        compared += 1
+                        if bound < need:
+                            with pytest.raises(ValueError, match="is below max"):
+                                k_bruhat_covers(given_word, k, bound)
+                            refused += 1
+                        else:
+                            got = k_bruhat_covers(given_word, k, bound)
+                            assert got == padded_scan_covers(given_word, k, bound), (given_word, k, bound)
+                            compared += 1
     # every BFS state of seeded S12 walks
     for k in (4, 6, 8):
         w = canonical(rng.sample(range(1, 13), 12))
@@ -229,28 +242,43 @@ def test_covers_match_the_padded_scan():
                 nxt.update(got)
                 compared += 1
             level = nxt
-    assert compared == 174169
+    assert (compared, refused) == (52631, 121538)
 
 
 LIMIT = perm.SUPPORT_LIMIT
 
 
 @pytest.mark.parametrize(
-    "w, k, message",
+    "w, k, bound, message",
     [
-        # the word is checked first, then k, then the support bound
-        ((1.0, 2), LIMIT, "entries must be integers, got (1.0, 2)"),
-        ((1, 1), 0, "not a permutation of 1..2: (1, 1)"),
-        ((2, 1), 0, "k must be positive, got 0"),
-        ((2, 1), LIMIT, f"needs words of {LIMIT + 1} letters, over the limit of {LIMIT}"),
+        # the word is checked first, then k, then the support limit, then
+        # the bound: every bound here is below max(len(w), k) + 1, and a low
+        # bound raises instead of truncating
+        ((1.0, 2), LIMIT, 1, "entries must be integers, got (1.0, 2)"),
+        ((1, 1), 0, 1, "not a permutation of 1..2: (1, 1)"),
+        ((2, 1), 0, 1, "k must be positive, got 0"),
+        ((2, 1), LIMIT, 1, f"needs words of {LIMIT + 1} letters, over the limit of {LIMIT}"),
+        ((2, 1), 1, 2, "max_support=2 is below max(len(w), k) + 1 = 3"),
+        ((3, 4, 1, 2), 2, 4, "max_support=4 is below max(len(w), k) + 1 = 5"),
+        ((), 3, 3, "max_support=3 is below max(len(w), k) + 1 = 4"),
+        ((2, 1, 3, 4), 1, 0, "max_support=0 is below max(len(w), k) + 1 = 3"),
     ],
-    ids=["non-integer", "non-permutation", "k-below-1", "over-support-limit"],
+    ids=[
+        "non-integer",
+        "non-permutation",
+        "k-below-1",
+        "over-support-limit",
+        "bound-below-len",
+        "bound-at-len",
+        "bound-below-k",
+        "bound-zero",
+    ],
 )
-def test_covers_keep_their_input_checks(w, k, message):
+def test_covers_keep_their_input_checks(w, k, bound, message):
     tracemalloc.start()
     try:
         with pytest.raises(ValueError) as raised:
-            k_bruhat_covers(w, k, 2 * LIMIT)
+            k_bruhat_covers(w, k, bound)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

@@ -4,6 +4,7 @@ import pytest
 
 from mnrules import cli, partitions, quantum, symfun
 from mnrules.partitions import box_partition, n_core
+from mnrules.poly import _add
 from mnrules.quantum import (
     GENERATOR_SAMPLES,
     GrContext,
@@ -21,6 +22,7 @@ from oracles import (
     is_rim_hook,
     leq,
     partitions_in_box,
+    psi_route_quantum_mn,
     rim_hook_height,
     schubert_route_quantum_mn,
     two_route_quantum_mn,
@@ -145,6 +147,107 @@ def test_quantum_mn_extended_rejects_multiples_of_n():
         quantum_mn_extended((1,), 12, GrContext(3, 6))
     with pytest.raises(ValueError):
         quantum_mn_extended((1,), 0, GrContext(3, 6))
+
+
+# The quantum Pieri rule in qH*(Gr(2, 4)): e_1 = σ[1] and e_2 = σ[1,1]
+# times each Schubert class, from the Gromov-Witten count of lines.  e_i
+# is 0 for i > 2.
+GR24_PIERI = {
+    1: {
+        (): {(0, (1,)): 1},
+        (1,): {(0, (2,)): 1, (0, (1, 1)): 1},
+        (2,): {(0, (2, 1)): 1},
+        (1, 1): {(0, (2, 1)): 1},
+        (2, 1): {(0, (2, 2)): 1, (1, ()): 1},
+        (2, 2): {(1, (1,)): 1},
+    },
+    2: {
+        (): {(0, (1, 1)): 1},
+        (1,): {(0, (2, 1)): 1},
+        (2,): {(1, ()): 1},
+        (1, 1): {(0, (2, 2)): 1},
+        (2, 1): {(1, (1,)): 1},
+        (2, 2): {(1, (2,)): 1},
+    },
+}
+
+
+def gr24_times_e(i, cls):
+    out = {}
+    for (d, mu), c in cls.items():
+        _add(out, {(d + e, nu): b for (e, nu), b in GR24_PIERI[i][mu].items()}, c)
+    return out
+
+
+def gr24_newton_power_sums(lam, top):
+    """p_r * σ_lam in qH*(Gr(2, 4)) for r = 1..top by Newton's identity
+    p_r = e_1 p_(r-1) - e_2 p_(r-2) (+ (-1)**(r-1) r e_r for r <= 2)."""
+    sigma = {(0, lam): 1}
+    powers = {}
+    for r in range(1, top + 1):
+        acc = {}
+        for i in (1, 2):
+            if i < r:
+                _add(acc, gr24_times_e(i, powers[r - i]), (-1) ** (i - 1))
+            elif i == r:
+                _add(acc, gr24_times_e(i, sigma), (-1) ** (r - 1) * r)
+        powers[r] = acc
+    return powers
+
+
+def wrap_cases():
+    """Every Gr(k, n) with n <= 8, lam in the box and n < r < 3n, n not
+    dividing r: 6,040 cases."""
+    for n in range(2, 9):
+        for k in range(1, n):
+            ctx = GrContext(k, n)
+            for lam in partitions_in_box(k, n - k):
+                for r in range(n + 1, 3 * n):
+                    if r % n:
+                        yield lam, r, ctx
+
+
+def test_psi_route_is_newton_on_the_quantum_pieri_table():
+    ctx = GrContext(2, 4)
+    for lam in partitions_in_box(2, 2):
+        for r, want in gr24_newton_power_sums(lam, 11).items():
+            assert psi_route_quantum_mn(lam, r, ctx) == want, (lam, r)
+    assert psi_route_quantum_mn((), 4, ctx) == {(1, ()): -2}
+    assert psi_route_quantum_mn((), 5, ctx) == {(1, (1,)): -1}
+
+
+def test_psi_route_wraps_with_sign_k_minus_1():
+    # p_r acts as (-1)**(k-1) q p_(r-n) for r > n
+    cases = 0
+    for lam, r, ctx in wrap_cases():
+        wraps, base = divmod(r, ctx.n)
+        sign = -1 if (ctx.k - 1) * wraps % 2 else 1
+        want = {(d + wraps, mu): sign * c for (d, mu), c in quantum_mn(lam, base, ctx).items()}
+        assert psi_route_quantum_mn(lam, r, ctx) == want, (lam, r, ctx)
+        cases += 1
+    assert cases == 6040
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="wrap_power_sum signs each wrap (-1)**k, not (-1)**(k-1); "
+    "the fix re-records the benchmark digests (ROADMAP item 10)",
+)
+def test_quantum_mn_extended_is_the_psi_route():
+    wrong = [
+        (lam, r, ctx)
+        for lam, r, ctx in wrap_cases()
+        if quantum_mn_extended(lam, r, ctx) != psi_route_quantum_mn(lam, r, ctx)
+    ]
+    # in qH*(P^1), σ[1] * p_3 = σ[1]**4 = q**2
+    if quantum_mn_extended((1,), 3, GrContext(1, 2)) != {(2, ()): 1}:
+        wrong.append(((1,), 3, GrContext(1, 2)))
+    ctx = GrContext(2, 4)
+    for lam in partitions_in_box(2, 2):
+        for r, want in gr24_newton_power_sums(lam, 11).items():
+            if r % 4 and quantum_mn_extended(lam, r, ctx) != want:
+                wrong.append((lam, r, ctx))
+    assert not wrong
 
 
 def sweep_cases(shapes=((2, 4), (2, 5), (3, 6), (4, 8))):

@@ -16,6 +16,7 @@ height is the index difference |i - j| + 1.
 from __future__ import annotations
 
 import operator
+from collections import namedtuple
 from typing import Iterable, Iterator, Literal
 
 Partition = tuple[int, ...]
@@ -86,46 +87,26 @@ def box_partition(k: int, n: int) -> Partition:
     return (n - k,) * k
 
 
-class _Record:
-    """Base of the library's immutable records, driven by a subclass's
-    ``__slots__``: compared (only with a record of the same class), hashed,
-    printed, copied and pickled by its fields, in slot order.
-
-    A subclass's ``__init__`` fills each field once through ``_setters``, the
-    slot descriptors' setters; after that, assigning or deleting a field
-    raises AttributeError.  This is what a frozen dataclass gives, without
-    importing ``dataclasses`` (and ``inspect``) on every CLI start.
+class _Record(tuple):
+    """Base of the library's records, ``class R(_Record, namedtuple("R",
+    "a b")): __slots__ = ()``.  The named tuple gives construction, the
+    repr, ``match``, pickling, copying, read-only fields, no ``__dict__``,
+    and a tuple's indexing, unpacking and order, ``_asdict`` and
+    ``_replace``.  This base makes a record equal only to a record of its
+    own class, never to a plain tuple, and hashes it by its fields.  Both
+    comparisons answer outright: a NotImplemented would let tuple's
+    reflected one match.
     """
 
     __slots__ = ()
 
-    def __init_subclass__(cls) -> None:
-        cls._setters = tuple(getattr(cls, f).__set__ for f in cls.__slots__)
-        cls.__match_args__ = cls.__slots__
-
-    def _values(self) -> tuple:
-        return tuple([getattr(self, f) for f in self.__slots__])
-
     def __eq__(self, other: object) -> bool:
-        if other.__class__ is self.__class__:
-            return self._values() == other._values()
-        return NotImplemented
+        return other.__class__ is self.__class__ and tuple.__eq__(self, other)
 
-    def __hash__(self) -> int:
-        return hash(self._values())
+    def __ne__(self, other: object) -> bool:
+        return other.__class__ is not self.__class__ or tuple.__ne__(self, other)
 
-    def __repr__(self) -> str:
-        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self.__slots__)
-        return f"{self.__class__.__qualname__}({fields})"
-
-    def __reduce__(self) -> tuple:
-        return self.__class__, self._values()
-
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name: str) -> None:
-        raise AttributeError(f"cannot delete field {name!r}")
+    __hash__ = tuple.__hash__
 
 
 def _splice(lam: Partition, rows: Partition, beads: int, i: int, j: int, c: int) -> Partition:
@@ -224,16 +205,10 @@ def remove_rim_hooks(lam: Partition, r: int) -> list[tuple[Partition, int]]:
     return list(_bead_moves(lam, -r, len(lam)))
 
 
-class CoreResult(_Record):
+class CoreResult(_Record, namedtuple("CoreResult", "core hooks_removed height_sum")):
     """Outcome of stripping rim hooks of a fixed size until stuck."""
 
-    __slots__ = ("core", "hooks_removed", "height_sum")
-
-    def __init__(self, core: Partition, hooks_removed: int, height_sum: int) -> None:
-        set_core, set_hooks_removed, set_height_sum = self._setters
-        set_core(self, core)
-        set_hooks_removed(self, hooks_removed)
-        set_height_sum(self, height_sum)
+    __slots__ = ()
 
 
 def n_core(lam: Partition, n: int) -> CoreResult:

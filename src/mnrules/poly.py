@@ -159,8 +159,6 @@ class SparsePoly:
         s = text.replace(" ", "")
         if not s:
             raise ValueError("empty polynomial text")
-        if s == "0":
-            return cls.zero()
         s = s.replace("-", "+-")
         if s.startswith("+"):
             s = s[1:]

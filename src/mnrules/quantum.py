@@ -10,7 +10,8 @@ from __future__ import annotations
 
 import itertools
 import operator
-from typing import Callable
+from collections import namedtuple
+from typing import Callable, Iterable
 
 from .partitions import (
     CoreResult,
@@ -32,35 +33,39 @@ QuantumClass = dict[tuple[int, Partition], int]
 GENERATOR_SAMPLES = 20
 
 
-class GrContext(_Record):
+class GrContext(_Record, namedtuple("GrContext", "k n")):
     """The Grassmannian Gr(k, n) of k-planes in n-space: 0 < k < n, and k at
     most ``ROW_LIMIT``, both checked once here by ``box_partition``.
 
     k and n are read with ``operator.index``: integers (int subclasses
-    included) pass, anything else raises ValueError.
+    included) pass, anything else raises ValueError.  ``_make``, and so
+    ``_replace``, goes through the same checks.
     """
 
-    __slots__ = ("k", "n")
+    __slots__ = ()
 
-    def __init__(self, k: int, n: int) -> None:
+    def __new__(cls, k: int, n: int) -> GrContext:
         try:
             k, n = operator.index(k), operator.index(n)
         except TypeError:
             raise ValueError(f"k and n must be integers, got k={k!r}, n={n!r}") from None
         box_partition(k, n)
-        set_k, set_n = self._setters
-        set_k(self, k)
-        set_n(self, n)
+        return tuple.__new__(cls, (k, n))
+
+    @classmethod
+    def _make(cls, iterable: Iterable[int]) -> GrContext:
+        return cls(*iterable)
 
 
 def _require_args(lam: Partition, r: int, ctx: GrContext) -> Partition:
     """Validate ``lam`` against the k x (n-k) box, then 1 <= r < n, and
     return ``lam``."""
     lam = validate_partition(lam)
-    if len(lam) > ctx.k or part(lam, 0) > ctx.n - ctx.k:
-        raise ValueError(f"{lam} does not fit in the {ctx.k} x {ctx.n - ctx.k} box")
-    if not 1 <= r < ctx.n:
-        raise ValueError(f"need 1 <= r < n={ctx.n}, got r={r}")
+    k, n = ctx
+    if len(lam) > k or part(lam, 0) > n - k:
+        raise ValueError(f"{lam} does not fit in the {k} x {n - k} box")
+    if not 1 <= r < n:
+        raise ValueError(f"need 1 <= r < n={n}, got r={r}")
     return lam
 
 
@@ -100,7 +105,7 @@ def quantum_mn(lam: Partition, r: int, ctx: GrContext) -> QuantumClass:
     {(0, (3, 3, 3, 2)): 1, (0, (4, 4, 3)): 1, (1, (1, 1, 1)): 1, (1, (3,)): 1}
     """
     lam = _require_args(lam, r, ctx)
-    k, n = ctx.k, ctx.n
+    k, n = ctx
     rows = lam + (0,) * (k - len(lam))
     pos = [p + k - 1 - i for i, p in enumerate(rows)]
     q0, q1 = [], []
@@ -148,10 +153,11 @@ def wrap_power_sum(
     """
     if r < 1:
         raise ValueError(f"need r >= 1, got {r}")
-    if r % ctx.n == 0:
-        raise ValueError(f"r divisible by n={ctx.n} is not supported")
-    wraps, base = divmod(r, ctx.n)
-    sign = 1 if (ctx.k * wraps) % 2 == 0 else -1
+    k, n = ctx
+    if r % n == 0:
+        raise ValueError(f"r divisible by n={n} is not supported")
+    wraps, base = divmod(r, n)
+    sign = 1 if (k * wraps) % 2 == 0 else -1
     return {
         (d + wraps, mu): sign * c
         for (d, mu), c in rule(lam, base, ctx).items()

@@ -1,0 +1,38 @@
+"""Argument checks with no other test: each call below is refused with its
+own message, which a missing check would change or silence."""
+
+import pytest
+
+from mnrules.partitions import add_rim_hooks, remove_rim_hooks, strips
+from mnrules.perm import chain_endpoints
+from mnrules.poly import SparsePoly
+from mnrules.symfun import power_sum_poly
+
+REFUSALS = [
+    pytest.param(lambda: add_rim_hooks((1,), 0, 3), "rim hook size must be positive, got 0", id="add_rim_hooks-r0"),
+    pytest.param(lambda: add_rim_hooks((1,), 1, -1), "max_rows must be nonnegative, got -1", id="add_rim_hooks-max_rows-1"),
+    pytest.param(lambda: remove_rim_hooks((2,), 0), "rim hook size must be positive, got 0", id="remove_rim_hooks-r0"),
+    pytest.param(lambda: strips((1,), 0, "horizontal", 3), "strip size must be positive, got 0", id="strips-size0"),
+    pytest.param(lambda: chain_endpoints((2, 1), 1, -1), "need r >= 0, got -1", id="chain_endpoints-r-1"),
+    pytest.param(lambda: power_sum_poly(0, 2), "need r, k >= 1, got r=0, k=2", id="power_sum_poly-r0"),
+    pytest.param(lambda: power_sum_poly(2, 0), "need r, k >= 1, got r=2, k=0", id="power_sum_poly-k0"),
+    pytest.param(lambda: SparsePoly.parse(""), "empty polynomial text", id="parse-empty"),
+    pytest.param(lambda: SparsePoly.parse("  "), "empty polynomial text", id="parse-blank"),
+    pytest.param(lambda: SparsePoly.parse("x1 +"), "malformed polynomial: 'x1 +'", id="parse-trailing-plus"),
+    pytest.param(lambda: SparsePoly.parse("x1++x2"), "malformed polynomial: 'x1++x2'", id="parse-double-plus"),
+]
+
+
+@pytest.mark.parametrize("call, message", REFUSALS)
+def test_bad_argument_is_refused_with_its_message(call, message):
+    with pytest.raises(ValueError) as err:
+        call()
+    assert str(err.value) == message
+
+
+def test_polynomial_equality_and_repr():
+    f = SparsePoly.parse("x1 + 2")
+    assert f.__eq__("x1 + 2") is NotImplemented
+    assert f != "x1 + 2" and f != [f]
+    assert repr(f) == 'SparsePoly("x1 + 2")'
+    assert repr(SparsePoly.zero()) == 'SparsePoly("0")'

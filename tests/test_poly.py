@@ -68,6 +68,8 @@ def test_parse_examples():
     assert SparsePoly.parse("0*x1 + x2").terms == {(0, 1): 1}
     assert SparsePoly.parse("x1 - x1").terms == {}
     assert SparsePoly.parse("2*x1*0").terms == {}
+    for text in ("0", "-0", " 0 "):
+        assert SparsePoly.parse(text).terms == {}
     with pytest.raises(ValueError):
         SparsePoly.parse("3*y1")
 

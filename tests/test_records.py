@@ -110,3 +110,19 @@ def test_grassmannian_takes_only_integers():
     assert ctx == GrContext(2, 5)
     assert repr(ctx) == "GrContext(k=2, n=5)"
     assert GrContext(True, 3) == GrContext(1, 3)
+
+
+def test_grassmannian_is_a_checked_named_tuple():
+    ctx = GrContext(2, 5)
+    assert tuple(ctx) == (2, 5) and ctx != (2, 5) and not ctx == (2, 5)
+    k, n = ctx
+    assert (k, n) == (ctx.k, ctx.n) == (ctx[0], ctx[1])
+    assert ctx._replace(n=6) == GrContext(2, 6)
+    assert GrContext._make([3, 7]) == GrContext(3, 7)
+    for build in (lambda: ctx._replace(k=7), lambda: GrContext._make((3, 3))):
+        with pytest.raises(ValueError) as err:
+            build()
+        assert str(err.value).startswith("need 0 < k < n, got k=")
+    with pytest.raises(ValueError) as err:
+        ctx._replace(k=1.5)
+    assert str(err.value) == "k and n must be integers, got k=1.5, n=5"

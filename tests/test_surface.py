@@ -38,17 +38,13 @@ PROTOCOL_MEMBERS = {
     "poly.SparsePoly.__str__": "display protocol of an exported class",
     "poly.SparsePoly.__repr__": "display protocol of an exported class",
     "partitions._Record.__slots__": "instance layout: no fields of its own, and no ``__dict__``",
-    "partitions._Record.__init_subclass__": "runs once per record class: slot setters and match args",
     "partitions._Record.__eq__": "value protocol of the exported records",
+    "partitions._Record.__ne__": "value protocol of the exported records: tuple's own ``!=`` would match a plain tuple",
     "partitions._Record.__hash__": "value protocol of the exported records",
-    "partitions._Record.__repr__": "display protocol; the n_core doctest prints a CoreResult",
-    "partitions._Record.__reduce__": "pickle, copy.copy and copy.deepcopy of a record",
-    "partitions._Record.__setattr__": "keeps a record immutable after __init__",
-    "partitions._Record.__delattr__": "keeps a record immutable after __init__",
-    "partitions.CoreResult.__slots__": "instance layout: core, hooks_removed, height_sum",
-    "partitions.CoreResult.__init__": "the constructor, CoreResult(...) in n_core",
-    "quantum.GrContext.__slots__": "instance layout: k, n",
-    "quantum.GrContext.__init__": "the constructor; checks that k and n are integers with 0 < k < n and k at most ROW_LIMIT",
+    "partitions.CoreResult.__slots__": "instance layout: the named tuple's fields, and no ``__dict__``",
+    "quantum.GrContext.__slots__": "instance layout: the named tuple's fields, and no ``__dict__``",
+    "quantum.GrContext.__new__": "the constructor; checks that k and n are integers with 0 < k < n and k at most ROW_LIMIT",
+    "quantum.GrContext._make": "called by the named tuple's ``_replace``; builds through the constructor's checks",
 }
 
 # Exports that no CLI command uses.

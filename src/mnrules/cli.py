@@ -144,12 +144,12 @@ def cmd_schubert_expand(args: argparse.Namespace) -> int:
 def cmd_core(args: argparse.Namespace) -> int:
     lam = parse_partition_arg(args.partition)
     if args.k is not None:
-        # the sign is psi's, and psi only takes partitions with at most k rows
+        # the sign is psi's, (-1)**(k*s - total height); psi takes at most k rows
         if args.k < 1:
             raise ValueError(f"k must be positive, got {args.k}")
         partitions.require_fits(lam, args.k)
     res = partitions.n_core(lam, args.n)
-    sign = None if args.k is None else quantum.psi_sign(res, args.k)
+    sign = None if args.k is None else -1 if (args.k * res.hooks_removed - res.height_sum) % 2 else 1
 
     def render(res: partitions.CoreResult, as_json: bool):
         if as_json:

@@ -14,16 +14,15 @@ from collections import namedtuple
 from typing import Callable, Iterable
 
 from .partitions import (
-    CoreResult,
     Partition,
     _Record,
     _splice,
     box_partition,
-    n_core,
     part,
     require_fits,
     validate_partition,
 )
+from .perm import length
 from .poly import _add
 from .symfun import mn_classical
 
@@ -69,24 +68,25 @@ def _require_args(lam: Partition, r: int, ctx: GrContext) -> Partition:
     return lam
 
 
-def psi_sign(res: CoreResult, k: int) -> int:
-    """The sign (-1)**(k*s - total height) that psi attaches to an n-core
-    reached by s hooks (see :func:`psi_reduce`)."""
-    return -1 if (k * res.hooks_removed - res.height_sum) % 2 else 1
-
-
 def psi_reduce(lam: Partition, ctx: GrContext) -> QuantumClass:
-    """Image of the Schur function s_lam (at most k rows) in qH*(Gr(k, n)).
+    """Image of s_lam (at most k rows) in qH*(Gr(k, n)): (-1)**(k*s - total
+    height) q**s times the Schubert cycle of lam's n-core, reached by s
+    n-hooks, or zero if the core is not in the box.  In one O(k log k) pass,
+    lam's k beads, at lam_i + k - 1 - i, slide down their runners mod n; a
+    hook's height is one more than the number of beads it passes.
 
-    Strip rim hooks of size n down to the n-core.  If the core fits in the
-    box the image is (-1)**(k*s - total height) q**s times that core's
-    Schubert cycle, where s is the number of hooks removed; otherwise zero.
+    >>> psi_reduce((12, 10, 7, 3), GrContext(4, 8))
+    {(3, (4, 2, 2)): 1}
     """
     lam = require_fits(lam, ctx.k)
-    res = n_core(lam, ctx.n)
-    if part(res.core, 0) > ctx.n - ctx.k:  # the core has no more rows than lam
+    k, n = ctx
+    residues = [(p + k - 1 - i) % n for i, p in enumerate(lam + (0,) * (k - len(lam)))]
+    if len(set(residues)) < k:  # two beads on one runner: the core is not in the box
         return {}
-    return {(res.hooks_removed, res.core): psi_sign(res, ctx.k)}
+    core = tuple(c - j for j, c in enumerate(sorted(residues)) if c > j)[::-1]
+    s = (sum(lam) - sum(core)) // n
+    flips = k * (k - 1) // 2 - length(residues)  # the bead pairs that pass each other
+    return {(s, core): -1 if ((k - 1) * s + flips) % 2 else 1}
 
 
 def quantum_mn(lam: Partition, r: int, ctx: GrContext) -> QuantumClass:

@@ -5,7 +5,9 @@ code under test: rim hooks and their heights from the cells, by diagonals
 (``is_rim_hook``, ``rim_hook_height``) and by edge connectivity, instead of
 bead moves; adding and removing rim hooks row by row along the diagonals,
 and n-cores by stripping one such hook at a time, instead of moving beads on
-an abacus; n-cores also by sliding every bead down its runner at once; one
+an abacus; n-cores also by sliding every bead down its runner at once, and
+the reduction map psi by stripping n-hooks one at a time through the library's
+n_core (``hook_strip_psi_reduce``, its route before the runner slide); one
 abacus move by re-sorting every bead instead of splicing the rows; k-Bruhat
 covers via one interval scan per pair instead of a running minimum, and by
 the running minimum over a word padded with fixed points
@@ -63,8 +65,10 @@ from mnrules.partitions import (
     CoreResult,
     Partition,
     box_partition,
+    n_core,
     part,
     remove_rim_hooks,
+    require_fits,
     validate_partition,
 )
 from mnrules.poly import SparsePoly, _add, _trim
@@ -322,6 +326,17 @@ def oracle_n_core(lam: Partition, n: int) -> CoreResult:
             return CoreResult(cur, hooks, heights)
         nu, height = min(hooks_off, key=lambda hook: _top_row_of_hook(hook[0], cur))
         cur, hooks, heights = nu, hooks + 1, heights + height
+
+
+def hook_strip_psi_reduce(lam: Partition, ctx: GrContext) -> QuantumClass:
+    """psi_reduce by stripping n-hooks one at a time with n_core: the n-core
+    if it fits in the box, with q**s for its s hooks and the sign
+    (-1)**(k*s - height_sum)."""
+    lam = require_fits(lam, ctx.k)
+    res = n_core(lam, ctx.n)
+    if part(res.core, 0) > ctx.n - ctx.k:  # the core has no more rows than lam
+        return {}
+    return {(res.hooks_removed, res.core): -1 if (ctx.k * res.hooks_removed - res.height_sum) % 2 else 1}
 
 
 @functools.cache

@@ -3,7 +3,7 @@ import random
 import pytest
 
 from mnrules import cli, partitions, quantum, symfun
-from mnrules.partitions import box_partition, n_core
+from mnrules.partitions import HOOK_LIMIT, box_partition, n_core, part
 from mnrules.poly import _add
 from mnrules.quantum import (
     GENERATOR_SAMPLES,
@@ -19,10 +19,13 @@ from mnrules.schubert import grassmannian_permutation
 from mnrules.symfun import mn_classical
 from oracles import (
     grassmannian_shape,
+    hook_strip_psi_reduce,
     is_rim_hook,
     leq,
     partitions_in_box,
+    partitions_of,
     psi_route_quantum_mn,
+    removal_observables,
     rim_hook_height,
     schubert_route_quantum_mn,
     two_route_quantum_mn,
@@ -53,13 +56,76 @@ def test_psi_reduce_fixes_partitions_inside_the_box():
         assert psi_reduce(lam, ctx) == {(0, lam): 1}
 
 
+PSI_EXAMPLES = [
+    ((12, 10, 7, 3), {(3, (4, 2, 2)): 1}),
+    ((9, 8, 5, 2), {}),
+    ((6, 4, 1), {(1, (3,)): -1}),
+    ((8, 2, 1), {(1, (1, 1, 1)): 1}),
+    ((8,), {(1, ()): -1}),
+]
+
+
 def test_psi_reduce_examples():
     ctx = GrContext(4, 8)
-    assert psi_reduce((12, 10, 7, 3), ctx) == {(3, (4, 2, 2)): 1}
-    assert psi_reduce((9, 8, 5, 2), ctx) == {}
-    assert psi_reduce((6, 4, 1), ctx) == {(1, (3,)): -1}
-    assert psi_reduce((8, 2, 1), ctx) == {(1, (1, 1, 1)): 1}
-    assert psi_reduce((8,), ctx) == {(1, ()): -1}
+    for lam, image in PSI_EXAMPLES:
+        assert psi_reduce(lam, ctx) == image, lam
+
+
+def test_psi_reduce_shares_no_kernel_with_its_oracle(refuse):
+    # the runner slide moves no bead: the hook-strip route's kernels stay unused
+    refuse(partitions.n_core, partitions.remove_rim_hooks, partitions._bead_moves, partitions._splice)
+    ctx = GrContext(4, 8)
+    for lam, image in PSI_EXAMPLES:
+        assert psi_reduce(lam, ctx) == image, lam
+
+
+def test_schubert_route_shares_no_kernel_with_quantum_mn(refuse):
+    # the Schubert rule pushed through the runner slide: an oracle for the
+    # circle move that reaches neither the row splice nor the Schur rule
+    refuse(
+        partitions._splice,
+        partitions._bead_moves,
+        partitions.add_rim_hooks,
+        partitions.remove_rim_hooks,
+        partitions.n_core,
+        symfun.mn_classical,
+    )
+    assert schubert_route_quantum_mn((3, 2, 1), 5, GrContext(4, 8)) == WORKED_EXAMPLE
+
+
+def test_psi_reduce_matches_the_hook_strip_route():
+    # every Gr(k, n) with n <= 9 and every lam of at most k rows and at most
+    # 18 cells; where at most 3 hooks come off, also every removal order
+    cases = nonzero = orders = 0
+    for n in range(2, 10):
+        for k in range(1, n):
+            ctx = GrContext(k, n)
+            for size in range(19):
+                for lam in partitions_of(size, max_rows=k):
+                    got = psi_reduce(lam, ctx)
+                    assert got == hook_strip_psi_reduce(lam, ctx), (lam, k, n)
+                    cases, nonzero = cases + 1, nonzero + bool(got)
+                    if size // n <= 3:
+                        ((core, s, parity),) = removal_observables(lam, n)
+                        fits = part(core, 0) <= n - k
+                        sign = -1 if (k * s - parity) % 2 else 1
+                        assert got == ({(s, core): sign} if fits else {}), (lam, k, n)
+                        orders += 1
+    assert (cases, nonzero, orders) == (14_802, 5_719, 14_595)
+
+
+def test_psi_reduce_past_the_hook_limit():
+    # the hook-strip route refuses these; a single row of m*n cells is
+    # ((-1)**(k-1) q)**m
+    ctx = GrContext(4, 8)
+    for lam, image in [
+        ((800008,), {(100001, ()): -1}),
+        ((800000, 500000, 300000, 7), {(200000, (4, 1, 1, 1)): -1}),
+    ]:
+        assert sum(lam) // ctx.n > HOOK_LIMIT
+        assert psi_reduce(lam, ctx) == image, lam
+        with pytest.raises(ValueError, match="over the limit of 100000"):
+            hook_strip_psi_reduce(lam, ctx)
 
 
 def test_psi_reduce_rejects_too_many_rows():
@@ -71,21 +137,15 @@ def test_quantum_mn_worked_example():
     assert quantum_mn((3, 2, 1), 5, GrContext(4, 8)) == WORKED_EXAMPLE
 
 
-def test_quantum_mn_does_not_call_the_schur_rule_or_the_rim_hook_kernels(monkeypatch):
+def test_quantum_mn_does_not_call_the_schur_rule_or_the_rim_hook_kernels(refuse):
     # oracle_quantum_mn, behind mn-quantum --verify, reads mn_classical, so
-    # quantum_mn must find its q**0 terms without it.
-    def refuse(*args):
-        raise AssertionError("quantum_mn called the Schur rule or a rim-hook kernel")
-
-    for module, name in [
-        (partitions, "_bead_moves"),
-        (partitions, "add_rim_hooks"),
-        (partitions, "remove_rim_hooks"),
-        (symfun, "add_rim_hooks"),
-        (symfun, "mn_classical"),
-        (quantum, "mn_classical"),
-    ]:
-        monkeypatch.setattr(module, name, refuse)
+    # quantum_mn must find its q**0 terms without it, under any name
+    refuse(
+        partitions._bead_moves,
+        partitions.add_rim_hooks,
+        partitions.remove_rim_hooks,
+        symfun.mn_classical,
+    )
     ctx = GrContext(4, 8)
     assert quantum_mn((3, 2, 1), 5, ctx) == WORKED_EXAMPLE
     shifted = {(d + 1, mu): c for (d, mu), c in WORKED_EXAMPLE.items()}

@@ -174,78 +174,41 @@ def cmd_core(args: argparse.Namespace) -> int:
 
 
 def _selfcheck_results() -> list[tuple[str, bool, str]]:
-    """Known-answer checks over every layer of the library."""
-    checks: list[tuple[str, bool, str]] = []
-
-    w = perm.canonical((3, 4, 1, 6, 5, 2, 7, 8))
-    expected_schubert = {
-        perm.canonical((3, 5, 6, 7, 1, 2, 4, 8)): 1,
-        perm.canonical((3, 6, 4, 7, 1, 2, 5, 8)): 1,
-        perm.canonical((4, 5, 3, 6, 2, 1, 7, 8)): 1,
-        perm.canonical((4, 6, 1, 7, 3, 2, 5, 8)): 1,
-        perm.canonical((3, 4, 1, 10, 5, 2, 6, 7, 8, 9)): 1,
-        perm.canonical((3, 4, 6, 7, 2, 1, 5, 8)): -1,
-        perm.canonical((3, 4, 6, 8, 1, 2, 5, 7)): -1,
-        perm.canonical((3, 6, 1, 8, 4, 2, 5, 7)): -1,
+    """Known-answer checks over every layer of the library: (name, passed, detail) rows."""
+    got = schubert.mn_schubert((3, 4, 1, 6, 5, 2, 7, 8), 4, 4)
+    expected = {
+        (3, 5, 6, 7, 1, 2, 4): 1, (3, 6, 4, 7, 1, 2, 5): 1, (4, 5, 3, 6, 2, 1): 1,
+        (4, 6, 1, 7, 3, 2, 5): 1, (3, 4, 1, 10, 5, 2, 6, 7, 8, 9): 1,
+        (3, 4, 6, 7, 2, 1, 5): -1, (3, 4, 6, 8, 1, 2, 5, 7): -1, (3, 6, 1, 8, 4, 2, 5, 7): -1,
     }
-    got = schubert.mn_schubert(w, 4, 4)
-    checks.append(
-        (
-            "p_4(x1..x4) * S[3,4,1,6,5,2,7,8]",
-            got == expected_schubert,
-            render_schubert(got),
-        )
-    )
-
     ctx = GrContext(4, 8)
-    expected_quantum = {
-        (0, (3, 3, 3, 2)): 1,
-        (0, (4, 4, 3)): 1,
-        (1, (3,)): 1,
-        (1, (1, 1, 1)): 1,
-    }
     got_q = quantum.quantum_mn((3, 2, 1), 5, ctx)
-    checks.append(
-        ("p_5 * sigma[3,2,1] in qH*(Gr(4,8))", got_q == expected_quantum, render_quantum(got_q))
-    )
-
+    expected_q = {(0, (3, 3, 3, 2)): 1, (0, (4, 4, 3)): 1, (1, (3,)): 1, (1, (1, 1, 1)): 1}
     res = partitions.n_core((12, 10, 7, 3), 8)
-    ok = res.core == (4, 2, 2) and res.hooks_removed == 3 and res.height_sum % 2 == 0
-    checks.append(
-        (
-            "8-core of [12,10,7,3]",
-            ok,
-            f"core {fmt_partition(res.core)} hooks_removed={res.hooks_removed}",
-        )
-    )
     got_psi = quantum.psi_reduce((12, 10, 7, 3), ctx)
-    checks.append(
-        (
-            "psi[12,10,7,3] in qH*(Gr(4,8))",
-            got_psi == {(3, (4, 2, 2)): 1},
-            render_quantum(got_psi),
-        )
-    )
-
     res2 = partitions.n_core((9, 8, 5, 2), 8)
     got_psi2 = quantum.psi_reduce((9, 8, 5, 2), ctx)
-    checks.append(
+    vanish = [ok for _, ok in quantum.ideal_vanishing_check(ctx)]
+    return [
+        ("p_4(x1..x4) * S[3,4,1,6,5,2,7,8]", got == expected, render_schubert(got)),
+        ("p_5 * sigma[3,2,1] in qH*(Gr(4,8))", got_q == expected_q, render_quantum(got_q)),
+        (
+            "8-core of [12,10,7,3]",
+            res.core == (4, 2, 2) and res.hooks_removed == 3 and res.height_sum % 2 == 0,
+            f"core {fmt_partition(res.core)} hooks_removed={res.hooks_removed}",
+        ),
+        ("psi[12,10,7,3] in qH*(Gr(4,8))", got_psi == {(3, (4, 2, 2)): 1}, render_quantum(got_psi)),
         (
             "psi[9,8,5,2] in qH*(Gr(4,8))",
             res2.core == (7, 4, 3, 2) and got_psi2 == {},
             f"core {fmt_partition(res2.core)} image {render_quantum(got_psi2)}",
-        )
-    )
-
-    generators = quantum.ideal_vanishing_check(ctx)
-    checks.append(
+        ),
         (
             "ideal vanishing in qH*(Gr(4,8))",
-            all(ok for _, ok in generators),
-            f"{sum(ok for _, ok in generators)}/{len(generators)} generators vanish correctly",
-        )
-    )
-    return checks
+            all(vanish),
+            f"{sum(vanish)}/{len(vanish)} generators vanish correctly",
+        ),
+    ]
 
 
 def cmd_selfcheck(args: argparse.Namespace) -> int:
@@ -273,64 +236,44 @@ def build_parser() -> argparse.ArgumentParser:
         description="Exact power-sum products in the Schur, Schubert, and quantum Schubert bases.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_json(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--json", action="store_true", help="emit JSON instead of text")
-
-    p = sub.add_parser("mn-schur", help="p_r times s_lambda in k variables")
-    p.add_argument("--partition", required=True, help="comma-separated parts, '' for empty")
-    p.add_argument("--r", type=int, required=True)
-    p.add_argument("--k", type=int, required=True)
-    add_json(p)
-    p.set_defaults(func=cmd_mn_schur)
-
-    p = sub.add_parser("mn-schubert", help="p_r(x1..xk) times a Schubert polynomial")
-    p.add_argument("--w", required=True, help="one-line permutation, 34165278 or 3,4,1,6,5,2,7,8")
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--r", type=int, required=True)
-    p.add_argument("--verify", action="store_true", help="cross-check against polynomial arithmetic")
-    add_json(p)
-    p.set_defaults(func=cmd_mn_schubert)
-
-    p = sub.add_parser("mn-quantum", help="p_r times a Schubert cycle in qH*(Gr(k,n))")
-    p.add_argument("--partition", required=True)
-    p.add_argument("--r", type=int, required=True)
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--verify", action="store_true", help="cross-check against the reduction map")
-    add_json(p)
-    p.set_defaults(func=cmd_mn_quantum)
-
-    p = sub.add_parser("pieri", help="e_a or h_b times s_lambda in k variables")
-    p.add_argument("--partition", required=True)
-    p.add_argument("--size", type=int, required=True)
-    p.add_argument("--kind", choices=("e", "h"), required=True)
-    p.add_argument("--k", type=int, required=True)
-    add_json(p)
-    p.set_defaults(func=cmd_pieri)
-
-    p = sub.add_parser("monk", help="(x1+...+xk) times a Schubert polynomial")
-    p.add_argument("--w", required=True)
-    p.add_argument("--k", type=int, required=True)
-    add_json(p)
-    p.set_defaults(func=cmd_monk)
-
-    p = sub.add_parser("schubert-expand", help="expand a polynomial in the Schubert basis")
-    p.add_argument("--poly", required=True, help="e.g. 'x1^2*x2 + 3*x1*x3'")
-    add_json(p)
-    p.set_defaults(func=cmd_schubert_expand)
-
-    p = sub.add_parser("core", help="n-core of a partition")
-    p.add_argument("--partition", required=True)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--k", type=int, default=None, help="also report the sign for this k")
-    add_json(p)
-    p.set_defaults(func=cmd_core)
-
-    p = sub.add_parser("selfcheck", help="run the built-in known-answer checks")
-    add_json(p)
-    p.set_defaults(func=cmd_selfcheck)
-
+    text, number = {"required": True}, {"type": int, "required": True}
+    flag = {"action": "store_true"}
+    as_json = {**flag, "help": "emit JSON instead of text"}
+    # (name, help, handler, {option: add_argument keywords}), built per call so
+    # each handler is whatever the module binds to its name at that moment
+    commands = [
+        ("mn-schur", "p_r times s_lambda in k variables", cmd_mn_schur, {
+            "--partition": {**text, "help": "comma-separated parts, '' for empty"},
+            "--r": number, "--k": number,
+        }),
+        ("mn-schubert", "p_r(x1..xk) times a Schubert polynomial", cmd_mn_schubert, {
+            "--w": {**text, "help": "one-line permutation, 34165278 or 3,4,1,6,5,2,7,8"},
+            "--k": number, "--r": number,
+            "--verify": {**flag, "help": "cross-check against polynomial arithmetic"},
+        }),
+        ("mn-quantum", "p_r times a Schubert cycle in qH*(Gr(k,n))", cmd_mn_quantum, {
+            "--partition": text, "--r": number, "--k": number, "--n": number,
+            "--verify": {**flag, "help": "cross-check against the reduction map"},
+        }),
+        ("pieri", "e_a or h_b times s_lambda in k variables", cmd_pieri, {
+            "--partition": text, "--size": number, "--kind": {**text, "choices": ("e", "h")},
+            "--k": number,
+        }),
+        ("monk", "(x1+...+xk) times a Schubert polynomial", cmd_monk, {"--w": text, "--k": number}),
+        ("schubert-expand", "expand a polynomial in the Schubert basis", cmd_schubert_expand, {
+            "--poly": {**text, "help": "e.g. 'x1^2*x2 + 3*x1*x3'"},
+        }),
+        ("core", "n-core of a partition", cmd_core, {
+            "--partition": text, "--n": number,
+            "--k": {"type": int, "help": "also report the sign for this k"},
+        }),
+        ("selfcheck", "run the built-in known-answer checks", cmd_selfcheck, {}),
+    ]
+    for name, summary, handler, options in commands:
+        p = sub.add_parser(name, help=summary)
+        for option, keywords in {**options, "--json": as_json}.items():
+            p.add_argument(option, **keywords)
+        p.set_defaults(func=handler)
     return parser
 
 

@@ -48,9 +48,9 @@ colex order that pads exponent vectors instead of ranking trimmed ones by
 length), both with each S_u from divided differences, so they share no
 code with the library's Monk kernel; ``polynomial_route_mn_schubert`` peels
 p_r * S_w, the route ``mn-schubert --verify`` took before.  ``apply``,
-``compose``, ``lehmer_code`` and ``from_lehmer_code`` do the same for
-permutations, and ``grassmannian_project`` cuts a Schur expansion down to a
-k x (n-k) box.
+``compose``, ``oracle_inverse``, ``lehmer_code`` and ``from_lehmer_code``
+do the same for permutations, and ``grassmannian_project`` cuts a Schur
+expansion down to a k x (n-k) box.
 """
 
 from __future__ import annotations
@@ -363,6 +363,11 @@ def compose(u: perm.Permutation, v: perm.Permutation) -> perm.Permutation:
     """(u * v)(i) = u(v(i)), canonicalized."""
     m = max(len(u), len(v))
     return perm.canonical(apply(u, apply(v, i)) for i in range(1, m + 1))
+
+
+def oracle_inverse(w: perm.Permutation) -> perm.Permutation:
+    """w^{-1}(v) is the position of the value v in w, found by search."""
+    return tuple(w.index(v) + 1 for v in range(1, len(w) + 1))
 
 
 def lehmer_code(w: perm.Permutation) -> tuple[int, ...]:
@@ -784,7 +789,7 @@ def reduced_word(v: perm.Permutation) -> tuple[int, ...]:
     """
     v = perm.canonical(v)
     word = []
-    inv = list(perm.inverse(v))
+    inv = list(oracle_inverse(v))
     while inv:
         for a in range(1, len(inv)):
             if inv[a - 1] > inv[a]:
@@ -818,7 +823,7 @@ def schubert_poly_in(w: perm.Permutation, n: int) -> SparsePoly:
     if len(w) > n:
         raise ValueError(f"{w} does not lie in S_{n}")
     w0 = tuple(range(n, 0, -1))
-    v = compose(perm.inverse(w), w0)
+    v = compose(oracle_inverse(w), w0)
     return apply_divided_word(staircase_monomial(n), reduced_word(v))
 
 

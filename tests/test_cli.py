@@ -235,6 +235,38 @@ def test_max_support_option_is_gone(capsys):
     assert out.strip() == "S[5,1,2,3,4]"
 
 
+# One cheap command line per handler
+DISPATCH = {
+    "cmd_mn_schur": ["mn-schur", "--partition", "1", "--r", "1", "--k", "2"],
+    "cmd_mn_schubert": ["mn-schubert", "--w", "21", "--k", "1", "--r", "1"],
+    "cmd_mn_quantum": ["mn-quantum", "--partition", "1", "--r", "1", "--k", "1", "--n", "2"],
+    "cmd_pieri": ["pieri", "--partition", "1", "--size", "1", "--kind", "e", "--k", "2"],
+    "cmd_monk": ["monk", "--w", "21", "--k", "1"],
+    "cmd_schubert_expand": ["schubert-expand", "--poly", "x1"],
+    "cmd_core": ["core", "--partition", "1", "--n", "2"],
+    "cmd_selfcheck": ["selfcheck"],
+}
+
+
+def test_main_calls_each_handler_through_its_module_attribute(monkeypatch):
+    # perfbench's tracer times a command by rebinding cli.cmd_* to a wrapper
+    # after import, so main must look the handler up by name, not keep the
+    # function it saw when the module was loaded.
+    assert sorted(DISPATCH) == sorted(name for name in vars(cli) if name.startswith("cmd_"))
+    calls = []
+    for name in DISPATCH:
+
+        def counted(args, name=name, handler=getattr(cli, name)):
+            calls.append(name)
+            return handler(args)
+
+        monkeypatch.setattr(cli, name, counted)
+    for name, argv in DISPATCH.items():
+        calls.clear()
+        assert cli.main(argv) == 0, argv
+        assert calls == [name]
+
+
 def test_selfcheck_passes(capsys):
     code, out, _ = run(capsys, "selfcheck")
     assert code == 0

@@ -1,10 +1,18 @@
 """Golden CLI output: the exact stdout bytes of every subcommand, as text and
-with ``--json``.
+with ``--json``, and of the parser's help and usage errors.
 
 The other CLI tests parse JSON with ``json.loads`` and so cannot see a change
 in spacing or key order; these cases pin the bytes.  ``--verify`` cases also
-pin stderr.
+pin stderr.  The help and usage cases run ``python -m mnrules.cli`` in a child
+80 columns wide and pin stdout, stderr and the exit code; argparse words its
+help a little differently from one Python release to the next, and these bytes
+are those of Python 3.11.
 """
+
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -157,3 +165,197 @@ def test_stdout_bytes_are_pinned(capsysbinary, argv, text, as_json):
     for extra, expected in (([], text), (["--json"], as_json)):
         assert cli.main(argv + extra) == 0
         assert capsysbinary.readouterr() == (expected.encode("utf-8"), err)
+
+
+USAGE = (
+    "usage: mnrules [-h]\n"
+    "               {mn-schur,mn-schubert,mn-quantum,pieri,monk,schubert-expand,core,"
+    "selfcheck}\n"
+    "               ...\n"
+)
+
+# (argv, stdout, stderr, exit code) of ``mnrules`` in a child with COLUMNS=80
+PARSER_GOLDEN = [
+    (
+        ["--help"],
+        (
+            USAGE + "\n"
+            "Exact power-sum products in the Schur, Schubert, and quantum Schubert bases.\n"
+            "\n"
+            "positional arguments:\n"
+            "  {mn-schur,mn-schubert,mn-quantum,pieri,monk,schubert-expand,core,selfcheck}\n"
+            "    mn-schur            p_r times s_lambda in k variables\n"
+            "    mn-schubert         p_r(x1..xk) times a Schubert polynomial\n"
+            "    mn-quantum          p_r times a Schubert cycle in qH*(Gr(k,n))\n"
+            "    pieri               e_a or h_b times s_lambda in k variables\n"
+            "    monk                (x1+...+xk) times a Schubert polynomial\n"
+            "    schubert-expand     expand a polynomial in the Schubert basis\n"
+            "    core                n-core of a partition\n"
+            "    selfcheck           run the built-in known-answer checks\n"
+            "\n"
+            "options:\n"
+            "  -h, --help            show this help message and exit\n"
+        ),
+        "",
+        0,
+    ),
+    (
+        ["mn-schur", "--help"],
+        (
+            "usage: mnrules mn-schur [-h] --partition PARTITION --r R --k K [--json]\n"
+            "\n"
+            "options:\n"
+            "  -h, --help            show this help message and exit\n"
+            "  --partition PARTITION\n"
+            "                        comma-separated parts, '' for empty\n"
+            "  --r R\n"
+            "  --k K\n"
+            "  --json                emit JSON instead of text\n"
+        ),
+        "",
+        0,
+    ),
+    (
+        ["mn-schubert", "--help"],
+        (
+            "usage: mnrules mn-schubert [-h] --w W --k K --r R [--verify] [--json]\n"
+            "\n"
+            "options:\n"
+            "  -h, --help  show this help message and exit\n"
+            "  --w W       one-line permutation, 34165278 or 3,4,1,6,5,2,7,8\n"
+            "  --k K\n"
+            "  --r R\n"
+            "  --verify    cross-check against polynomial arithmetic\n"
+            "  --json      emit JSON instead of text\n"
+        ),
+        "",
+        0,
+    ),
+    (
+        ["mn-quantum", "--help"],
+        (
+            "usage: mnrules mn-quantum [-h] --partition PARTITION --r R --k K --n N\n"
+            "                          [--verify] [--json]\n"
+            "\n"
+            "options:\n"
+            "  -h, --help            show this help message and exit\n"
+            "  --partition PARTITION\n"
+            "  --r R\n"
+            "  --k K\n"
+            "  --n N\n"
+            "  --verify              cross-check against the reduction map\n"
+            "  --json                emit JSON instead of text\n"
+        ),
+        "",
+        0,
+    ),
+    (
+        ["pieri", "--help"],
+        (
+            "usage: mnrules pieri [-h] --partition PARTITION --size SIZE --kind {e,h} --k K\n"
+            "                     [--json]\n"
+            "\n"
+            "options:\n"
+            "  -h, --help            show this help message and exit\n"
+            "  --partition PARTITION\n"
+            "  --size SIZE\n"
+            "  --kind {e,h}\n"
+            "  --k K\n"
+            "  --json                emit JSON instead of text\n"
+        ),
+        "",
+        0,
+    ),
+    (
+        ["monk", "--help"],
+        (
+            "usage: mnrules monk [-h] --w W --k K [--json]\n"
+            "\n"
+            "options:\n"
+            "  -h, --help  show this help message and exit\n"
+            "  --w W\n"
+            "  --k K\n"
+            "  --json      emit JSON instead of text\n"
+        ),
+        "",
+        0,
+    ),
+    (
+        ["schubert-expand", "--help"],
+        (
+            "usage: mnrules schubert-expand [-h] --poly POLY [--json]\n"
+            "\n"
+            "options:\n"
+            "  -h, --help   show this help message and exit\n"
+            "  --poly POLY  e.g. 'x1^2*x2 + 3*x1*x3'\n"
+            "  --json       emit JSON instead of text\n"
+        ),
+        "",
+        0,
+    ),
+    (
+        ["core", "--help"],
+        (
+            "usage: mnrules core [-h] --partition PARTITION --n N [--k K] [--json]\n"
+            "\n"
+            "options:\n"
+            "  -h, --help            show this help message and exit\n"
+            "  --partition PARTITION\n"
+            "  --n N\n"
+            "  --k K                 also report the sign for this k\n"
+            "  --json                emit JSON instead of text\n"
+        ),
+        "",
+        0,
+    ),
+    (
+        ["selfcheck", "--help"],
+        (
+            "usage: mnrules selfcheck [-h] [--json]\n"
+            "\n"
+            "options:\n"
+            "  -h, --help  show this help message and exit\n"
+            "  --json      emit JSON instead of text\n"
+        ),
+        "",
+        0,
+    ),
+    (
+        [],
+        "",
+        USAGE + "mnrules: error: the following arguments are required: command\n",
+        2,
+    ),
+    (
+        ["bogus"],
+        "",
+        (
+            USAGE + "mnrules: error: argument command: invalid choice: 'bogus' (choose from "
+            "'mn-schur', 'mn-schubert', 'mn-quantum', 'pieri', 'monk', 'schubert-expand', "
+            "'core', 'selfcheck')\n"
+        ),
+        2,
+    ),
+    (
+        ["mn-schur", "--partition", "1"],
+        "",
+        (
+            "usage: mnrules mn-schur [-h] --partition PARTITION --r R --k K [--json]\n"
+            "mnrules mn-schur: error: the following arguments are required: --r, --k\n"
+        ),
+        2,
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, out, err, code",
+    PARSER_GOLDEN,
+    ids=[" ".join(["mnrules", *argv]) for argv, _, _, _ in PARSER_GOLDEN],
+)
+def test_help_and_usage_bytes_are_pinned(argv, out, err, code):
+    env = {**os.environ, "COLUMNS": "80", "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+    proc = subprocess.run(
+        [sys.executable, "-m", "mnrules.cli", *argv], env=env, capture_output=True, timeout=60
+    )
+    assert (proc.stdout, proc.stderr, proc.returncode) == (out.encode(), err.encode(), code)

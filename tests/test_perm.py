@@ -25,6 +25,7 @@ from oracles import (
     hook_times_schubert,
     is_cover_transposition,
     lehmer_code,
+    oracle_inverse,
     oracle_k_bruhat_covers,
     oracle_length,
     padded_scan_covers,
@@ -115,6 +116,7 @@ def test_inverse_and_compose(w):
     assert compose(w, inverse(w)) == ()
     assert compose(inverse(w), w) == ()
     assert inverse(inverse(w)) == w
+    assert inverse(w) == oracle_inverse(w)
 
 
 @given(random_perms)

@@ -149,27 +149,13 @@ def cmd_core(args: argparse.Namespace) -> int:
             raise ValueError(f"k must be positive, got {args.k}")
         partitions.require_fits(lam, args.k)
     res = partitions.n_core(lam, args.n)
-    sign = None if args.k is None else -1 if (args.k * res.hooks_removed - res.height_sum) % 2 else 1
-
-    def render(res: partitions.CoreResult, as_json: bool):
-        if as_json:
-            payload = {
-                "core": list(res.core),
-                "hooks_removed": res.hooks_removed,
-                "height_sum": res.height_sum,
-            }
-            if sign is not None:
-                payload["sign"] = sign
-            return payload
-        text = (
-            f"core {fmt_partition(res.core)}  hooks_removed={res.hooks_removed}"
-            f"  height_sum={res.height_sum}"
-        )
-        if sign is not None:
-            text += f"  sign(k={args.k})={'+1' if sign > 0 else '-1'}"
-        return text
-
-    _emit(args, res, render)
+    payload = res._asdict()
+    text = f"core {fmt_partition(res.core)}  hooks_removed={res.hooks_removed}"
+    text += f"  height_sum={res.height_sum}"
+    if args.k is not None:
+        payload["sign"] = sign = -1 if (args.k * res.hooks_removed - res.height_sum) % 2 else 1
+        text += f"  sign(k={args.k})={sign:+d}"
+    _emit(args, res, lambda res, as_json: payload if as_json else text)
     return 0
 
 
@@ -214,19 +200,10 @@ def _selfcheck_results() -> list[tuple[str, bool, str]]:
 def cmd_selfcheck(args: argparse.Namespace) -> int:
     checks = _selfcheck_results()
     all_ok = all(ok for _, ok, _ in checks)
-
-    def render(checks: list[tuple[str, bool, str]], as_json: bool):
-        if as_json:
-            return {
-                "ok": all_ok,
-                "checks": [
-                    {"name": name, "ok": ok, "detail": detail} for name, ok, detail in checks
-                ],
-            }
-        lines = [f"{'PASS' if ok else 'FAIL'}  {name}: {detail}" for name, ok, detail in checks]
-        return "\n".join([*lines, f"selfcheck: {'ok' if all_ok else 'FAILED'}"])
-
-    _emit(args, checks, render)
+    payload = {"ok": all_ok, "checks": [{"name": n, "ok": ok, "detail": d} for n, ok, d in checks]}
+    lines = [f"{'PASS' if ok else 'FAIL'}  {name}: {detail}" for name, ok, detail in checks]
+    text = "\n".join([*lines, f"selfcheck: {'ok' if all_ok else 'FAILED'}"])
+    _emit(args, checks, lambda checks, as_json: payload if as_json else text)
     return 0 if all_ok else 1
 
 

@@ -24,7 +24,8 @@ Partition = tuple[int, ...]
 # Size limits on what a call may build from its integer arguments, which come
 # from the command line: an abacus or a strip search of more than ROW_LIMIT
 # rows (a strip search recurses once per row), and an n-core search that may
-# strip more than HOOK_LIMIT hooks.
+# strip more than HOOK_LIMIT hooks, or more than HOOK_LIMIT * ROW_LIMIT hooks
+# times rows.
 ROW_LIMIT = 500
 HOOK_LIMIT = 100_000
 
@@ -218,7 +219,8 @@ def n_core(lam: Partition, n: int) -> CoreResult:
     hook whose top row is highest.  The resulting core, the number of hooks,
     and the parity of the total height do not depend on the removal order;
     only this policy's height_sum is reported.  At most |lam| / n hooks
-    come off, and a bound over ``HOOK_LIMIT`` raises ValueError.
+    come off, at O(len(lam)) each: a hook bound over ``HOOK_LIMIT``, or a
+    bound times len(lam) over ``HOOK_LIMIT * ROW_LIMIT``, raises ValueError.
 
     >>> n_core((2, 1, 1), 4)
     CoreResult(core=(), hooks_removed=1, height_sum=3)
@@ -228,9 +230,13 @@ def n_core(lam: Partition, n: int) -> CoreResult:
     lam = validate_partition(lam)
     if n < 2:
         raise ValueError(f"hook size must be at least 2, got {n}")
-    if sum(lam) // n > HOOK_LIMIT:
+    hooks = sum(lam) // n
+    if hooks > HOOK_LIMIT:
+        raise ValueError(f"may strip up to {hooks} hooks, over the limit of {HOOK_LIMIT}")
+    if hooks * len(lam) > HOOK_LIMIT * ROW_LIMIT:
         raise ValueError(
-            f"may strip up to {sum(lam) // n} hooks, over the limit of {HOOK_LIMIT}"
+            f"may strip up to {hooks} hooks over {len(lam)} rows, {hooks * len(lam)} row steps,"
+            f" over the limit of {HOOK_LIMIT * ROW_LIMIT}"
         )
     cur, hooks, heights = lam, 0, 0
     while (move := next(_bead_moves(cur, -n, len(cur)), None)) is not None:

@@ -57,7 +57,7 @@ from __future__ import annotations
 
 import functools
 import operator
-from itertools import combinations_with_replacement
+from itertools import combinations_with_replacement, permutations
 from typing import Iterator
 
 from mnrules import perm, schubert
@@ -363,6 +363,20 @@ def compose(u: perm.Permutation, v: perm.Permutation) -> perm.Permutation:
     """(u * v)(i) = u(v(i)), canonicalized."""
     m = max(len(u), len(v))
     return perm.canonical(apply(u, apply(v, i)) for i in range(1, m + 1))
+
+
+def all_perms(n: int) -> list[perm.Permutation]:
+    """Every permutation of S_n, canonicalized."""
+    return [perm.canonical(p) for p in permutations(range(1, n + 1))]
+
+
+def cycle_perm(points: tuple[int, ...]) -> perm.Permutation:
+    """The permutation mapping points[0] -> points[1] -> ... -> points[0]."""
+    n = max(points)
+    images = list(range(1, n + 1))
+    for a, b in zip(points, points[1:] + (points[0],)):
+        images[a - 1] = b
+    return perm.canonical(images)
 
 
 def oracle_inverse(w: perm.Permutation) -> perm.Permutation:
@@ -906,14 +920,12 @@ def complete_homogeneous_poly(degree: int, k: int) -> SparsePoly:
 
 def jacobi_trudi_schur_poly(lam: Partition, k: int) -> SparsePoly:
     """s_lam(x_1..x_k) as det(h_{lam_i - i + j}), expanded over permutations."""
-    from itertools import permutations as iperms
-
     lam = validate_partition(lam)
     size = len(lam)
     if size == 0:
         return SparsePoly.constant(1)
     total = SparsePoly.zero()
-    for sigma in iperms(range(1, size + 1)):
+    for sigma in permutations(range(1, size + 1)):
         entry = SparsePoly.constant(1)
         for i in range(1, size + 1):
             entry = entry * complete_homogeneous_poly(lam[i - 1] - i + sigma[i - 1], k)
@@ -959,6 +971,14 @@ def schur_to_monomials(lam: Partition, k: int) -> SparsePoly:
 
     fill_row(0, 0, 1)
     return SparsePoly(terms)
+
+
+def expansion_poly(expansion: dict[Partition, int], k: int) -> SparsePoly:
+    """A Schur expansion as a polynomial in x_1..x_k, term by term."""
+    total = SparsePoly.zero()
+    for lam, coeff in expansion.items():
+        total = total + coeff * schur_to_monomials(lam, k)
+    return total
 
 
 def grassmannian_project(expansion: dict[Partition, int], k: int, n: int) -> dict[Partition, int]:

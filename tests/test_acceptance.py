@@ -4,7 +4,6 @@ Each test prints one ``ACCEPTANCE <n> PASS`` line (with its runtime) with
 capture suspended, so the line shows up in the live pytest output.
 """
 
-import itertools
 import json
 import random
 import time
@@ -27,9 +26,12 @@ from mnrules.schubert import (
 )
 from mnrules.symfun import mn_classical, power_sum_poly
 from oracles import (
+    all_perms,
     compose,
+    cycle_perm,
     cycle_type_check,
     divided_difference,
+    expansion_poly,
     het,
     hook_times_schur,
     is_rim_hook,
@@ -51,25 +53,6 @@ def report(capsys, number: int, limit: float, started: float, description: str) 
             f"ACCEPTANCE {number} PASS ({elapsed:.2f}s < {limit:g}s): {description}",
             flush=True,
         )
-
-
-def all_perms(n):
-    return [perm.canonical(p) for p in itertools.permutations(range(1, n + 1))]
-
-
-def expansion_poly(expansion, k):
-    total = SparsePoly.zero()
-    for lam, coeff in expansion.items():
-        total = total + coeff * schur_to_monomials(lam, k)
-    return total
-
-
-def cycle_perm(points):
-    n = max(points)
-    images = list(range(1, n + 1))
-    for a, b in zip(points, points[1:] + (points[0],)):
-        images[a - 1] = b
-    return perm.canonical(images)
 
 
 def test_acceptance_01_power_sum_times_schubert_worked_example(capsys):

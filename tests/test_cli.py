@@ -478,6 +478,16 @@ def test_size_limits_exit_2_before_any_allocation():
         assert proc.stderr.startswith("error: ") and "over the limit of 100000" in proc.stderr
 
 
+def test_core_refuses_hooks_times_rows_over_the_limit(capsys):
+    # 10001 one-box rows strip up to 5000 hooks at O(rows) each
+    code, out, err = run(capsys, "core", "--partition", ",".join(["1"] * 10001), "--n", "2")
+    assert (code, out) == (2, "")
+    assert err == (
+        "error: may strip up to 5000 hooks over 10001 rows, 50005000 row steps,"
+        " over the limit of 50000000\n"
+    )
+
+
 def test_size_limits_sit_at_their_bounds(capsys):
     # padded word of k + 1 = 100000 letters: allowed; one more is refused
     assert run(capsys, "monk", "--w", "21", "--k", "99999")[0] == 0

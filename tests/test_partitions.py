@@ -197,6 +197,22 @@ def test_n_core_rejects_small_n():
         n_core((3, 2, 1), 1)
 
 
+def test_n_core_is_bounded_by_hooks_times_rows():
+    # each hook costs O(rows), so the hook bound times the rows is capped at
+    # HOOK_LIMIT * ROW_LIMIT; 5000 hooks over 10001 rows is just over it
+    limit = partitions.HOOK_LIMIT * partitions.ROW_LIMIT
+    assert 5000 * 10001 > limit >= 5000 * 10000
+    with pytest.raises(ValueError) as err:
+        n_core((1,) * 10001, 2)
+    assert str(err.value) == (
+        f"may strip up to 5000 hooks over 10001 rows, 50005000 row steps, over the limit of {limit}"
+    )
+    # the 500-row staircase is a 2-core: under the bound, and answered at once
+    staircase = tuple(range(500, 0, -1))
+    assert (sum(staircase) // 2) * len(staircase) <= limit
+    assert n_core(staircase, 2) == partitions.CoreResult(staircase, 0, 0)
+
+
 @given(small_partitions, st.integers(2, 9))
 @settings(max_examples=100, deadline=None)
 def test_n_core_matches_abacus(lam, n):

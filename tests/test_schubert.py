@@ -1,4 +1,3 @@
-import itertools
 import random
 import tracemalloc
 
@@ -17,8 +16,10 @@ from mnrules.schubert import (
 from mnrules.symfun import mn_classical
 import oracles
 from oracles import (
+    all_perms,
     bjs_schubert,
     compose,
+    cycle_perm,
     cycle_type_check,
     divided_difference,
     first_ascent_schubert_poly,
@@ -47,10 +48,6 @@ random_polys = st.dictionaries(
     st.integers(-5, 5),
     max_size=5,
 ).map(SparsePoly)
-
-
-def all_perms(n):
-    return [perm.canonical(p) for p in itertools.permutations(range(1, n + 1))]
 
 
 # --- divided differences ---------------------------------------------------
@@ -369,15 +366,6 @@ S8_TERMS = {
     (3, 4, 6, 8, 1, 2, 5, 7): ((3, 4, 8, 7, 5), 2),
     (3, 6, 1, 8, 4, 2, 5, 7): ((2, 4, 8, 7, 5), 2),
 }
-
-
-def cycle_perm(points):
-    """The permutation mapping points[0] -> points[1] -> ... -> points[0]."""
-    n = max(points)
-    images = list(range(1, n + 1))
-    for a, b in zip(points, points[1:] + (points[0],)):
-        images[a - 1] = b
-    return perm.canonical(images)
 
 
 def test_mn_schubert_worked_example():

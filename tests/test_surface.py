@@ -1,17 +1,13 @@
 """Every name and class member in src/mnrules is reachable from the library or the CLI.
 
-Starting from ``mnrules.__all__`` and ``cli.main``, the walk follows name and
-attribute references through the bodies of top-level definitions (functions,
-classes and module constants), resolving ``from .x import y`` and
-``from . import x`` as it goes.  Each member of a class is a node of its own:
-a ``def`` (methods, classmethods, properties) or a class-level assignment.
-Annotated names without a value are a record's fields; they belong to the
-class.  A member is reached when its class is reached and reached code names
-it as an attribute (``x.name`` or ``Cls.name``); matching by name alone can
-only over-approximate.  Operator and protocol dunders are never named, so
-``PROTOCOL_MEMBERS`` lists the ones the package relies on.  Anything the walk
-never reaches is code only tests call, and belongs in ``tests/oracles.py`` or
-nowhere.
+Starting from ``mnrules.__all__`` and ``cli.main``, the walk follows the
+shared call graph (``tests/callgraph.py``), annotations included: an alias
+such as ``Partition`` is there for its readers.  A member is reached when
+its class is reached and reached code reads it as an attribute (``x.name``
+or ``Cls.name``); matching by name alone can only over-approximate.
+Operator and protocol dunders are never named, so ``PROTOCOL_MEMBERS`` lists
+the ones the package relies on.  Anything the walk never reaches is code
+only tests call, and belongs in ``tests/oracles.py`` or nowhere.
 
 Because an export counts as reached, the walk runs a second time from
 ``cli.main`` alone.  Every name in ``__all__`` must resolve to a definition,
@@ -19,10 +15,7 @@ and each one this walk does not reach is library API only: ``LIBRARY_API``
 says why it is public.
 """
 
-import ast
-from pathlib import Path
-
-import mnrules
+from callgraph import call_graph
 
 # Members that are called by syntax or by the runtime, never by name.
 PROTOCOL_MEMBERS = {
@@ -58,93 +51,26 @@ LIBRARY_API = {
 
 
 def walk(from_all: bool = True) -> tuple[set[str], set[str], set[str], dict[str, str | None]]:
-    """(every name defined, every class member, every name reached, and each
-    name in ``__all__`` with the definition it resolves to or None), as
-    ``mod.name`` and ``mod.Class.member``.  Without ``from_all`` the walk
-    starts from ``cli.main`` alone."""
-    defs: dict[tuple[str, str], ast.AST] = {}
-    members: dict[tuple[str, str], list[str]] = {}
-    aliases: dict[tuple[str, str], tuple[str, str]] = {}
-    modules: dict[tuple[str, str], str] = {}
-    for path in sorted(Path(mnrules.__file__).parent.glob("*.py")):
-        mod = path.stem
-        for node in ast.parse(path.read_text()).body:
-            if isinstance(node, ast.FunctionDef):
-                defs[(mod, node.name)] = node
-            elif isinstance(node, ast.ClassDef):
-                members[(mod, node.name)] = []
-                for item in node.body:
-                    for name in member_names(item):
-                        defs[(mod, f"{node.name}.{name}")] = item
-                        members[(mod, node.name)].append(name)
-                # the class node keeps its decorators, bases, docstring and fields
-                node.body = [item for item in node.body if not member_names(item)]
-                defs[(mod, node.name)] = node
-            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
-                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
-                for t in targets:
-                    if isinstance(t, ast.Name) and t.id != "__all__":
-                        defs[(mod, t.id)] = node
-            elif isinstance(node, ast.ImportFrom) and node.level == 1:
-                for alias in node.names:
-                    bound = alias.asname or alias.name
-                    if node.module is None:
-                        modules[(mod, bound)] = alias.name
-                    else:
-                        aliases[(mod, bound)] = (node.module, alias.name)
-
-    def resolve(key):
-        while key in aliases:
-            key = aliases[key]
-        return key if key in defs else None
-
-    def references(mod: str, name: str, node: ast.AST):
-        for sub in ast.walk(node):
-            if isinstance(sub, ast.Name):
-                yield resolve((mod, sub.id))
-                if "." in name and isinstance(node, (ast.Assign, ast.AnnAssign)):
-                    # a class-level assignment may name a sibling: __rmul__ = __mul__
-                    yield resolve((mod, f"{name.split('.')[0]}.{sub.id}"))
-            elif isinstance(sub, ast.Attribute):
-                named.add(sub.attr)
-                if isinstance(sub.value, ast.Name):
-                    target = modules.get((mod, sub.value.id))
-                    if target is not None:
-                        yield resolve((target, sub.attr))
-
-    def reachable_members():
-        for (mod, cls), own in members.items():
-            for name in own:
-                if (mod, cls) in seen and (
-                    name in named or f"{mod}.{cls}.{name}" in PROTOCOL_MEMBERS
-                ):
-                    yield (mod, f"{cls}.{name}")
-
-    named: set[str] = set()
-    seen: set[tuple[str, str]] = set()
-    exports = {name: resolve(("__init__", name)) for name in mnrules.__all__}
-    todo = [("cli", "main"), *exports.values()] if from_all else [("cli", "main")]
+    """(every name defined in src, every class member, every name reached,
+    and each name in ``__all__`` with the definition it resolves to or
+    None).  Without ``from_all`` the walk starts from ``cli.main`` alone."""
+    graph = call_graph()
+    defined = {key for key in graph.calls if not key.startswith("oracles.")}
+    members = {key for cls in defined & graph.members.keys() for key in graph.members[cls]}
+    seen, read = set(), set()
+    todo = ["cli.main", *graph.exports.values()] if from_all else ["cli.main"]
     while todo:
         key = todo.pop()
         if key is not None and key not in seen:
             seen.add(key)
-            todo.extend(references(*key, defs[key]))
+            todo.extend(graph.calls[key] | graph.annotations[key])
+            read |= graph.attributes[key]
         if not todo:
-            todo.extend(key for key in reachable_members() if key not in seen)
-    member_keys = {f"{mod}.{cls}.{name}" for (mod, cls), own in members.items() for name in own}
-    export_keys = {name: key and f"{key[0]}.{key[1]}" for name, key in exports.items()}
-    return {f"{m}.{n}" for m, n in defs}, member_keys, {f"{m}.{n}" for m, n in seen}, export_keys
-
-
-def member_names(item: ast.stmt) -> list[str]:
-    """The names a statement in a class body defines as members."""
-    if isinstance(item, ast.FunctionDef):
-        return [item.name]
-    if isinstance(item, ast.Assign):
-        return [t.id for t in item.targets if isinstance(t, ast.Name)]
-    if isinstance(item, ast.AnnAssign) and item.value is not None and isinstance(item.target, ast.Name):
-        return [item.target.id]
-    return []
+            todo = [
+                key for cls in seen & graph.members.keys() for key in graph.members[cls]
+                if key not in seen and (key.rpartition(".")[2] in read or key in PROTOCOL_MEMBERS)
+            ]
+    return defined, members, seen, graph.exports
 
 
 def test_every_src_name_is_reached_from_the_library_or_the_cli():

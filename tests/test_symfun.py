@@ -11,6 +11,7 @@ from mnrules.symfun import (
 )
 from oracles import (
     complete_homogeneous_poly,
+    expansion_poly,
     grassmannian_project,
     hook_partition,
     hook_times_schur,
@@ -24,13 +25,6 @@ from oracles import (
 small_partitions = st.integers(0, 6).flatmap(
     lambda n: st.sampled_from(sorted(partitions_of(n, max_rows=4)) or [()])
 )
-
-
-def expansion_poly(expansion, k):
-    total = SparsePoly.zero()
-    for lam, coeff in expansion.items():
-        total = total + coeff * schur_to_monomials(lam, k)
-    return total
 
 
 def test_pieri_e_examples():

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import operator
 from bisect import bisect_left, insort
+from operator import ne
 from typing import Iterable
 
 Permutation = tuple[int, ...]
@@ -118,7 +119,7 @@ def k_bruhat_covers(w: Permutation, k: int, max_support: int) -> list[Permutatio
     w = canonical(w)
     if k < 1:
         raise ValueError(f"k must be positive, got {k}")
-    need = default_max_support(w, k, 1)
+    need = require_support(max(len(w), k) + 1)
     if max_support < need:
         raise ValueError(f"max_support={max_support} is below max(len(w), k) + 1 = {need}")
     size = len(w)
@@ -151,16 +152,30 @@ def k_bruhat_covers(w: Permutation, k: int, max_support: int) -> list[Permutatio
 
 
 def chain_endpoints(w: Permutation, k: int, r: int) -> set[Permutation]:
-    """Endpoints of all length-r saturated k-Bruhat chains starting at w.
+    """Endpoints u of the length-r saturated k-Bruhat chains from w along
+    which eta = w^{-1} u can still close into one (r+1)-cycle.  They hold
+    every endpoint ``mn_schubert`` keeps, and for r >= 1 each moves exactly
+    r + 1 points.
 
-    Level by level, with one call of the module-level ``k_bruhat_covers``
-    per state: tracing that call accounts for the whole search.
+    Step t of a chain multiplies eta_t = w^{-1} v_t on the right by a
+    transposition.  An (r+1)-cycle has reflection length r, so on a chain
+    whose endpoint counts every one of the r steps joins two cycles of eta:
+    the set of moved points only grows, and t < #moved(eta_t) <= r + 1.
+    Level by level, each deduplicated level keeps only the states in that
+    window; eta moves i exactly when v(i) != w(i), so the window is one
+    C-level count against w padded with fixed points.  A state outside it
+    lies on no counting chain, and at t = r the window is #moved = r + 1.
+
+    Each state the search expands costs one call of the module-level
+    ``k_bruhat_covers``: tracing that call accounts for the whole search.
     """
     w = canonical(w)
     if r < 0:
         raise ValueError(f"need r >= 0, got {r}")
     bound = default_max_support(w, k, r)
+    w_pad = w + tuple(range(len(w) + 1, bound + 1))
     level = {w}
-    for _ in range(r):
+    for t in range(1, r + 1):
         level = {u for v in level for u in k_bruhat_covers(v, k, bound)}
+        level = {u for u in level if t < sum(map(ne, u, w_pad)) <= r + 1}
     return level

@@ -219,19 +219,16 @@ def mn_schubert(w: Permutation, k: int, r: int) -> SchubertExpansion:
     if k < 1 or r < 1:
         raise ValueError(f"need k, r >= 1, got k={k}, r={r}")
     # Every endpoint is at least as long as w and fits in the support bound,
-    # so w and its inverse are padded once.  eta moves i exactly when
-    # u(i) != w(i), so one C-level count finds the endpoints that move r + 1
-    # points, and only those are walked.
+    # so w and its inverse are padded once.  chain_endpoints returns only
+    # endpoints whose eta moves r + 1 points, and each is walked once.
     bound = default_max_support(w, k, r)
     w_pad = w + tuple(range(len(w) + 1, bound + 1))
     w_inv = (0,) + inverse(w) + w_pad[len(w) :]
-    c = r + 1
     out: SchubertExpansion = {}
     for u in chain_endpoints(w, k, r):
-        if sum(map(ne, u, w_pad)) == c:
-            sign = _cycle_sign(u, w_pad, w_inv, k, c)
-            if sign:
-                out[u] = sign
+        sign = _cycle_sign(u, w_pad, w_inv, k, r + 1)
+        if sign:
+            out[u] = sign
     return out
 
 

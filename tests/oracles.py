@@ -15,7 +15,8 @@ the running minimum over a word padded with fixed points
 permutation lengths by comparing every pair instead of counting on
 insertion; and the (r+1)-cycle test of mn_schubert by ``compose``, a set of
 moved points and ``het`` instead of one moved-point count and one cycle walk
-over padded tables.
+over padded tables, over every chain endpoint (``oracle_chain_endpoints``)
+instead of the states the chain search keeps.
 
 The paper's other routes to its rules live here too:
 
@@ -516,14 +517,30 @@ def oracle_length(w: perm.Permutation) -> int:
     )
 
 
+def oracle_chain_endpoints(w: perm.Permutation, k: int, r: int) -> set[perm.Permutation]:
+    """Endpoints of all length-r saturated k-Bruhat chains from w, level by
+    level with one ``k_bruhat_covers`` call per state and every state kept:
+    ``perm.chain_endpoints`` before it dropped the states that cannot close
+    an (r+1)-cycle."""
+    w = perm.canonical(w)
+    if r < 0:
+        raise ValueError(f"need r >= 0, got {r}")
+    bound = perm.default_max_support(w, k, r)
+    level = {w}
+    for _ in range(r):
+        level = {u for v in level for u in perm.k_bruhat_covers(v, k, bound)}
+    return level
+
+
 def oracle_mn_schubert(w: perm.Permutation, k: int, r: int) -> dict:
-    """mn_schubert with eta = w^{-1} u built by ``compose`` and canonicalized."""
+    """mn_schubert over every chain endpoint, with eta = w^{-1} u built by
+    ``compose`` and canonicalized."""
     w = perm.canonical(w)
     if k < 1 or r < 1:
         raise ValueError(f"need k, r >= 1, got k={k}, r={r}")
     w_inv = perm.inverse(w)
     out: schubert.SchubertExpansion = {}
-    for u in perm.chain_endpoints(w, k, r):
+    for u in oracle_chain_endpoints(w, k, r):
         eta = compose(w_inv, u)
         if cycle_type_check(eta, r + 1):
             out[u] = 1 if het(eta, k) % 2 else -1

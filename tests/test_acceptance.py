@@ -8,7 +8,7 @@ import json
 import random
 import time
 
-from mnrules import cli, perm, schubert, symfun
+from mnrules import cli, perm, schubert
 from mnrules.partitions import box_partition, n_core
 from mnrules.poly import SparsePoly
 from mnrules.quantum import (

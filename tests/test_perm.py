@@ -1,3 +1,4 @@
+import functools
 import inspect
 import itertools
 import random
@@ -17,6 +18,7 @@ from mnrules.perm import (
     length,
 )
 from oracles import (
+    all_perms,
     apply,
     compose,
     cycle_type_check,
@@ -25,9 +27,11 @@ from oracles import (
     hook_times_schubert,
     is_cover_transposition,
     lehmer_code,
+    oracle_chain_endpoints,
     oracle_inverse,
     oracle_k_bruhat_covers,
     oracle_length,
+    oracle_mn_schubert,
     padded_scan_covers,
     peakless_endpoints,
     right_transposed,
@@ -43,6 +47,21 @@ W_EXAMPLE = canonical((3, 4, 1, 6, 5, 2, 7, 8))
 def oracle_ends(w, k, bound):
     """The pairwise oracle's cover endpoints, in its (i, j) order."""
     return [end for end, _ in oracle_k_bruhat_covers(w, k, bound)]
+
+
+def moved_by_compose(w):
+    """u -> the number of points eta = w^{-1} u moves, eta built by compose."""
+    w_inv = inverse(w)
+    return functools.cache(lambda u: sum(x != i for i, x in enumerate(compose(w_inv, u), 1)))
+
+
+def live_levels(w, r, covers, moved):
+    """Levels 0..r of the chain search from w, each level after the first
+    cut to the states v with t < moved(v) <= r + 1."""
+    levels = [{w}]
+    for t in range(1, r + 1):
+        levels.append({u for v in levels[-1] for u in covers(v) if t < moved(u) <= r + 1})
+    return levels
 
 
 def test_canonical_trims_fixed_tail():
@@ -191,6 +210,7 @@ def test_covers_match_pairwise_oracle_exhaustively():
 
 
 def test_covers_match_pairwise_oracle_on_s12_chain_states():
+    # every state of the full search, not only those chain_endpoints keeps
     rng = random.Random(1507)
     k, r = 6, 5
     for _ in range(2):
@@ -204,7 +224,7 @@ def test_covers_match_pairwise_oracle_on_s12_chain_states():
                 assert got == oracle_ends(v, k, bound), v
                 nxt.update(got)
             level = nxt
-        assert level == chain_endpoints(w, k, r)
+        assert level == oracle_chain_endpoints(w, k, r)
 
 
 def test_covers_match_the_padded_scan():
@@ -289,9 +309,21 @@ def test_covers_keep_their_input_checks(w, k, bound, message):
     assert peak < 100_000
 
 
-def test_chain_endpoints_calls_the_kernel_once_per_state(monkeypatch):
+def test_chain_endpoints_calls_the_kernel_once_per_live_state(monkeypatch):
     # The benchmark's traced run times the BFS through this module-global
-    # call, so chain_endpoints must make it once for every state it expands.
+    # call, so chain_endpoints must make it once for every state it expands:
+    # the states of levels 0..r-1 that can still close an (r+1)-cycle.
+    rng = random.Random(1512)
+    cases = [((), 3, 4), ((2, 1), 1, 3), (W_EXAMPLE, 4, 4)] + [
+        (canonical(rng.sample(range(1, 13), 12)), k, 4) for k in (4, 6, 8)
+    ]
+    # one fixed S12 case, where the full search expands 508 states
+    cases.append(((3, 6, 2, 1, 9, 8, 10, 11, 5, 12, 4, 7), 6, 5))
+    expected = []
+    for w, k, r in cases:
+        bound = default_max_support(w, k, r)
+        levels = live_levels(w, r, lambda v: oracle_ends(v, k, bound), moved_by_compose(w))
+        expected.append((levels[-1], sorted(v for level in levels[:-1] for v in level)))
     calls = []
     kernel = perm.k_bruhat_covers
 
@@ -300,18 +332,33 @@ def test_chain_endpoints_calls_the_kernel_once_per_state(monkeypatch):
         return kernel(v, k, max_support)
 
     monkeypatch.setattr(perm, "k_bruhat_covers", counting)
-    rng = random.Random(1512)
-    for w, k, r in [((), 3, 4), ((2, 1), 1, 3), (W_EXAMPLE, 4, 4)] + [
-        (canonical(rng.sample(range(1, 13), 12)), k, 4) for k in (4, 6, 8)
-    ]:
+    for (w, k, r), (ends, states) in zip(cases, expected):
         calls.clear()
-        bound = default_max_support(w, k, r)
-        level, states = {w}, []
-        for _ in range(r):
-            states.extend(level)
-            level = {u for v in level for u in oracle_ends(v, k, bound)}
-        assert chain_endpoints(w, k, r) == level
-        assert sorted(calls) == sorted(states), (w, k, r)
+        assert chain_endpoints(w, k, r) == ends
+        assert sorted(calls) == states, (w, k, r)
+    assert [len(states) for _, states in expected] == [7, 3, 25, 161, 56, 85, 431]
+
+
+def test_chain_endpoints_is_the_windowed_oracle_search():
+    # Exhaustive S0..S6 (k <= n + 1; r <= 6, r <= 4 on S6): chain_endpoints
+    # equals the plain search cut level by level to t < #moved(eta) <= r + 1,
+    # with eta built by compose.  On S0..S5, where r reaches the values at
+    # which eta can split, it holds every term of the compose oracle, which
+    # walks every chain.
+    cases = 0
+    for n in range(7):
+        for w in all_perms(n):
+            moved = moved_by_compose(w)
+            for k in range(1, n + 2):
+                bound = default_max_support(w, k, 6)
+                covers = functools.cache(lambda v: k_bruhat_covers(v, k, bound))
+                for r in range(1, 5 if n == 6 else 7):
+                    ends = chain_endpoints(w, k, r)
+                    assert ends == live_levels(w, r, covers, moved)[-1], (w, k, r)
+                    if n < 6:
+                        assert set(oracle_mn_schubert(w, k, r)) <= ends, (w, k, r)
+                    cases += 1
+    assert cases == 6 * sum(len(all_perms(n)) * (n + 1) for n in range(6)) + 4 * 720 * 7
 
 
 def test_chain_endpoints_and_saturated_chains_agree():

@@ -1,7 +1,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from mnrules import cli, symfun
+from mnrules import cli
 from mnrules.poly import SparsePoly
 from mnrules.symfun import (
     mn_classical,

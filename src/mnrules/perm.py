@@ -170,6 +170,8 @@ def chain_endpoints(w: Permutation, k: int, r: int) -> set[Permutation]:
     ``k_bruhat_covers``: tracing that call accounts for the whole search.
     """
     w = canonical(w)
+    if k < 1:
+        raise ValueError(f"k must be positive, got {k}")
     if r < 0:
         raise ValueError(f"need r >= 0, got {r}")
     bound = default_max_support(w, k, r)

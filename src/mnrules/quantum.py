@@ -171,10 +171,17 @@ def quantum_mn_extended(lam: Partition, r: int, ctx: GrContext) -> QuantumClass:
 
 
 def oracle_quantum_mn(lam: Partition, r: int, ctx: GrContext) -> QuantumClass:
-    """Independent route to quantum_mn: multiply in the symmetric-function
-    ring with k rows allowed to run past the box, then push every term
-    through psi_reduce and collect."""
-    lam = _require_args(lam, r, ctx)
+    """psi(p_r * s_lam) for any r >= 1 and lam of at most k rows, inside the
+    box or not: the terms of mn_classical in k variables, each pushed
+    through psi_reduce and collected.  psi is a ring map, so no r needs a
+    wrap, and mn_classical and psi_reduce check the arguments.
+    ``mn-quantum --verify`` still calls it for r mod n only, wrapped by the
+    rule's own ``wrap_power_sum``, so that check cannot see a wrong sign
+    per wrap.
+
+    >>> oracle_quantum_mn((3, 2, 1), 8, GrContext(4, 8))
+    {(1, (3, 2, 1)): -4}
+    """
     out: QuantumClass = {}
     for mu, coeff in mn_classical(lam, r, ctx.k).items():
         _add(out, psi_reduce(mu, ctx), coeff)

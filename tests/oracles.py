@@ -33,9 +33,11 @@ The paper's other routes to its rules live here too:
   (n-r)-hooks removed (``two_route_quantum_mn``), and as mn_schubert on a
   Grassmannian permutation pushed through psi_reduce
   (``schubert_route_quantum_mn``), instead of one pass of the beads around
-  a circle; and for r past n, as the Schur rule for the full r pushed
-  through psi_reduce (``psi_route_quantum_mn``), instead of a wrap of the
-  rule for r mod n;
+  a circle; and for every r >= 1, as Newton's identity in k variables on
+  Bertram's quantum Pieri rule for e_i (``pieri_newton_quantum_mn``), with
+  its own horizontal strips and no rim hook, abacus or psi, instead of a
+  wrap of the rule for r mod n or the library's psi route
+  ``quantum.oracle_quantum_mn``;
 - Schur polynomials via semistandard tableaux and via a Jacobi-Trudi
   determinant, and p_r as an alternating sum of hooks.
 
@@ -1024,14 +1026,74 @@ def two_route_quantum_mn(lam: Partition, r: int, ctx: GrContext) -> QuantumClass
     return out
 
 
-def psi_route_quantum_mn(lam: Partition, r: int, ctx: GrContext) -> QuantumClass:
-    """p_r * sigma_lam for any r >= 1 and lam with at most k rows: the terms
-    of mn_classical in k variables for the full r, each pushed through
-    psi_reduce and collected.  psi is a ring map, so no r needs a wrap."""
-    out: QuantumClass = {}
-    for mu, coeff in mn_classical(lam, r, ctx.k).items():
-        _add(out, psi_reduce(mu, ctx), coeff)
+def _interlacing(lo: tuple[int, ...], hi: tuple[int, ...], total: int) -> Iterator[Partition]:
+    """Every nu with lo_i <= nu_i <= hi_i in each row and |nu| = total,
+    trailing zeros dropped.  The callers' bounds interlace, hi_(i+1) <=
+    lo_i, so each nu is a partition and differs from the bounds by
+    horizontal strips."""
+    if not lo:
+        if total == 0:
+            yield ()
+        return
+    for first in range(min(hi[0], total), lo[0] - 1, -1):
+        for rest in _interlacing(lo[1:], hi[1:], total - first):
+            yield (first, *rest) if first else ()
+
+
+def _conjugate(lam: Partition) -> Partition:
+    return tuple(sum(p > j for p in lam) for j in range(part(lam, 0)))
+
+
+def _quantum_pieri_h(mu: Partition, a: int, m: int, n: int) -> QuantumClass:
+    """h_a * sigma_mu in qH*(Gr(m, n)) for 1 <= a <= n - m, by Bertram's
+    quantum Pieri rule: the horizontal a-strips added to mu inside the box,
+    plus q * sigma_nu for each nu with mu_1 - 1 >= nu_1 >= mu_2 - 1 >= ...
+    >= mu_m - 1 >= nu_m >= 0 and |nu| = |mu| + a - n."""
+    rows = mu + (0,) * (m - len(mu))
+    out = {(0, nu): 1 for nu in _interlacing(rows, (n - m,) + rows[:-1], sum(mu) + a)}
+    if rows[-1]:
+        less = tuple(p - 1 for p in rows)
+        out.update({(1, nu): 1 for nu in _interlacing(less[1:] + (0,), less, sum(mu) + a - n)})
     return out
+
+
+@functools.cache
+def _quantum_pieri_e(lam: Partition, i: int, k: int, n: int) -> QuantumClass:
+    """e_i * sigma_lam in qH*(Gr(k, n)) for 1 <= i <= k: h_i on Gr(n - k, n)
+    with every shape transposed."""
+    h = _quantum_pieri_h(_conjugate(lam), i, n - k, n)
+    return {(d, _conjugate(nu)): c for (d, nu), c in h.items()}
+
+
+def pieri_newton_quantum_mn(lam: Partition, r: int, ctx: GrContext) -> QuantumClass:
+    """p_r * sigma_lam in qH*(Gr(k, n)) for any r >= 1 and lam in the box,
+    with no rim hook, no abacus and no psi: Newton's identity in k
+    variables, p_s = sum over 1 <= i <= min(s - 1, k) of (-1)**(i-1) e_i
+    p_(s-i), plus (-1)**(s-1) s e_s when s <= k, applied to sigma_lam for
+    s = 1..r, each e_i by the quantum Pieri rule."""
+    k, n = ctx
+    lam = require_fits(lam, k)
+    if part(lam, 0) > n - k:
+        raise ValueError(f"{lam} does not fit in the {k} x {n - k} box")
+    if r < 1:
+        raise ValueError(f"need r >= 1, got r={r}")
+
+    def times_e(i: int, cls: QuantumClass) -> QuantumClass:
+        out: QuantumClass = {}
+        for (d, mu), c in cls.items():
+            _add(out, {(d + e, nu): b for (e, nu), b in _quantum_pieri_e(mu, i, k, n).items()}, c)
+        return out
+
+    sigma = {(0, lam): 1}
+    powers: list[QuantumClass] = []  # powers[s - 1] = p_s * sigma_lam
+    for s in range(1, r + 1):
+        acc: QuantumClass = {}
+        for i in range(1, min(s, k + 1)):
+            _add(acc, times_e(i, powers[s - 1 - i]), (-1) ** (i - 1))
+        if s <= k:
+            _add(acc, times_e(s, sigma), (-1) ** (s - 1) * s)
+        powers.append(acc)
+    return powers[-1]
 
 
 def grassmannian_shape(u: perm.Permutation, k: int) -> Partition:

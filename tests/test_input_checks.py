@@ -14,6 +14,9 @@ REFUSALS = [
     pytest.param(lambda: remove_rim_hooks((2,), 0), "rim hook size must be positive, got 0", id="remove_rim_hooks-r0"),
     pytest.param(lambda: strips((1,), 0, "horizontal", 3), "strip size must be positive, got 0", id="strips-size0"),
     pytest.param(lambda: chain_endpoints((2, 1), 1, -1), "need r >= 0, got -1", id="chain_endpoints-r-1"),
+    # with r = 0 no kernel call is made to check k
+    pytest.param(lambda: chain_endpoints((2, 1), 0, 0), "k must be positive, got 0", id="chain_endpoints-k0"),
+    pytest.param(lambda: chain_endpoints((2, 1), -5, 0), "k must be positive, got -5", id="chain_endpoints-k-5"),
     pytest.param(lambda: power_sum_poly(0, 2), "need r, k >= 1, got r=0, k=2", id="power_sum_poly-r0"),
     pytest.param(lambda: power_sum_poly(2, 0), "need r, k >= 1, got r=2, k=0", id="power_sum_poly-k0"),
     pytest.param(lambda: SparsePoly.parse(""), "empty polynomial text", id="parse-empty"),

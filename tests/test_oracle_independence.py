@@ -21,6 +21,7 @@ ORACLES = [
     ("symfun.mn_classical", "oracles.oracle_add_rim_hooks"),
     ("schubert.mn_schubert", "oracles.polynomial_route_mn_schubert"),
     ("quantum.quantum_mn", "oracles.schubert_route_quantum_mn"),
+    ("quantum.quantum_mn", "oracles.pieri_newton_quantum_mn"),
     # the mn-schubert --verify route
     ("schubert.mn_schubert", "schubert.power_sum_times"),
 ]

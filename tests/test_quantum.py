@@ -4,7 +4,6 @@ import pytest
 
 from mnrules import cli, partitions, quantum, symfun
 from mnrules.partitions import HOOK_LIMIT, box_partition, n_core, part
-from mnrules.poly import _add
 from mnrules.quantum import (
     GENERATOR_SAMPLES,
     GrContext,
@@ -24,7 +23,7 @@ from oracles import (
     leq,
     partitions_in_box,
     partitions_of,
-    psi_route_quantum_mn,
+    pieri_newton_quantum_mn,
     removal_observables,
     rim_hook_height,
     schubert_route_quantum_mn,
@@ -161,10 +160,24 @@ def test_quantum_mn_rejects_bad_input():
         ((5, 2, 1), 8, "(5, 2, 1) does not fit in the 4 x 4 box"),  # the box is checked first
     ]
     for lam, r, message in cases:
-        for rule in (quantum_mn, oracle_quantum_mn, two_route_quantum_mn, schubert_route_quantum_mn):
+        for rule in (quantum_mn, two_route_quantum_mn, schubert_route_quantum_mn):
             with pytest.raises(ValueError) as err:
                 rule(lam, r, GrContext(4, 8))
             assert str(err.value) == message, (rule, lam, r)
+    # the reduction oracle is psi(p_r * s_lam), defined for every r >= 1 and
+    # every lam of at most k rows: it answers past n and past the box
+    ctx = GrContext(4, 8)
+    assert oracle_quantum_mn((3, 2, 1), 8, ctx) == {(1, (3, 2, 1)): -4}  # p_n acts as k (-1)**(k-1) q
+    assert oracle_quantum_mn((5, 2, 1), 8, ctx) == {}  # psi(s_521) = 0
+    shifted = {(d + 1, mu): -c for (d, mu), c in quantum_mn((3,), 3, ctx).items()}
+    assert oracle_quantum_mn((6, 4, 1), 3, ctx) == shifted  # psi(s_641) = -q sigma_3
+    for lam, r, message in [
+        ((3, 2, 1), 0, "need r >= 1, got 0"),
+        ((1, 1, 1, 1, 1), 3, "(1, 1, 1, 1, 1) has more than 4 rows"),
+    ]:
+        with pytest.raises(ValueError) as err:
+            oracle_quantum_mn(lam, r, ctx)
+        assert str(err.value) == message, (lam, r)
 
 
 def test_fit_check_agrees_with_containment_in_the_box():
@@ -209,71 +222,38 @@ def test_quantum_mn_extended_rejects_multiples_of_n():
         quantum_mn_extended((1,), 0, GrContext(3, 6))
 
 
-# The quantum Pieri rule in qH*(Gr(2, 4)): e_1 = σ[1] and e_2 = σ[1,1]
-# times each Schubert class, from the Gromov-Witten count of lines.  e_i
-# is 0 for i > 2.
-GR24_PIERI = {
-    1: {
-        (): {(0, (1,)): 1},
-        (1,): {(0, (2,)): 1, (0, (1, 1)): 1},
-        (2,): {(0, (2, 1)): 1},
-        (1, 1): {(0, (2, 1)): 1},
-        (2, 1): {(0, (2, 2)): 1, (1, ()): 1},
-        (2, 2): {(1, (1,)): 1},
-    },
-    2: {
-        (): {(0, (1, 1)): 1},
-        (1,): {(0, (2, 1)): 1},
-        (2,): {(1, ()): 1},
-        (1, 1): {(0, (2, 2)): 1},
-        (2, 1): {(1, (1,)): 1},
-        (2, 2): {(1, (2,)): 1},
-    },
-}
-
-
-def gr24_times_e(i, cls):
-    out = {}
-    for (d, mu), c in cls.items():
-        _add(out, {(d + e, nu): b for (e, nu), b in GR24_PIERI[i][mu].items()}, c)
-    return out
-
-
-def gr24_newton_power_sums(lam, top):
-    """p_r * σ_lam in qH*(Gr(2, 4)) for r = 1..top by Newton's identity
-    p_r = e_1 p_(r-1) - e_2 p_(r-2) (+ (-1)**(r-1) r e_r for r <= 2)."""
-    sigma = {(0, lam): 1}
-    powers = {}
-    for r in range(1, top + 1):
-        acc = {}
-        for i in (1, 2):
-            if i < r:
-                _add(acc, gr24_times_e(i, powers[r - i]), (-1) ** (i - 1))
-            elif i == r:
-                _add(acc, gr24_times_e(i, sigma), (-1) ** (r - 1) * r)
-        powers[r] = acc
-    return powers
-
-
-def wrap_cases():
-    """Every Gr(k, n) with n <= 8, lam in the box and n < r < 3n, n not
-    dividing r: 6,040 cases."""
+def box_cases():
+    """Every Gr(k, n) with n <= 8, lam in the box and 1 <= r < 3n: 10,048
+    cases."""
     for n in range(2, 9):
         for k in range(1, n):
             ctx = GrContext(k, n)
             for lam in partitions_in_box(k, n - k):
-                for r in range(n + 1, 3 * n):
-                    if r % n:
-                        yield lam, r, ctx
+                for r in range(1, 3 * n):
+                    yield lam, r, ctx
+
+
+def wrap_cases():
+    """The box cases with n < r and n not dividing r: 6,040 cases."""
+    return ((lam, r, ctx) for lam, r, ctx in box_cases() if r > ctx.n and r % ctx.n)
 
 
 def test_psi_route_is_newton_on_the_quantum_pieri_table():
+    # the psi route against Newton's identity on Bertram's quantum Pieri
+    # rule, which reaches no rim hook, no abacus and no psi; below n also
+    # the rule itself
+    cases = below_n = 0
+    for lam, r, ctx in box_cases():
+        want = pieri_newton_quantum_mn(lam, r, ctx)
+        assert oracle_quantum_mn(lam, r, ctx) == want, (lam, r, ctx)
+        if r < ctx.n:
+            assert quantum_mn(lam, r, ctx) == want, (lam, r, ctx)
+            below_n += 1
+        cases += 1
+    assert (cases, below_n) == (10_048, 3_020)
     ctx = GrContext(2, 4)
-    for lam in partitions_in_box(2, 2):
-        for r, want in gr24_newton_power_sums(lam, 11).items():
-            assert psi_route_quantum_mn(lam, r, ctx) == want, (lam, r)
-    assert psi_route_quantum_mn((), 4, ctx) == {(1, ()): -2}
-    assert psi_route_quantum_mn((), 5, ctx) == {(1, (1,)): -1}
+    assert pieri_newton_quantum_mn((), 4, ctx) == {(1, ()): -2}
+    assert pieri_newton_quantum_mn((), 5, ctx) == {(1, (1,)): -1}
 
 
 def test_psi_route_wraps_with_sign_k_minus_1():
@@ -283,7 +263,7 @@ def test_psi_route_wraps_with_sign_k_minus_1():
         wraps, base = divmod(r, ctx.n)
         sign = -1 if (ctx.k - 1) * wraps % 2 else 1
         want = {(d + wraps, mu): sign * c for (d, mu), c in quantum_mn(lam, base, ctx).items()}
-        assert psi_route_quantum_mn(lam, r, ctx) == want, (lam, r, ctx)
+        assert oracle_quantum_mn(lam, r, ctx) == want, (lam, r, ctx)
         cases += 1
     assert cases == 6040
 
@@ -295,18 +275,14 @@ def test_psi_route_wraps_with_sign_k_minus_1():
 )
 def test_quantum_mn_extended_is_the_psi_route():
     wrong = [
-        (lam, r, ctx)
+        (lam, r, ctx, route.__name__)
         for lam, r, ctx in wrap_cases()
-        if quantum_mn_extended(lam, r, ctx) != psi_route_quantum_mn(lam, r, ctx)
+        for route in (oracle_quantum_mn, pieri_newton_quantum_mn)
+        if quantum_mn_extended(lam, r, ctx) != route(lam, r, ctx)
     ]
     # in qH*(P^1), σ[1] * p_3 = σ[1]**4 = q**2
     if quantum_mn_extended((1,), 3, GrContext(1, 2)) != {(2, ()): 1}:
-        wrong.append(((1,), 3, GrContext(1, 2)))
-    ctx = GrContext(2, 4)
-    for lam in partitions_in_box(2, 2):
-        for r, want in gr24_newton_power_sums(lam, 11).items():
-            if r % 4 and quantum_mn_extended(lam, r, ctx) != want:
-                wrong.append((lam, r, ctx))
+        wrong.append(((1,), 3, GrContext(1, 2), "sigma_1**4 = q**2"))
     assert not wrong
 
 

@@ -10,9 +10,8 @@ positions i and j swapped.
 
 from __future__ import annotations
 
-import operator
 from bisect import bisect_left, insort
-from operator import ne
+from operator import index, ne
 from typing import Iterable
 
 Permutation = tuple[int, ...]
@@ -31,11 +30,19 @@ def require_support(letters: int) -> int:
     return letters
 
 
+# _IDENTITIES[m] is the list [1, ..., m], which ``canonical`` compares with
+# a sorted word of m letters; longer words build their own.  Read only.
+_IDENTITIES = tuple(list(range(1, m + 1)) for m in range(32))
+
+
 def canonical(word: Iterable[int]) -> Permutation:
     """Validate one-line notation and trim trailing fixed points.
 
     Entries must be integers (``operator.index``); floats, strings and
-    fractions raise ValueError instead of being truncated.
+    fractions raise ValueError instead of being truncated.  With m letters
+    the check sorts the word, O(m log m), on every call; only the list
+    [1, ..., m] it is compared with is cached, for m below 32.  A word whose
+    last letter is moved comes back as it is, with no trim.
 
     >>> canonical([3, 4, 1, 6, 5, 2, 7, 8])
     (3, 4, 1, 6, 5, 2)
@@ -44,12 +51,14 @@ def canonical(word: Iterable[int]) -> Permutation:
     """
     word = tuple(word)
     try:
-        w = tuple(map(operator.index, word))
+        w = tuple(map(index, word))
     except TypeError:
         raise ValueError(f"entries must be integers, got {word}") from None
-    if sorted(w) != list(range(1, len(w) + 1)):
-        raise ValueError(f"not a permutation of 1..{len(w)}: {w}")
     m = len(w)
+    if sorted(w) != (_IDENTITIES[m] if m < 32 else list(range(1, m + 1))):
+        raise ValueError(f"not a permutation of 1..{m}: {w}")
+    if not m or w[-1] != m:
+        return w
     while m and w[m - 1] == m:
         m -= 1
     return w[:m]

@@ -13,10 +13,12 @@ covers via one interval scan per pair instead of a running minimum, and by
 the running minimum over a word padded with fixed points
 (``padded_scan_covers``) instead of over the stored word alone;
 permutation lengths by comparing every pair instead of counting on
-insertion; and the (r+1)-cycle test of mn_schubert by ``compose``, a set of
-moved points and ``het`` instead of one moved-point count and one cycle walk
-over padded tables, over every chain endpoint (``oracle_chain_endpoints``)
-instead of the states the chain search keeps.
+insertion; one-line notation checked against a list [1, ..., m] built per
+call and always trimmed by a loop (``oracle_canonical``) instead of a
+cached list and an early return; and the (r+1)-cycle test of mn_schubert by
+``compose``, a set of moved points and ``het`` instead of one moved-point
+count and one cycle walk over padded tables, over every chain endpoint
+(``oracle_chain_endpoints``) instead of the states the chain search keeps.
 
 The paper's other routes to its rules live here too:
 
@@ -353,6 +355,22 @@ def removal_observables(lam: Partition, n: int) -> frozenset[tuple[Partition, in
         for core, s, parity in removal_observables(nu, n):
             out.add((core, s + 1, (parity + height) % 2))
     return frozenset(out)
+
+
+def oracle_canonical(word) -> perm.Permutation:
+    """``perm.canonical`` as it was before its identity table: the list
+    [1, ..., m] built on every call, and the trim loop run on every word."""
+    word = tuple(word)
+    try:
+        w = tuple(map(operator.index, word))
+    except TypeError:
+        raise ValueError(f"entries must be integers, got {word}") from None
+    if sorted(w) != list(range(1, len(w) + 1)):
+        raise ValueError(f"not a permutation of 1..{len(w)}: {w}")
+    m = len(w)
+    while m and w[m - 1] == m:
+        m -= 1
+    return w[:m]
 
 
 def apply(w: perm.Permutation, i: int) -> int:

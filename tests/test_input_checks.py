@@ -4,7 +4,7 @@ own message, which a missing check would change or silence."""
 import pytest
 
 from mnrules.partitions import add_rim_hooks, remove_rim_hooks, strips
-from mnrules.perm import chain_endpoints
+from mnrules.perm import canonical, chain_endpoints, k_bruhat_covers
 from mnrules.poly import SparsePoly
 from mnrules.symfun import power_sum_poly
 
@@ -13,6 +13,10 @@ REFUSALS = [
     pytest.param(lambda: add_rim_hooks((1,), 1, -1), "max_rows must be nonnegative, got -1", id="add_rim_hooks-max_rows-1"),
     pytest.param(lambda: remove_rim_hooks((2,), 0), "rim hook size must be positive, got 0", id="remove_rim_hooks-r0"),
     pytest.param(lambda: strips((1,), 0, "horizontal", 3), "strip size must be positive, got 0", id="strips-size0"),
+    pytest.param(lambda: canonical((1, 1, 2)), "not a permutation of 1..3: (1, 1, 2)", id="canonical-repeat"),
+    pytest.param(lambda: canonical([2.7, 1]), "entries must be integers, got (2.7, 1)", id="canonical-float"),
+    # the word is checked before k
+    pytest.param(lambda: k_bruhat_covers((1, 1), 0, 1), "not a permutation of 1..2: (1, 1)", id="k_bruhat_covers-word-before-k"),
     pytest.param(lambda: chain_endpoints((2, 1), 1, -1), "need r >= 0, got -1", id="chain_endpoints-r-1"),
     # with r = 0 no kernel call is made to check k
     pytest.param(lambda: chain_endpoints((2, 1), 0, 0), "k must be positive, got 0", id="chain_endpoints-k0"),

@@ -27,6 +27,7 @@ from oracles import (
     hook_times_schubert,
     is_cover_transposition,
     lehmer_code,
+    oracle_canonical,
     oracle_chain_endpoints,
     oracle_inverse,
     oracle_k_bruhat_covers,
@@ -74,6 +75,10 @@ def test_canonical_trims_fixed_tail():
         canonical((2, 3))
 
 
+class Small(int):
+    pass
+
+
 def test_canonical_rejects_non_integer_entries():
     # int() used to truncate these: [2.7, 1] and '21' both read as (2, 1)
     for bad in ([2.7, 1], "21", [Fraction(2), 1], [2, 1.0]):
@@ -82,11 +87,53 @@ def test_canonical_rejects_non_integer_entries():
     with pytest.raises(ValueError, match="must be integers"):
         from_lehmer_code([1.5])
 
-    class Small(int):
-        pass
-
-    assert canonical([Small(2), Small(1)]) == (2, 1)
+    for ints in ([Small(2), Small(1)], (2, True)):
+        w = canonical(ints)
+        assert w == (2, 1) and list(map(type, w)) == [int, int]
     assert from_lehmer_code([Small(1), Small(2)]) == (2, 4, 1, 3)
+
+
+def canonical_outcome(f, word):
+    """What ``f`` makes of ``word``: the value with the type of each entry,
+    or the ValueError message."""
+    try:
+        got = f(word)
+    except ValueError as err:
+        return "ValueError", str(err)
+    return type(got), got, tuple(map(type, got))
+
+
+def corrupted(word):
+    """Copies of ``word`` with its first or last letter a float, 0, negated,
+    True or another int subclass, with a gap at its top letter, and with a
+    letter repeated."""
+    m = len(word)
+    yield word + (word[0] if word else 1,)
+    yield tuple(v + (v == m) for v in word)
+    for p in {0, m - 1} if word else ():
+        for bad in (float(word[p]), 0, -word[p], True, Small(word[p])):
+            yield word[:p] + (bad,) + word[p + 1 :]
+
+
+def test_canonical_is_the_oracle():
+    words = [
+        p + tuple(range(n + 1, n + 1 + fixed))
+        for n in range(8)
+        for p in itertools.permutations(range(1, n + 1))
+        for fixed in range(3)
+    ]
+    words += [bad for word in words for bad in corrupted(word)]
+    rng = random.Random(27)
+    for m in (31, 32, 33, 200):
+        # around the end of the cached identity lists: valid, with a fixed
+        # last letter, and with a gap
+        long = tuple(rng.sample(range(1, m + 1), m))
+        words += [long, long + (m + 1,), tuple(v + (v == m) for v in long)]
+    for word in words:
+        want = canonical_outcome(oracle_canonical, word)
+        assert canonical_outcome(canonical, word) == want, word
+        assert canonical_outcome(canonical, list(word)) == want, word
+        assert canonical_outcome(canonical, (v for v in word)) == want, word
 
 
 def test_length_examples():

@@ -4,18 +4,20 @@ Partitions are tuples of weakly decreasing positive integers; the empty tuple
 is the empty partition, and rows are numbered from 0.  Everything here is a
 pure function on immutable values.
 
-Adding a rim hook, removing one, and stripping down to the n-core all run on
-one beta-number (abacus) kernel, :func:`_bead_moves`: with m beads, row i of
-lam sits at lam_i + m - 1 - i, and an r-hook is one bead moving r places to
-an empty position (James-Kerber, The Representation Theory of the Symmetric
-Group, ch. 2).  The bead moving from row i to row j shifts the rows between
-by one place, so each move is one O(m) splice of the rows, and the hook's
-height is the index difference |i - j| + 1.
+Adding a rim hook and removing one run on one beta-number (abacus) kernel,
+:func:`_bead_moves`: with m beads, row i of lam sits at lam_i + m - 1 - i,
+and an r-hook is one bead moving r places to an empty position (James-Kerber,
+The Representation Theory of the Symmetric Group, ch. 2).  The bead moving
+from row i to row j shifts the rows between by one place, so each move is
+one O(m) splice of the rows, and the hook's height is the index difference
+|i - j| + 1.  :func:`n_core` strips down to the n-core on a bead list of its
+own, a run of hooks at a time.
 """
 
 from __future__ import annotations
 
 import operator
+from bisect import bisect_left
 from collections import namedtuple
 from typing import Iterable, Iterator, Literal
 
@@ -88,28 +90,6 @@ def box_partition(k: int, n: int) -> Partition:
     return (n - k,) * k
 
 
-class _Record(tuple):
-    """Base of the library's records, ``class R(_Record, namedtuple("R",
-    "a b")): __slots__ = ()``.  The named tuple gives construction, the
-    repr, ``match``, pickling, copying, read-only fields, no ``__dict__``,
-    and a tuple's indexing, unpacking and order, ``_asdict`` and
-    ``_replace``.  This base makes a record equal only to a record of its
-    own class, never to a plain tuple, and hashes it by its fields.  Both
-    comparisons answer outright: a NotImplemented would let tuple's
-    reflected one match.
-    """
-
-    __slots__ = ()
-
-    def __eq__(self, other: object) -> bool:
-        return other.__class__ is self.__class__ and tuple.__eq__(self, other)
-
-    def __ne__(self, other: object) -> bool:
-        return other.__class__ is not self.__class__ or tuple.__ne__(self, other)
-
-    __hash__ = tuple.__hash__
-
-
 def _splice(lam: Partition, rows: Partition, beads: int, i: int, j: int, c: int) -> Partition:
     """The shape after the bead of row i moves to the empty position c and
     lands in row j (see :func:`_bead_moves`).
@@ -144,8 +124,9 @@ def _bead_moves(lam: Partition, shift: int, beads: int) -> Iterator[tuple[Partit
     |i - j| + 1, and each move costs O(m).
 
     Moves come largest bead first, which is the hook whose top row is
-    highest.  Adds come in strictly decreasing lexicographic order of shape
-    and removals in strictly increasing order.  The move of row i leaves the
+    highest, so :func:`add_rim_hooks` and :func:`remove_rim_hooks` need no
+    sort: adds come in strictly decreasing lexicographic order of shape and
+    removals in strictly increasing order.  The move of row i leaves the
     rows above min(i, j) alone and strictly raises (add) or lowers (remove)
     row min(i, j), and min(i, j) does not fall as i rises; two adds landing
     in the same row j set it to c - m + 1 + j, which falls with c.
@@ -206,10 +187,8 @@ def remove_rim_hooks(lam: Partition, r: int) -> list[tuple[Partition, int]]:
     return list(_bead_moves(lam, -r, len(lam)))
 
 
-class CoreResult(_Record, namedtuple("CoreResult", "core hooks_removed height_sum")):
-    """Outcome of stripping rim hooks of a fixed size until stuck."""
-
-    __slots__ = ()
+# Outcome of stripping rim hooks of a fixed size until stuck.
+CoreResult = namedtuple("CoreResult", "core hooks_removed height_sum")
 
 
 def n_core(lam: Partition, n: int) -> CoreResult:
@@ -218,9 +197,15 @@ def n_core(lam: Partition, n: int) -> CoreResult:
     Each step moves the largest bead that can drop by n, which removes the
     hook whose top row is highest.  The resulting core, the number of hooks,
     and the parity of the total height do not depend on the removal order;
-    only this policy's height_sum is reported.  At most |lam| / n hooks
-    come off, at O(len(lam)) each: a hook bound over ``HOOK_LIMIT``, or a
-    bound times len(lam) over ``HOOK_LIMIT * ROW_LIMIT``, raises ValueError.
+    only this policy's height_sum is reported.
+
+    The beads sit in one rising list that a cursor walks down.  Once bead b
+    can drop, so can its run b + n, ..., top, each into the place the last
+    one left: one step takes off (top - b) / n + 1 hooks, whose heights add
+    up to 1 + the beads strictly between b - n and top.  A step shifts up
+    to len(lam) list slots, so a call at most hooks times len(lam): a hook
+    bound |lam| // n over ``HOOK_LIMIT``, or that bound times len(lam) over
+    ``HOOK_LIMIT * ROW_LIMIT``, raises ValueError.
 
     >>> n_core((2, 1, 1), 4)
     CoreResult(core=(), hooks_removed=1, height_sum=3)
@@ -238,11 +223,24 @@ def n_core(lam: Partition, n: int) -> CoreResult:
             f"may strip up to {hooks} hooks over {len(lam)} rows, {hooks * len(lam)} row steps,"
             f" over the limit of {HOOK_LIMIT * ROW_LIMIT}"
         )
-    cur, hooks, heights = lam, 0, 0
-    while (move := next(_bead_moves(cur, -n, len(cur)), None)) is not None:
-        cur, height = move
-        hooks, heights = hooks + 1, heights + height
-    return CoreResult(cur, hooks, heights)
+    beads = [p + i for i, p in enumerate(reversed(lam))]
+    held, hooks, heights, i = set(beads), 0, 0, len(beads) - 1
+    while i >= 0:
+        b = beads[i]
+        if b < n or b - n in held:
+            i -= 1
+            continue
+        top = b
+        while top + n in held:
+            top += n
+        lo, hi = bisect_left(beads, b - n), bisect_left(beads, top)
+        hooks, heights = hooks + (top - b) // n + 1, heights + hi - lo + 1
+        del beads[hi]
+        beads.insert(lo, b - n)
+        held.remove(top)
+        held.add(b - n)
+        i = bisect_left(beads, b) - 1
+    return CoreResult(tuple(p - j for j, p in enumerate(beads) if p > j)[::-1], hooks, heights)
 
 
 StripKind = Literal["horizontal", "vertical"]

@@ -15,7 +15,6 @@ from typing import Callable, Iterable
 
 from .partitions import (
     Partition,
-    _Record,
     _splice,
     box_partition,
     part,
@@ -32,7 +31,7 @@ QuantumClass = dict[tuple[int, Partition], int]
 GENERATOR_SAMPLES = 20
 
 
-class GrContext(_Record, namedtuple("GrContext", "k n")):
+class GrContext(namedtuple("GrContext", "k n")):
     """The Grassmannian Gr(k, n) of k-planes in n-space: 0 < k < n, and k at
     most ``ROW_LIMIT``, both checked once here by ``box_partition``.
 

@@ -6,7 +6,10 @@ code under test: rim hooks and their heights from the cells, by diagonals
 bead moves; adding and removing rim hooks row by row along the diagonals,
 and n-cores by stripping one such hook at a time, instead of moving beads on
 an abacus; n-cores also by sliding every bead down its runner at once, and
-the reduction map psi by stripping n-hooks one at a time through the library's
+one bead move per hook on the library's rim-hook kernel
+(``hook_at_a_time_n_core``, n_core's loop before it took off a run of hooks
+per step) instead of a run per step on a bead list of its own; the reduction
+map psi by stripping n-hooks one at a time through the library's
 n_core (``hook_strip_psi_reduce``, its route before the runner slide); one
 abacus move by re-sorting every bead instead of splicing the rows; k-Bruhat
 covers via one interval scan per pair instead of a running minimum, and by
@@ -69,6 +72,7 @@ from mnrules import perm, schubert
 from mnrules.partitions import (
     CoreResult,
     Partition,
+    _bead_moves,
     box_partition,
     n_core,
     part,
@@ -331,6 +335,21 @@ def oracle_n_core(lam: Partition, n: int) -> CoreResult:
             return CoreResult(cur, hooks, heights)
         nu, height = min(hooks_off, key=lambda hook: _top_row_of_hook(hook[0], cur))
         cur, hooks, heights = nu, hooks + 1, heights + height
+
+
+def hook_at_a_time_n_core(lam: Partition, n: int) -> CoreResult:
+    """n_core one hook per abacus move, the library's loop before it took a
+    run of hooks per step: each step takes ``_bead_moves``' first removal,
+    the largest bead that can drop by n, and rebuilds the rows, O(len(lam))
+    per hook."""
+    lam = validate_partition(lam)
+    if n < 2:
+        raise ValueError(f"hook size must be at least 2, got {n}")
+    cur, hooks, heights = lam, 0, 0
+    while (move := next(_bead_moves(cur, -n, len(cur)), None)) is not None:
+        cur, height = move
+        hooks, heights = hooks + 1, heights + height
+    return CoreResult(cur, hooks, heights)
 
 
 def hook_strip_psi_reduce(lam: Partition, ctx: GrContext) -> QuantumClass:

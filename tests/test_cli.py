@@ -479,7 +479,8 @@ def test_size_limits_exit_2_before_any_allocation():
 
 
 def test_core_refuses_hooks_times_rows_over_the_limit(capsys):
-    # 10001 one-box rows strip up to 5000 hooks at O(rows) each
+    # 10001 one-box rows may strip 5000 hooks, each shifting up to one
+    # list slot per row
     code, out, err = run(capsys, "core", "--partition", ",".join(["1"] * 10001), "--n", "2")
     assert (code, out) == (2, "")
     assert err == (

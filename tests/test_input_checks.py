@@ -3,7 +3,7 @@ own message, which a missing check would change or silence."""
 
 import pytest
 
-from mnrules.partitions import add_rim_hooks, remove_rim_hooks, strips
+from mnrules.partitions import add_rim_hooks, n_core, remove_rim_hooks, strips
 from mnrules.perm import canonical, chain_endpoints, k_bruhat_covers
 from mnrules.poly import SparsePoly
 from mnrules.symfun import power_sum_poly
@@ -12,6 +12,10 @@ REFUSALS = [
     pytest.param(lambda: add_rim_hooks((1,), 0, 3), "rim hook size must be positive, got 0", id="add_rim_hooks-r0"),
     pytest.param(lambda: add_rim_hooks((1,), 1, -1), "max_rows must be nonnegative, got -1", id="add_rim_hooks-max_rows-1"),
     pytest.param(lambda: remove_rim_hooks((2,), 0), "rim hook size must be positive, got 0", id="remove_rim_hooks-r0"),
+    pytest.param(lambda: n_core((3, 2, 1), 1), "hook size must be at least 2, got 1", id="n_core-n1"),
+    pytest.param(
+        lambda: n_core((200002,), 2), "may strip up to 100001 hooks, over the limit of 100000", id="n_core-hooks-over-limit"
+    ),
     pytest.param(lambda: strips((1,), 0, "horizontal", 3), "strip size must be positive, got 0", id="strips-size0"),
     pytest.param(lambda: canonical((1, 1, 2)), "not a permutation of 1..3: (1, 1, 2)", id="canonical-repeat"),
     pytest.param(lambda: canonical([2.7, 1]), "entries must be integers, got (2.7, 1)", id="canonical-float"),

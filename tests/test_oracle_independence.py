@@ -22,6 +22,7 @@ ORACLES = [
     ("schubert.mn_schubert", "oracles.polynomial_route_mn_schubert"),
     ("quantum.quantum_mn", "oracles.schubert_route_quantum_mn"),
     ("quantum.quantum_mn", "oracles.pieri_newton_quantum_mn"),
+    ("partitions.n_core", "oracles.hook_at_a_time_n_core"),
     # the mn-schubert --verify route
     ("schubert.mn_schubert", "schubert.power_sum_times"),
 ]
@@ -34,7 +35,6 @@ SHARED = {
     "perm.require_support": "checks a word length against SUPPORT_LIMIT",
     "perm.default_max_support": "the support bound, checked against SUPPORT_LIMIT",
     "quantum._require_args": "checks lam, r and the box of Gr(k, n)",
-    "partitions._Record": "base of the records: equality and hashing",
     "partitions.CoreResult": "record of an n-core",
     "quantum.GrContext": "record of (k, n), checked when built",
     "poly._add": "the one accumulator for signed sums",

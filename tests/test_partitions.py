@@ -17,6 +17,7 @@ from mnrules.partitions import (
 )
 from oracles import (
     abacus_core,
+    hook_at_a_time_n_core,
     is_rim_hook,
     leq,
     oracle_add_rim_hooks,
@@ -198,8 +199,9 @@ def test_n_core_rejects_small_n():
 
 
 def test_n_core_is_bounded_by_hooks_times_rows():
-    # each hook costs O(rows), so the hook bound times the rows is capped at
-    # HOOK_LIMIT * ROW_LIMIT; 5000 hooks over 10001 rows is just over it
+    # each hook may shift up to one list slot per row, so the hook bound
+    # times the rows is capped at HOOK_LIMIT * ROW_LIMIT; 5000 hooks over
+    # 10001 rows is just over it
     limit = partitions.HOOK_LIMIT * partitions.ROW_LIMIT
     assert 5000 * 10001 > limit >= 5000 * 10000
     with pytest.raises(ValueError) as err:
@@ -258,7 +260,8 @@ def test_bead_kernel_matches_diagonal_oracles_on_5x5_box():
 
 
 def test_bead_moves_match_resorting_oracle_move_for_move():
-    # n_core takes the first move, so the order must match as well as the set
+    # add_rim_hooks and remove_rim_hooks return the moves unsorted, so the
+    # order must match as well as the set
     rng = random.Random(1105)
     tall = [
         tuple(sorted((rng.randint(1, 80) for _ in range(rng.randint(30, 60))), reverse=True))
@@ -322,6 +325,38 @@ def test_n_core_matches_abacus_on_tall_partitions():
         res = n_core(lam, n)
         assert (res.core, res.hooks_removed) == abacus_core(lam, n), (lam, n)
         assert remove_rim_hooks(res.core, n) == []
+
+
+def test_n_core_matches_hook_at_a_time_stripping():
+    # the same removal order, so height_sum must match as well as the core
+    lams = [lam for size in range(19) for lam in partitions_of(size)]
+    rng = random.Random(2818)
+    tall = [
+        tuple(sorted((rng.randint(1, 80) for _ in range(rng.randint(30, 120))), reverse=True))
+        for _ in range(40)
+    ]
+    compared = 0
+    for lam in lams:
+        for n in range(2, 9):
+            assert n_core(lam, n) == hook_at_a_time_n_core(lam, n), (lam, n)
+            compared += 1
+    for lam in tall:
+        n = rng.randint(2, 15)
+        assert n_core(lam, n) == hook_at_a_time_n_core(lam, n), (lam, n)
+        compared += 1
+    assert compared == 11179 + 40
+
+
+def test_n_core_strips_a_run_of_hooks_per_step():
+    # One hook per step, each rebuilding the rows, took seconds on each of
+    # these; 10000 one-box rows sit exactly at HOOK_LIMIT * ROW_LIMIT.
+    staircase, ones = tuple(range(600, 0, -1)), (1,) * 10000
+    start = time.perf_counter()
+    stair_core, ones_core = n_core(staircase, 3), n_core(ones, 2)
+    elapsed = time.perf_counter() - start
+    assert stair_core == partitions.CoreResult((), 60100, 180100)
+    assert ones_core == partitions.CoreResult((), 5000, 10000)
+    assert elapsed < 0.5, f"n_core on the staircase and the one-box rows took {elapsed:.2f} s"
 
 
 @pytest.mark.parametrize("k,n", [(2, 5), (3, 6), (4, 8)])

@@ -30,11 +30,6 @@ PROTOCOL_MEMBERS = {
     "poly.SparsePoly.__rmul__": "``c * f`` for an int c; perfbench asserts it is __mul__",
     "poly.SparsePoly.__str__": "display protocol of an exported class",
     "poly.SparsePoly.__repr__": "display protocol of an exported class",
-    "partitions._Record.__slots__": "instance layout: no fields of its own, and no ``__dict__``",
-    "partitions._Record.__eq__": "value protocol of the exported records",
-    "partitions._Record.__ne__": "value protocol of the exported records: tuple's own ``!=`` would match a plain tuple",
-    "partitions._Record.__hash__": "value protocol of the exported records",
-    "partitions.CoreResult.__slots__": "instance layout: the named tuple's fields, and no ``__dict__``",
     "quantum.GrContext.__slots__": "instance layout: the named tuple's fields, and no ``__dict__``",
     "quantum.GrContext.__new__": "the constructor; checks that k and n are integers with 0 < k < n and k at most ROW_LIMIT",
     "quantum.GrContext._make": "called by the named tuple's ``_replace``; builds through the constructor's checks",

@@ -53,7 +53,7 @@ def render_schur(expansion: symfun.SchurExpansion, as_json: bool = False):
 
 
 def render_schubert(expansion: schubert.SchubertExpansion, as_json: bool = False):
-    order = sorted(expansion, key=lambda u: (perm.length(u), u))
+    order = [u for _, u in sorted((perm.length(u), u) for u in expansion)]
     if as_json:
         return [{"coeff": expansion[u], "perm": list(u)} for u in order]
     return join_signed([(expansion[u], f"S{fmt_partition(u)}") for u in order])
@@ -70,13 +70,13 @@ def render_quantum(qc: quantum.QuantumClass, as_json: bool = False):
     return join_signed(items, mag_sep=" ")
 
 
-def _emit(args: argparse.Namespace, result, render) -> None:
-    """Print ``render(result, args.json)``, dumping a JSON payload.
+def _emit(args: argparse.Namespace, out) -> None:
+    """Print ``out``, a handler's rendered text, or under ``--json`` dump it
+    with ``json.dumps`` as the JSON payload the handler built.
 
     This is the CLI's one JSON writer, and ``json`` is imported only here,
     so a command without ``--json`` never loads it.
     """
-    out = render(result, args.json)
     if args.json:
         import json
 
@@ -90,17 +90,19 @@ def _report_verify(ok: bool) -> int:
     return 0 if ok else 1
 
 
+# Each cmd_* renders its own result before the one _emit call, so a timer
+# around the handler covers compute and rendering, and --verify comes last.
 def cmd_mn_schur(args: argparse.Namespace) -> int:
     lam = parse_partition_arg(args.partition)
     result = symfun.mn_classical(lam, args.r, args.k)
-    _emit(args, result, render_schur)
+    _emit(args, render_schur(result, args.json))
     return 0
 
 
 def cmd_mn_schubert(args: argparse.Namespace) -> int:
     w = parse_perm_arg(args.w)
     result = schubert.mn_schubert(w, args.k, args.r)
-    _emit(args, result, render_schubert)
+    _emit(args, render_schubert(result, args.json))
     if args.verify:
         return _report_verify(schubert.power_sum_times(w, args.k, args.r) == result)
     return 0
@@ -110,7 +112,7 @@ def cmd_mn_quantum(args: argparse.Namespace) -> int:
     lam = parse_partition_arg(args.partition)
     ctx = GrContext(args.k, args.n)
     result = quantum.quantum_mn_extended(lam, args.r, ctx)
-    _emit(args, result, render_quantum)
+    _emit(args, render_quantum(result, args.json))
     if args.verify:
         again = quantum.wrap_power_sum(quantum.oracle_quantum_mn, lam, args.r, ctx)
         return _report_verify(again == result)
@@ -119,25 +121,23 @@ def cmd_mn_quantum(args: argparse.Namespace) -> int:
 
 def cmd_pieri(args: argparse.Namespace) -> int:
     lam = parse_partition_arg(args.partition)
-    if args.kind == "e":
-        result = symfun.pieri_e(lam, args.size, args.k)
-    else:
-        result = symfun.pieri_h(lam, args.size, args.k)
-    _emit(args, result, render_schur)
+    pieri = symfun.pieri_e if args.kind == "e" else symfun.pieri_h
+    result = pieri(lam, args.size, args.k)
+    _emit(args, render_schur(result, args.json))
     return 0
 
 
 def cmd_monk(args: argparse.Namespace) -> int:
     w = parse_perm_arg(args.w)
     result = schubert.monk(w, args.k)
-    _emit(args, result, render_schubert)
+    _emit(args, render_schubert(result, args.json))
     return 0
 
 
 def cmd_schubert_expand(args: argparse.Namespace) -> int:
     f = SparsePoly.parse(args.poly)
     result = schubert.expand_in_schubert(f)
-    _emit(args, result, render_schubert)
+    _emit(args, render_schubert(result, args.json))
     return 0
 
 
@@ -155,12 +155,12 @@ def cmd_core(args: argparse.Namespace) -> int:
     if args.k is not None:
         payload["sign"] = sign = -1 if (args.k * res.hooks_removed - res.height_sum) % 2 else 1
         text += f"  sign(k={args.k})={sign:+d}"
-    _emit(args, res, lambda res, as_json: payload if as_json else text)
+    _emit(args, payload if args.json else text)
     return 0
 
 
-def _selfcheck_results() -> list[tuple[str, bool, str]]:
-    """Known-answer checks over every layer of the library: (name, passed, detail) rows."""
+def cmd_selfcheck(args: argparse.Namespace) -> int:
+    """Known-answer checks over every layer of the library."""
     got = schubert.mn_schubert((3, 4, 1, 6, 5, 2, 7, 8), 4, 4)
     expected = {
         (3, 5, 6, 7, 1, 2, 4): 1, (3, 6, 4, 7, 1, 2, 5): 1, (4, 5, 3, 6, 2, 1): 1,
@@ -175,7 +175,7 @@ def _selfcheck_results() -> list[tuple[str, bool, str]]:
     res2 = partitions.n_core((9, 8, 5, 2), 8)
     got_psi2 = quantum.psi_reduce((9, 8, 5, 2), ctx)
     vanish = [ok for _, ok in quantum.ideal_vanishing_check(ctx)]
-    return [
+    checks = [  # (name, passed, detail)
         ("p_4(x1..x4) * S[3,4,1,6,5,2,7,8]", got == expected, render_schubert(got)),
         ("p_5 * sigma[3,2,1] in qH*(Gr(4,8))", got_q == expected_q, render_quantum(got_q)),
         (
@@ -195,15 +195,13 @@ def _selfcheck_results() -> list[tuple[str, bool, str]]:
             f"{sum(vanish)}/{len(vanish)} generators vanish correctly",
         ),
     ]
-
-
-def cmd_selfcheck(args: argparse.Namespace) -> int:
-    checks = _selfcheck_results()
     all_ok = all(ok for _, ok, _ in checks)
-    payload = {"ok": all_ok, "checks": [{"name": n, "ok": ok, "detail": d} for n, ok, d in checks]}
-    lines = [f"{'PASS' if ok else 'FAIL'}  {name}: {detail}" for name, ok, detail in checks]
-    text = "\n".join([*lines, f"selfcheck: {'ok' if all_ok else 'FAILED'}"])
-    _emit(args, checks, lambda checks, as_json: payload if as_json else text)
+    if args.json:
+        out = {"ok": all_ok, "checks": [{"name": n, "ok": ok, "detail": d} for n, ok, d in checks]}
+    else:
+        lines = [f"{'PASS' if ok else 'FAIL'}  {name}: {detail}" for name, ok, detail in checks]
+        out = "\n".join([*lines, f"selfcheck: {'ok' if all_ok else 'FAILED'}"])
+    _emit(args, out)
     return 0 if all_ok else 1
 
 

@@ -159,6 +159,8 @@ class SparsePoly:
         s = text.replace(" ", "")
         if not s:
             raise ValueError("empty polynomial text")
+        if "^-" in s:
+            raise ValueError(f"negative exponent in {text!r}")
         s = s.replace("-", "+-")
         if s.startswith("+"):
             s = s[1:]

@@ -89,6 +89,14 @@ GOLDEN = [
         ),
     ),
     (
+        ["pieri", "--partition", "2,1", "--size", "2", "--kind", "h", "--k", "3"],
+        's[2,2,1] + s[3,1,1] + s[3,2] + s[4,1]\n',
+        (
+            '[{"coeff": 1, "partition": [2, 2, 1]}, {"coeff": 1, "partition": [3, 1, 1]}, '
+            '{"coeff": 1, "partition": [3, 2]}, {"coeff": 1, "partition": [4, 1]}]\n'
+        ),
+    ),
+    (
         ["pieri", "--partition", "", "--size", "2", "--kind", "e", "--k", "1"],
         '0\n',
         '[]\n',

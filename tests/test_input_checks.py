@@ -6,7 +6,7 @@ import pytest
 from mnrules.partitions import add_rim_hooks, n_core, remove_rim_hooks, strips
 from mnrules.perm import canonical, chain_endpoints, k_bruhat_covers
 from mnrules.poly import SparsePoly
-from mnrules.symfun import power_sum_poly
+from mnrules.symfun import pieri_e, pieri_h, power_sum_poly
 
 REFUSALS = [
     pytest.param(lambda: add_rim_hooks((1,), 0, 3), "rim hook size must be positive, got 0", id="add_rim_hooks-r0"),
@@ -31,6 +31,10 @@ REFUSALS = [
     pytest.param(lambda: SparsePoly.parse("  "), "empty polynomial text", id="parse-blank"),
     pytest.param(lambda: SparsePoly.parse("x1 +"), "malformed polynomial: 'x1 +'", id="parse-trailing-plus"),
     pytest.param(lambda: SparsePoly.parse("x1++x2"), "malformed polynomial: 'x1++x2'", id="parse-double-plus"),
+    # checked before "-" is read as a term's sign, so the message names the text
+    pytest.param(lambda: SparsePoly.parse("x1^-1"), "negative exponent in 'x1^-1'", id="parse-negative-exponent"),
+    pytest.param(lambda: pieri_e((1,), 0, 2), "need a >= 1, got 0", id="pieri_e-a0"),
+    pytest.param(lambda: pieri_h((1,), 0, 2), "need b >= 1, got 0", id="pieri_h-b0"),
 ]
 
 

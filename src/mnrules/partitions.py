@@ -8,10 +8,11 @@ Adding a rim hook and removing one run on one beta-number (abacus) kernel,
 :func:`_bead_moves`: with m beads, row i of lam sits at lam_i + m - 1 - i,
 and an r-hook is one bead moving r places to an empty position (James-Kerber,
 The Representation Theory of the Symmetric Group, ch. 2).  The bead moving
-from row i to row j shifts the rows between by one place, so each move is
-one O(m) splice of the rows, and the hook's height is the index difference
-|i - j| + 1.  :func:`n_core` strips down to the n-core on a bead list of its
-own, a run of hooks at a time.
+from row i to row j shifts the rows between by one place, and the hook's
+height is the index difference |i - j| + 1.  The shifted rows come from two
+tables built once per call in O(m), so each move is a few C-level slices
+of O(m) entries.  :func:`n_core` strips down to the n-core on a bead list
+of its own, a run of hooks at a time.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from __future__ import annotations
 import operator
 from bisect import bisect_left
 from collections import namedtuple
-from typing import Iterable, Iterator, Literal
+from typing import Iterable, Literal
 
 Partition = tuple[int, ...]
 
@@ -90,29 +91,37 @@ def box_partition(k: int, n: int) -> Partition:
     return (n - k,) * k
 
 
-def _splice(lam: Partition, rows: Partition, beads: int, i: int, j: int, c: int) -> Partition:
+def _splice(
+    lam: Partition, up: Partition, dn: Partition, beads: int, i: int, j: int, c: int
+) -> Partition:
     """The shape after the bead of row i moves to the empty position c and
     lands in row j (see :func:`_bead_moves`).
 
-    ``rows`` is lam padded with zeros to ``beads`` rows.  A bead moving up
-    (j < i) passes rows j..i-1, which each grow by one cell and move down a
-    row; a bead moving down (j >= i) passes rows i+1..j, which each lose a
-    cell and move up a row.  Either way row j becomes c - beads + 1 + j.
-    The padding beads fill 0..beads-1-len(lam) and c is empty, so j <=
-    len(lam) and moving down also j < len(lam): slicing lam instead of rows
-    drops the padding, and only a move down can leave trailing zeros.
+    ``up`` is lam padded with zeros to ``beads`` rows, each row one longer,
+    and ``dn`` is lam with each row one shorter.  A bead moving up (j < i)
+    passes rows j..i-1, which each grow by one cell and move down a row; a
+    bead moving down (j >= i) passes rows i+1..j, which each lose a cell and
+    move up a row.  Either way row j becomes x = c - beads + 1 + j, and the
+    shape is four slices, O(beads) C-level work.  The padding beads fill
+    0..beads-1-len(lam) and c is empty, so j <= len(lam) and moving down
+    also j < len(lam): slicing lam instead of the padded rows drops the
+    padding, and only a move down with x = 0 leaves trailing zeros.
     """
+    x = c - beads + 1 + j
     if j < i:
-        return lam[:j] + (c - beads + 1 + j,) + tuple([p + 1 for p in rows[j:i]]) + lam[i + 1:]
-    shape = lam[:i] + tuple([p - 1 for p in lam[i + 1:j + 1]]) + (c - beads + 1 + j,) + lam[j + 1:]
-    n = len(shape)
+        return lam[:j] + (x,) + up[j:i] + lam[i + 1:]
+    shape = lam[:i] + dn[i + 1:j + 1] + (x,) + lam[j + 1:]
+    if x:
+        return shape
+    n = len(shape) - 1
     while n and not shape[n - 1]:
         n -= 1
     return shape[:n]
 
 
-def _bead_moves(lam: Partition, shift: int, beads: int) -> Iterator[tuple[Partition, int]]:
-    """Move one bead of lam's abacus by ``shift``: yield (new shape, hook height).
+def _bead_moves(lam: Partition, shift: int, beads: int) -> list[tuple[Partition, int]]:
+    """Move one bead of lam's abacus by ``shift``: the list of (new shape,
+    hook height), one per move.
 
     With m = ``beads`` >= len(lam), row i of lam puts a bead at
     lam_i + m - 1 - i, so the positions fall as i rises.  A bead of row i
@@ -120,8 +129,8 @@ def _bead_moves(lam: Partition, shift: int, beads: int) -> Iterator[tuple[Partit
     or removes (shift < 0) a rim hook of |shift| cells.  The bead lands in
     row j, the number of other beads above c, and the rows it passes each
     shift by one place, so the new shape is one splice of the rows
-    (:func:`_splice`).  The hook's height is the number of rows it spans,
-    |i - j| + 1, and each move costs O(m).
+    (:func:`_splice`) from the shifted-row tables, built once here in O(m).
+    The hook's height is the number of rows it spans, |i - j| + 1.
 
     Moves come largest bead first, which is the hook whose top row is
     highest, so :func:`add_rim_hooks` and :func:`remove_rim_hooks` need no
@@ -132,19 +141,23 @@ def _bead_moves(lam: Partition, shift: int, beads: int) -> Iterator[tuple[Partit
     in the same row j set it to c - m + 1 + j, which falls with c.
     """
     rows = lam + (0,) * (beads - len(lam))
+    up = tuple([p + 1 for p in rows])
+    dn = tuple([p - 1 for p in lam])
     pos = [p + beads - 1 - i for i, p in enumerate(rows)]
+    moves = []
     above = 0  # beads strictly above c; c falls as i rises, so this only grows
     down = shift < 0  # moving down, the bead itself is one of the beads above c
     for i, b in enumerate(pos):
         c = b + shift
         if c < 0:
-            return
+            break
         while above < beads and pos[above] > c:
             above += 1
         if above < beads and pos[above] == c:
             continue
         j = above - down
-        yield _splice(lam, rows, beads, i, j, c), abs(i - j) + 1
+        moves.append((_splice(lam, up, dn, beads, i, j, c), abs(i - j) + 1))
+    return moves
 
 
 def add_rim_hooks(lam: Partition, r: int, max_rows: int) -> list[tuple[Partition, int]]:
@@ -167,7 +180,7 @@ def add_rim_hooks(lam: Partition, r: int, max_rows: int) -> list[tuple[Partition
     _require_rows(max_rows)
     if len(lam) > max_rows:
         return []
-    return list(_bead_moves(lam, r, max_rows))[::-1]
+    return _bead_moves(lam, r, max_rows)[::-1]
 
 
 def remove_rim_hooks(lam: Partition, r: int) -> list[tuple[Partition, int]]:
@@ -184,7 +197,7 @@ def remove_rim_hooks(lam: Partition, r: int) -> list[tuple[Partition, int]]:
     lam = validate_partition(lam)
     if r < 1:
         raise ValueError(f"rim hook size must be positive, got {r}")
-    return list(_bead_moves(lam, -r, len(lam)))
+    return _bead_moves(lam, -r, len(lam))
 
 
 # Outcome of stripping rim hooks of a fixed size until stuck.

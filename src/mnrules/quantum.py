@@ -96,8 +96,10 @@ def quantum_mn(lam: Partition, r: int, ctx: GrContext) -> QuantumClass:
     empty one.  A bead landing at c = b + r < n adds an r-hook inside the
     box: a q**0 term with sign (-1)**(beads passed).  A bead that wraps to
     c = b + r - n removes an (n - r)-hook: a q**1 term with sign
-    (-1)**(k + height).  One pass over the k beads, O(k) per term.  The
-    q**0 terms come first, each half in increasing order of shape.
+    (-1)**(k + height).  One pass over the k beads; the shifted-row tables
+    of :func:`partitions._splice` cost O(k) once, and each term a few
+    C-level slices of O(k) entries.  The q**0 terms come first, each half in
+    increasing order of shape.
     Requires 1 <= r < n.
 
     >>> quantum_mn((3, 2, 1), 5, GrContext(4, 8))
@@ -106,6 +108,8 @@ def quantum_mn(lam: Partition, r: int, ctx: GrContext) -> QuantumClass:
     lam = _require_args(lam, r, ctx)
     k, n = ctx
     rows = lam + (0,) * (k - len(lam))
+    up = tuple([p + 1 for p in rows])
+    dn = tuple([p - 1 for p in lam])
     pos = [p + k - 1 - i for i, p in enumerate(rows)]
     q0, q1 = [], []
     # The top beads wrap and the rest do not.  Within each run c falls as i
@@ -124,9 +128,9 @@ def quantum_mn(lam: Partition, r: int, ctx: GrContext) -> QuantumClass:
             continue
         if wraps:  # moving down, the bead itself is one of the beads above c
             j = above - 1
-            q1.append(((1, _splice(lam, rows, k, i, j, c)), -1 if (k + j - i + 1) % 2 else 1))
+            q1.append(((1, _splice(lam, up, dn, k, i, j, c)), -1 if (k + j - i + 1) % 2 else 1))
         else:
-            q0.append(((0, _splice(lam, rows, k, i, above, c)), -1 if (i - above) % 2 else 1))
+            q0.append(((0, _splice(lam, up, dn, k, i, above, c)), -1 if (i - above) % 2 else 1))
     # bead order lists the moves down in increasing order of shape and the
     # moves up in decreasing order (see _bead_moves)
     return dict(q0[::-1] + q1)

@@ -6,12 +6,14 @@ code under test: rim hooks and their heights from the cells, by diagonals
 bead moves; adding and removing rim hooks row by row along the diagonals,
 and n-cores by stripping one such hook at a time, instead of moving beads on
 an abacus; n-cores also by sliding every bead down its runner at once, and
-one bead move per hook on the library's rim-hook kernel
+one bead move per hook on the rim-hook kernel before its row tables
 (``hook_at_a_time_n_core``, n_core's loop before it took off a run of hooks
 per step) instead of a run per step on a bead list of its own; the reduction
 map psi by stripping n-hooks one at a time through the library's
 n_core (``hook_strip_psi_reduce``, its route before the runner slide); one
-abacus move by re-sorting every bead instead of splicing the rows; k-Bruhat
+abacus move by re-sorting every bead instead of splicing the rows, and by
+rebuilding the passed rows per move (``per_term_bead_moves``) instead of
+slicing tables built once per call; k-Bruhat
 covers via one interval scan per pair instead of a running minimum, and by
 the running minimum over a word padded with fixed points
 (``padded_scan_covers``) instead of over the stored word alone;
@@ -72,7 +74,6 @@ from mnrules import perm, schubert
 from mnrules.partitions import (
     CoreResult,
     Partition,
-    _bead_moves,
     box_partition,
     n_core,
     part,
@@ -230,6 +231,35 @@ def oracle_bead_moves(lam: Partition, shift: int, beads: int) -> Iterator[tuple[
         yield tuple(p for p in shape if p), 1 + sum(lo < x < hi for x in pos)
 
 
+def per_term_bead_moves(lam: Partition, shift: int, beads: int) -> Iterator[tuple[Partition, int]]:
+    """partitions._bead_moves as a generator that rebuilds the rows a bead
+    passes for every move, the library's kernel before its shifted-row
+    tables: each move shifts rows j..i-1 up or i+1..j down by one cell with
+    its own comprehension over the padded rows, and every move down trims
+    trailing zeros."""
+    rows = lam + (0,) * (beads - len(lam))
+    pos = [p + beads - 1 - i for i, p in enumerate(rows)]
+    above = 0
+    for i, b in enumerate(pos):
+        c = b + shift
+        if c < 0:
+            return
+        while above < beads and pos[above] > c:
+            above += 1
+        if above < beads and pos[above] == c:
+            continue
+        j = above - (shift < 0)
+        if j < i:
+            shape = lam[:j] + (c - beads + 1 + j,) + tuple([p + 1 for p in rows[j:i]]) + lam[i + 1:]
+        else:
+            shape = lam[:i] + tuple([p - 1 for p in lam[i + 1:j + 1]]) + (c - beads + 1 + j,) + lam[j + 1:]
+            n = len(shape)
+            while n and not shape[n - 1]:
+                n -= 1
+            shape = shape[:n]
+        yield shape, abs(i - j) + 1
+
+
 def _hook_candidate_valid(inner: Partition, mu: list[int], r: int) -> Partition | None:
     """Canonicalize ``mu`` and accept it only if mu/inner is an r-cell rim hook."""
     while mu and mu[-1] == 0:
@@ -339,14 +369,14 @@ def oracle_n_core(lam: Partition, n: int) -> CoreResult:
 
 def hook_at_a_time_n_core(lam: Partition, n: int) -> CoreResult:
     """n_core one hook per abacus move, the library's loop before it took a
-    run of hooks per step: each step takes ``_bead_moves``' first removal,
-    the largest bead that can drop by n, and rebuilds the rows, O(len(lam))
-    per hook."""
+    run of hooks per step: each step takes ``per_term_bead_moves``' first
+    removal, the largest bead that can drop by n, and rebuilds the rows,
+    O(len(lam)) per hook."""
     lam = validate_partition(lam)
     if n < 2:
         raise ValueError(f"hook size must be at least 2, got {n}")
     cur, hooks, heights = lam, 0, 0
-    while (move := next(_bead_moves(cur, -n, len(cur)), None)) is not None:
+    while (move := next(per_term_bead_moves(cur, -n, len(cur)), None)) is not None:
         cur, height = move
         hooks, heights = hooks + 1, heights + height
     return CoreResult(cur, hooks, heights)

@@ -27,6 +27,7 @@ from oracles import (
     oracle_remove_rim_hooks,
     partitions_in_box,
     partitions_of,
+    per_term_bead_moves,
     removal_observables,
     rim_hook_height,
     skew_cell_set,
@@ -274,6 +275,25 @@ def test_bead_moves_match_resorting_oracle_move_for_move():
             for beads in range(len(lam), len(lam) + 4):
                 got = list(partitions._bead_moves(lam, shift, beads))
                 assert got == list(oracle_bead_moves(lam, shift, beads)), (lam, shift, beads)
+                compared += 1
+    assert compared == 18 * 4 * (272 + 20)
+
+
+def test_bead_moves_match_the_per_term_kernel():
+    # the shifted-row tables must give the shapes the per-term splice gave,
+    # in the same order, on the partitions, shifts and bead counts above
+    rng = random.Random(1105)
+    tall = [
+        tuple(sorted((rng.randint(1, 80) for _ in range(rng.randint(30, 60))), reverse=True))
+        for _ in range(20)
+    ]
+    lams = [lam for size in range(13) for lam in partitions_of(size)] + tall
+    compared = 0
+    for lam in lams:
+        for shift in (*range(-9, 0), *range(1, 10)):
+            for beads in range(len(lam), len(lam) + 4):
+                got = partitions._bead_moves(lam, shift, beads)
+                assert got == list(per_term_bead_moves(lam, shift, beads)), (lam, shift, beads)
                 compared += 1
     assert compared == 18 * 4 * (272 + 20)
 

@@ -173,6 +173,7 @@ def add_rim_hooks(lam: Partition, r: int, max_rows: int) -> list[tuple[Partition
     [((1, 1, 1), 2), ((3,), 1)]
     """
     lam = validate_partition(lam)
+    r = operator.index(r)
     if r < 1:
         raise ValueError(f"rim hook size must be positive, got {r}")
     if max_rows < 0:
@@ -195,6 +196,7 @@ def remove_rim_hooks(lam: Partition, r: int) -> list[tuple[Partition, int]]:
     [((1,), 2)]
     """
     lam = validate_partition(lam)
+    r = operator.index(r)
     if r < 1:
         raise ValueError(f"rim hook size must be positive, got {r}")
     return _bead_moves(lam, -r, len(lam))
@@ -226,6 +228,7 @@ def n_core(lam: Partition, n: int) -> CoreResult:
     (2, 2)
     """
     lam = validate_partition(lam)
+    n = operator.index(n)
     if n < 2:
         raise ValueError(f"hook size must be at least 2, got {n}")
     hooks = sum(lam) // n

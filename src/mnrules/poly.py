@@ -184,6 +184,8 @@ class SparsePoly:
                     exps[i - 1] = exps.get(i - 1, 0) + int(m.group(2) or 1)
                 elif factor.isdigit():
                     coeff *= int(factor)
+                elif not factor:
+                    raise ValueError(f"malformed polynomial: {text!r}")
                 else:
                     raise ValueError(f"bad factor {factor!r} in {text!r}")
             vec = [0] * (max(exps) + 1 if exps else 0)

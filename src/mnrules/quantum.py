@@ -106,6 +106,7 @@ def quantum_mn(lam: Partition, r: int, ctx: GrContext) -> QuantumClass:
     {(0, (3, 3, 3, 2)): 1, (0, (4, 4, 3)): 1, (1, (1, 1, 1)): 1, (1, (3,)): 1}
     """
     lam = _require_args(lam, r, ctx)
+    r = operator.index(r)
     k, n = ctx
     rows = lam + (0,) * (k - len(lam))
     up = tuple([p + 1 for p in rows])

@@ -268,6 +268,7 @@ def test_acceptance_09_ideal_vanishing(capsys):
         for j in range(n - k + 1, n):
             assert f"h_{j}" in names
             assert psi_reduce((j,), ctx) == {}
+        assert f"h_{n}" in names
         assert psi_reduce((n,), ctx) == {(1, ()): 1 if k % 2 else -1}
         sampled = [name for name in names if name.startswith("s_")]
         assert len(sampled) == 20

@@ -1,12 +1,17 @@
 """Golden CLI output: the exact stdout bytes of every subcommand, as text and
 with ``--json``, and of the parser's help and usage errors.
 
-The other CLI tests parse JSON with ``json.loads`` and so cannot see a change
-in spacing or key order; these cases pin the bytes.  ``--verify`` cases also
-pin stderr.  The help and usage cases run ``python -m mnrules.cli`` in a child
-80 columns wide and pin stdout, stderr and the exit code; argparse words its
-help a little differently from one Python release to the next, and these bytes
-are those of Python 3.11.
+``GOLDEN`` is where the stdout of a successful command is pinned: each row
+checks the exit code, the stdout bytes as text and with ``--json`` (term
+order and spacing included), and stderr, which is ``verify: MATCH`` for a
+``--verify`` row and empty otherwise.  The tests in ``test_cli.py`` pin what
+these rows cannot: the README's examples, refusals and limits, ``--verify``
+mismatches, and answers too large to spell out here.
+
+The help and usage cases run ``python -m mnrules.cli`` in a child 80
+columns wide and pin stdout, stderr and the exit code; argparse words its
+help a little differently from one Python release to the next, and these
+bytes are those of Python 3.11.
 """
 
 import os
@@ -33,6 +38,16 @@ GOLDEN = [
         ["mn-schur", "--partition", "", "--r", "2", "--k", "3"],
         '-s[1,1] + s[2]\n',
         '[{"coeff": -1, "partition": [1, 1]}, {"coeff": 1, "partition": [2]}]\n',
+    ),
+    (
+        ["mn-schur", "--partition", "", "--r", "2", "--k", "2"],
+        '-s[1,1] + s[2]\n',
+        '[{"coeff": -1, "partition": [1, 1]}, {"coeff": 1, "partition": [2]}]\n',
+    ),
+    (
+        ["mn-schur", "--partition", "1", "--r", "2", "--k", "3"],
+        '-s[1,1,1] + s[3]\n',
+        '[{"coeff": -1, "partition": [1, 1, 1]}, {"coeff": 1, "partition": [3]}]\n',
     ),
     (
         ["mn-schubert", "--w", "2413", "--k", "2", "--r", "3", "--verify"],
@@ -81,6 +96,11 @@ GOLDEN = [
         '[{"coeff": 1, "q": 2, "partition": []}]\n',
     ),
     (
+        ["mn-quantum", "--partition", "4,4,4,4", "--r", "1", "--k", "4", "--n", "8", "--verify"],
+        'q σ[3,3,3]\n',
+        '[{"coeff": 1, "q": 1, "partition": [3, 3, 3]}]\n',
+    ),
+    (
         ["pieri", "--partition", "2,1", "--size", "2", "--kind", "e", "--k", "3"],
         's[2,2,1] + s[3,1,1] + s[3,2]\n',
         (
@@ -102,6 +122,11 @@ GOLDEN = [
         '[]\n',
     ),
     (
+        ["pieri", "--partition", "1", "--size", "1", "--kind", "e", "--k", "2"],
+        's[1,1] + s[2]\n',
+        '[{"coeff": 1, "partition": [1, 1]}, {"coeff": 1, "partition": [2]}]\n',
+    ),
+    (
         ["monk", "--w", "21", "--k", "1"],
         'S[3,1,2]\n',
         '[{"coeff": 1, "perm": [3, 1, 2]}]\n',
@@ -118,6 +143,16 @@ GOLDEN = [
         ["schubert-expand", "--poly", "0"],
         '0\n',
         '[]\n',
+    ),
+    (
+        ["schubert-expand", "--poly", "x1 + x2"],
+        'S[1,3,2]\n',
+        '[{"coeff": 1, "perm": [1, 3, 2]}]\n',
+    ),
+    (
+        ["schubert-expand", "--poly", "x2"],
+        'S[1,3,2] - S[2,1]\n',
+        '[{"coeff": 1, "perm": [1, 3, 2]}, {"coeff": -1, "perm": [2, 1]}]\n',
     ),
     (
         ["core", "--partition", "12,10,7,3", "--n", "8"],

@@ -6,7 +6,8 @@ import pytest
 from mnrules.partitions import add_rim_hooks, n_core, remove_rim_hooks, strips
 from mnrules.perm import canonical, chain_endpoints, k_bruhat_covers
 from mnrules.poly import SparsePoly
-from mnrules.symfun import pieri_e, pieri_h, power_sum_poly
+from mnrules.quantum import GrContext, quantum_mn, quantum_mn_extended
+from mnrules.symfun import mn_classical, pieri_e, pieri_h, power_sum_poly
 
 REFUSALS = [
     pytest.param(lambda: add_rim_hooks((1,), 0, 3), "rim hook size must be positive, got 0", id="add_rim_hooks-r0"),
@@ -33,6 +34,9 @@ REFUSALS = [
     pytest.param(lambda: SparsePoly.parse("x1++x2"), "malformed polynomial: 'x1++x2'", id="parse-double-plus"),
     # checked before "-" is read as a term's sign, so the message names the text
     pytest.param(lambda: SparsePoly.parse("x1^-1"), "negative exponent in 'x1^-1'", id="parse-negative-exponent"),
+    # an empty factor is refused as the empty term is, not as a factor '' never written
+    pytest.param(lambda: SparsePoly.parse("x1*"), "malformed polynomial: 'x1*'", id="parse-trailing-star"),
+    pytest.param(lambda: SparsePoly.parse("x1*-x2"), "malformed polynomial: 'x1*-x2'", id="parse-star-minus"),
     pytest.param(lambda: pieri_e((1,), 0, 2), "need a >= 1, got 0", id="pieri_e-a0"),
     pytest.param(lambda: pieri_h((1,), 0, 2), "need b >= 1, got 0", id="pieri_h-b0"),
 ]
@@ -43,6 +47,23 @@ def test_bad_argument_is_refused_with_its_message(call, message):
     with pytest.raises(ValueError) as err:
         call()
     assert str(err.value) == message
+
+
+# Sizes are read with operator.index: a float is refused, not carried into the shapes
+FLOAT_SIZES = [
+    pytest.param(lambda: add_rim_hooks((1,), 2.0, 3), id="add_rim_hooks"),
+    pytest.param(lambda: remove_rim_hooks((3,), 2.0), id="remove_rim_hooks"),
+    pytest.param(lambda: n_core((5, 3), 2.0), id="n_core"),
+    pytest.param(lambda: mn_classical((1,), 2.0, 3), id="mn_classical"),
+    pytest.param(lambda: quantum_mn((1,), 2.0, GrContext(2, 5)), id="quantum_mn"),
+    pytest.param(lambda: quantum_mn_extended((1,), 7.0, GrContext(2, 5)), id="quantum_mn_extended"),
+]
+
+
+@pytest.mark.parametrize("call", FLOAT_SIZES)
+def test_float_size_is_refused(call):
+    with pytest.raises(TypeError, match="^'float' object cannot be interpreted as an integer$"):
+        call()
 
 
 def test_polynomial_equality_and_repr():

@@ -194,11 +194,6 @@ def test_n_core_known_values():
     assert res.core == (3, 2, 1) and res.hooks_removed == 0 and res.height_sum == 0
 
 
-def test_n_core_rejects_small_n():
-    with pytest.raises(ValueError):
-        n_core((3, 2, 1), 1)
-
-
 def test_n_core_is_bounded_by_hooks_times_rows():
     # each hook may shift up to one list slot per row, so the hook bound
     # times the rows is capped at HOOK_LIMIT * ROW_LIMIT; 5000 hooks over

@@ -7,7 +7,6 @@ from mnrules.partitions import HOOK_LIMIT, box_partition, n_core, part
 from mnrules.quantum import (
     GENERATOR_SAMPLES,
     GrContext,
-    ideal_vanishing_check,
     oracle_quantum_mn,
     psi_reduce,
     quantum_mn,
@@ -130,10 +129,6 @@ def test_psi_reduce_past_the_hook_limit():
 def test_psi_reduce_rejects_too_many_rows():
     with pytest.raises(ValueError):
         psi_reduce((1, 1, 1), GrContext(2, 4))
-
-
-def test_quantum_mn_worked_example():
-    assert quantum_mn((3, 2, 1), 5, GrContext(4, 8)) == WORKED_EXAMPLE
 
 
 def test_quantum_mn_does_not_call_the_schur_rule_or_the_rim_hook_kernels(refuse):
@@ -397,20 +392,6 @@ def test_quantum_terms_certify_as_single_rim_hook_wraps():
             assert h_removed + h_added == h_full + 1
             checked += 1
     assert checked > 500
-
-
-def test_ideal_vanishing_reports():
-    for k, n in [(4, 8), (3, 6)]:
-        ctx = GrContext(k, n)
-        checks = ideal_vanishing_check(ctx)
-        assert all(ok for _, ok in checks)
-        names = [name for name, _ in checks]
-        for j in range(n - k + 1, n):
-            assert f"h_{j}" in names
-            assert psi_reduce((j,), ctx) == {}
-        assert f"h_{n}" in names
-        assert psi_reduce((n,), ctx) == {(1, ()): 1 if k % 2 else -1}
-        assert len(checks) >= n - (n - k + 1) + 1 + 1
 
 
 def test_sampled_generators_are_pinned():

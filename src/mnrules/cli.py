@@ -23,10 +23,10 @@ def parse_partition_arg(text: str) -> partitions.Partition:
 
 
 def parse_perm_arg(text: str) -> perm.Permutation:
-    """One-line notation: a digit string like 34165278, or comma-separated."""
+    """One-line notation, 34165278 or comma-separated; '' is the identity."""
     text = text.strip()
     if not text:
-        raise ValueError("empty permutation")
+        return ()
     try:
         if "," in text:
             word = [int(x) for x in text.split(",")]
@@ -145,9 +145,7 @@ def cmd_core(args: argparse.Namespace) -> int:
     lam = parse_partition_arg(args.partition)
     if args.k is not None:
         # the sign is psi's, (-1)**(k*s - total height); psi takes at most k rows
-        if args.k < 1:
-            raise ValueError(f"k must be positive, got {args.k}")
-        partitions.require_fits(lam, args.k)
+        partitions.require_fits(lam, partitions.require_int(args.k, "k", 1))
     res = partitions.n_core(lam, args.n)
     payload = res._asdict()
     text = f"core {fmt_partition(res.core)}  hooks_removed={res.hooks_removed}"
@@ -263,8 +261,8 @@ def main(argv: list[str] | None = None) -> int:
         print("error: out of memory", file=sys.stderr)
         return 2
     except RecursionError:
-        # no known input gets here: the deepest recursion left is the strip
-        # search, one frame per row, and rows stop at partitions.ROW_LIMIT
+        # no known input gets here: the deepest recursion is the strip search,
+        # one frame per row, and its max_rows is an int <= partitions.ROW_LIMIT
         print("error: recursion too deep for this input", file=sys.stderr)
         return 2
 

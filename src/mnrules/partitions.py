@@ -33,9 +33,24 @@ ROW_LIMIT = 500
 HOOK_LIMIT = 100_000
 
 
-def _require_rows(rows: int) -> None:
+def _require_rows(rows: int) -> int:
     if rows > ROW_LIMIT:
         raise ValueError(f"{rows} rows is over the limit of {ROW_LIMIT}")
+    return rows
+
+
+def require_int(value: int, name: str, least: int | None = None) -> int:
+    """The argument ``name`` as a plain int, read with ``operator.index``: a
+    float, string or fraction raises ValueError, and so does a value below
+    ``least``.  Every integer argument is read here, after the partition or
+    word and before the checks that relate two arguments."""
+    try:
+        value = operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
+    if least is not None and value < least:
+        raise ValueError(f"need {name} >= {least}, got {value}")
+    return value
 
 
 def validate_partition(parts: Iterable[int]) -> Partition:
@@ -66,12 +81,13 @@ def validate_partition(parts: Iterable[int]) -> Partition:
     return lam
 
 
-def require_fits(lam: Iterable[int], k: int) -> Partition:
-    """Validate ``lam``; a partition of more than k rows raises ValueError."""
-    lam = validate_partition(lam)
+def require_fits(lam: Iterable[int], k: int) -> tuple[Partition, int]:
+    """Validate ``lam``, then read ``k`` >= 0, and return both; a partition
+    of more than k rows raises ValueError."""
+    lam, k = validate_partition(lam), require_int(k, "k", 0)
     if len(lam) > k:
         raise ValueError(f"{lam} has more than {k} rows")
-    return lam
+    return lam, k
 
 
 def part(lam: Partition, i: int) -> int:
@@ -85,10 +101,10 @@ def box_partition(k: int, n: int) -> Partition:
     >>> box_partition(2, 5)
     (3, 3)
     """
+    k, n = require_int(k, "k"), require_int(n, "n")
     if not 0 < k < n:
         raise ValueError(f"need 0 < k < n, got k={k}, n={n}")
-    _require_rows(k)
-    return (n - k,) * k
+    return (n - k,) * _require_rows(k)
 
 
 def _splice(
@@ -173,12 +189,8 @@ def add_rim_hooks(lam: Partition, r: int, max_rows: int) -> list[tuple[Partition
     [((1, 1, 1), 2), ((3,), 1)]
     """
     lam = validate_partition(lam)
-    r = operator.index(r)
-    if r < 1:
-        raise ValueError(f"rim hook size must be positive, got {r}")
-    if max_rows < 0:
-        raise ValueError(f"max_rows must be nonnegative, got {max_rows}")
-    _require_rows(max_rows)
+    r = require_int(r, "r", 1)
+    max_rows = _require_rows(require_int(max_rows, "max_rows", 0))
     if len(lam) > max_rows:
         return []
     return _bead_moves(lam, r, max_rows)[::-1]
@@ -196,9 +208,7 @@ def remove_rim_hooks(lam: Partition, r: int) -> list[tuple[Partition, int]]:
     [((1,), 2)]
     """
     lam = validate_partition(lam)
-    r = operator.index(r)
-    if r < 1:
-        raise ValueError(f"rim hook size must be positive, got {r}")
+    r = require_int(r, "r", 1)
     return _bead_moves(lam, -r, len(lam))
 
 
@@ -228,9 +238,7 @@ def n_core(lam: Partition, n: int) -> CoreResult:
     (2, 2)
     """
     lam = validate_partition(lam)
-    n = operator.index(n)
-    if n < 2:
-        raise ValueError(f"hook size must be at least 2, got {n}")
+    n = require_int(n, "n", 2)
     hooks = sum(lam) // n
     if hooks > HOOK_LIMIT:
         raise ValueError(f"may strip up to {hooks} hooks, over the limit of {HOOK_LIMIT}")
@@ -274,11 +282,10 @@ def strips(lam: Partition, size: int, kind: StripKind, max_rows: int) -> list[Pa
     [(2, 1), (3,)]
     """
     lam = validate_partition(lam)
-    if size < 1:
-        raise ValueError(f"strip size must be positive, got {size}")
+    size = require_int(size, "size", 1)
     if kind not in ("horizontal", "vertical"):
         raise ValueError(f"kind must be 'horizontal' or 'vertical', got {kind!r}")
-    _require_rows(max_rows)
+    max_rows = _require_rows(require_int(max_rows, "max_rows", 0))
     if len(lam) > max_rows:
         return []
     horizontal = kind == "horizontal"

@@ -14,6 +14,8 @@ from bisect import bisect_left, insort
 from operator import index, ne
 from typing import Iterable
 
+from .partitions import require_int
+
 Permutation = tuple[int, ...]
 
 # Largest support bound a call may use.  k and r come from the command line,
@@ -119,15 +121,16 @@ def k_bruhat_covers(w: Permutation, k: int, max_support: int) -> list[Permutatio
     Every endpoint has at most need = max(m, k) + 1 letters.  ``max_support``
     must be at least need, and the whole cover set is returned: a smaller
     bound raises ValueError and never truncates the result.  The checks run
-    in order: the word, then k, then need against ``SUPPORT_LIMIT``, then
-    ``max_support`` against need.
+    in order: the word, then k and ``max_support``, then need against
+    ``SUPPORT_LIMIT``, then ``max_support`` against need.
 
     >>> k_bruhat_covers((2, 1), 2, 4)
     [(3, 1, 2), (2, 3, 1)]
     """
     w = canonical(w)
-    if k < 1:
-        raise ValueError(f"k must be positive, got {k}")
+    # called once per search state, so require_int reads only a k or bound off this fast path
+    if type(k) is not int or k < 1 or type(max_support) is not int:
+        k, max_support = require_int(k, "k", 1), require_int(max_support, "max_support")
     need = require_support(max(len(w), k) + 1)
     if max_support < need:
         raise ValueError(f"max_support={max_support} is below max(len(w), k) + 1 = {need}")
@@ -179,10 +182,7 @@ def chain_endpoints(w: Permutation, k: int, r: int) -> set[Permutation]:
     ``k_bruhat_covers``: tracing that call accounts for the whole search.
     """
     w = canonical(w)
-    if k < 1:
-        raise ValueError(f"k must be positive, got {k}")
-    if r < 0:
-        raise ValueError(f"need r >= 0, got {r}")
+    k, r = require_int(k, "k", 1), require_int(r, "r", 0)
     bound = default_max_support(w, k, r)
     w_pad = w + tuple(range(len(w) + 1, bound + 1))
     level = {w}

@@ -15,6 +15,7 @@ import operator
 import re
 from typing import Iterable, Mapping
 
+from .partitions import require_int
 from .perm import SUPPORT_LIMIT
 
 Exponents = tuple[int, ...]
@@ -96,6 +97,7 @@ class SparsePoly:
 
     @classmethod
     def constant(cls, c: int) -> "SparsePoly":
+        c = require_int(c, "c")
         return cls._from_clean({(): c} if c else {})
 
     def __bool__(self) -> bool:

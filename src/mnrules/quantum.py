@@ -19,6 +19,7 @@ from .partitions import (
     box_partition,
     part,
     require_fits,
+    require_int,
     validate_partition,
 )
 from .perm import length
@@ -33,38 +34,33 @@ GENERATOR_SAMPLES = 20
 
 class GrContext(namedtuple("GrContext", "k n")):
     """The Grassmannian Gr(k, n) of k-planes in n-space: 0 < k < n, and k at
-    most ``ROW_LIMIT``, both checked once here by ``box_partition``.
-
-    k and n are read with ``operator.index``: integers (int subclasses
-    included) pass, anything else raises ValueError.  ``_make``, and so
-    ``_replace``, goes through the same checks.
+    most ``ROW_LIMIT``, both checked once here by ``box_partition``, which
+    reads k and n with ``partitions.require_int``; an int subclass is stored
+    as a plain int.  ``_make``, and so ``_replace``, goes through the same
+    checks.
     """
 
     __slots__ = ()
 
     def __new__(cls, k: int, n: int) -> GrContext:
-        try:
-            k, n = operator.index(k), operator.index(n)
-        except TypeError:
-            raise ValueError(f"k and n must be integers, got k={k!r}, n={n!r}") from None
         box_partition(k, n)
-        return tuple.__new__(cls, (k, n))
+        return tuple.__new__(cls, (operator.index(k), operator.index(n)))
 
     @classmethod
     def _make(cls, iterable: Iterable[int]) -> GrContext:
         return cls(*iterable)
 
 
-def _require_args(lam: Partition, r: int, ctx: GrContext) -> Partition:
-    """Validate ``lam`` against the k x (n-k) box, then 1 <= r < n, and
-    return ``lam``."""
-    lam = validate_partition(lam)
+def _require_args(lam: Partition, r: int, ctx: GrContext) -> tuple[Partition, int]:
+    """Validate ``lam`` and read ``r``, check lam against the k x (n-k) box,
+    then 1 <= r < n, and return ``lam`` and ``r``."""
+    lam, r = validate_partition(lam), require_int(r, "r")
     k, n = ctx
     if len(lam) > k or part(lam, 0) > n - k:
         raise ValueError(f"{lam} does not fit in the {k} x {n - k} box")
     if not 1 <= r < n:
         raise ValueError(f"need 1 <= r < n={n}, got r={r}")
-    return lam
+    return lam, r
 
 
 def psi_reduce(lam: Partition, ctx: GrContext) -> QuantumClass:
@@ -77,8 +73,8 @@ def psi_reduce(lam: Partition, ctx: GrContext) -> QuantumClass:
     >>> psi_reduce((12, 10, 7, 3), GrContext(4, 8))
     {(3, (4, 2, 2)): 1}
     """
-    lam = require_fits(lam, ctx.k)
-    k, n = ctx
+    lam, k = require_fits(lam, ctx.k)
+    n = ctx.n
     residues = [(p + k - 1 - i) % n for i, p in enumerate(lam + (0,) * (k - len(lam)))]
     if len(set(residues)) < k:  # two beads on one runner: the core is not in the box
         return {}
@@ -105,8 +101,7 @@ def quantum_mn(lam: Partition, r: int, ctx: GrContext) -> QuantumClass:
     >>> quantum_mn((3, 2, 1), 5, GrContext(4, 8))
     {(0, (3, 3, 3, 2)): 1, (0, (4, 4, 3)): 1, (1, (1, 1, 1)): 1, (1, (3,)): 1}
     """
-    lam = _require_args(lam, r, ctx)
-    r = operator.index(r)
+    lam, r = _require_args(lam, r, ctx)
     k, n = ctx
     rows = lam + (0,) * (k - len(lam))
     up = tuple([p + 1 for p in rows])
@@ -155,11 +150,12 @@ def wrap_power_sum(
     sigma_1 * p_3 = sigma_1**4, which is q**2.  The benchmark's recorded
     digests hold the current sign, so the fix waits for a benchmark change.
     """
-    if r < 1:
-        raise ValueError(f"need r >= 1, got {r}")
     k, n = ctx
-    if r % n == 0:
-        raise ValueError(f"r divisible by n={n} is not supported")
+    if type(r) is not int or r < 1 or r % n == 0:  # else ``rule`` checks lam
+        validate_partition(lam)  # lam's own errors come first
+        r = require_int(r, "r", 1)
+        if r % n == 0:
+            raise ValueError(f"r divisible by n={n} is not supported")
     wraps, base = divmod(r, n)
     sign = 1 if (k * wraps) % 2 == 0 else -1
     return {

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from operator import indexOf, ne
 
-from .partitions import Partition, part, require_fits
+from .partitions import Partition, part, require_fits, require_int
 from .perm import (
     Permutation,
     canonical,
@@ -152,8 +152,7 @@ def power_sum_times(w: Permutation, k: int, r: int) -> SchubertExpansion:
     over ``LETTER_LIMIT`` raise ValueError before any word is built.
     """
     w = canonical(w)
-    if k < 1 or r < 1:
-        raise ValueError(f"need k, r >= 1, got k={k}, r={r}")
+    k, r = require_int(k, "k", 1), require_int(r, "r", 1)
     _require_letters(k * r * default_max_support(w, k, r), f"p_{r}(x_1..x_{k}) times S_w")
     out: SchubertExpansion = {}
     for i in range(1, k + 1):
@@ -169,7 +168,7 @@ def monk(w: Permutation, k: int) -> SchubertExpansion:
 
     One term S_u for every k-Bruhat cover w -> u; all coefficients are 1.
     """
-    w = canonical(w)
+    w, k = canonical(w), require_int(k, "k", 1)
     return dict.fromkeys(k_bruhat_covers(w, k, default_max_support(w, k, 1)), 1)
 
 
@@ -216,8 +215,7 @@ def mn_schubert(w: Permutation, k: int, r: int) -> SchubertExpansion:
     expansion is multiplicity-free.
     """
     w = canonical(w)
-    if k < 1 or r < 1:
-        raise ValueError(f"need k, r >= 1, got k={k}, r={r}")
+    k, r = require_int(k, "k", 1), require_int(r, "r", 1)
     # Every endpoint is at least as long as w and fits in the support bound,
     # so w and its inverse are padded once.  chain_endpoints returns only
     # endpoints whose eta moves r + 1 points, and each is walked once.
@@ -239,7 +237,7 @@ def grassmannian_permutation(lam: Partition, k: int) -> Permutation:
     The word has k + lam_1 letters; over ``perm.SUPPORT_LIMIT`` raises
     ValueError before it is built.
     """
-    lam = require_fits(lam, k)
+    lam, k = require_fits(lam, k)
     require_support(k + part(lam, 0))
     if not lam:
         return ()

@@ -386,7 +386,7 @@ def hook_strip_psi_reduce(lam: Partition, ctx: GrContext) -> QuantumClass:
     """psi_reduce by stripping n-hooks one at a time with n_core: the n-core
     if it fits in the box, with q**s for its s hooks and the sign
     (-1)**(k*s - height_sum)."""
-    lam = require_fits(lam, ctx.k)
+    lam, _ = require_fits(lam, ctx.k)
     res = n_core(lam, ctx.n)
     if part(res.core, 0) > ctx.n - ctx.k:  # the core has no more rows than lam
         return {}
@@ -1084,7 +1084,7 @@ def two_route_quantum_mn(lam: Partition, r: int, ctx: GrContext) -> QuantumClass
     the box; the q**1 terms are the rim hooks of n - r cells removed from
     lam, each with sign -(-1)**k * (-1)**(height + 1).
     """
-    lam, box = _require_args(lam, r, ctx), box_partition(ctx.k, ctx.n)
+    (lam, r), box = _require_args(lam, r, ctx), box_partition(ctx.k, ctx.n)
     out: QuantumClass = {
         (0, mu): c for mu, c in mn_classical(lam, r, ctx.k).items() if leq(mu, box)
     }
@@ -1139,7 +1139,7 @@ def pieri_newton_quantum_mn(lam: Partition, r: int, ctx: GrContext) -> QuantumCl
     p_(s-i), plus (-1)**(s-1) s e_s when s <= k, applied to sigma_lam for
     s = 1..r, each e_i by the quantum Pieri rule."""
     k, n = ctx
-    lam = require_fits(lam, k)
+    lam, _ = require_fits(lam, k)
     if part(lam, 0) > n - k:
         raise ValueError(f"{lam} does not fit in the {k} x {n - k} box")
     if r < 1:
@@ -1180,7 +1180,7 @@ def schubert_route_quantum_mn(lam: Partition, r: int, ctx: GrContext) -> Quantum
     gives p_r * s_lam in k variables.  Each term's shape is read back off its
     permutation, pushed through psi_reduce and collected.  Shares no code
     with the circle move of quantum_mn or with mn_classical."""
-    lam = _require_args(lam, r, ctx)
+    lam, r = _require_args(lam, r, ctx)
     k = ctx.k
     out: QuantumClass = {}
     for u, coeff in schubert.mn_schubert(schubert.grassmannian_permutation(lam, k), k, r).items():

@@ -61,8 +61,7 @@ def test_parse_partition_arg():
 def test_parse_perm_arg_digit_string_equals_comma_form():
     assert cli.parse_perm_arg("34165278") == cli.parse_perm_arg("3,4,1,6,5,2,7,8")
     assert cli.parse_perm_arg("34165278") == (3, 4, 1, 6, 5, 2)
-    with pytest.raises(ValueError):
-        cli.parse_perm_arg("")
+    assert cli.parse_perm_arg("") == cli.parse_perm_arg(" ") == ()  # the identity
     with pytest.raises(ValueError):
         cli.parse_perm_arg("x2")
 
@@ -82,8 +81,8 @@ def test_core_rejects_k_below_the_row_count(capsys):
     # psi_reduce refuses these partitions, so there is no sign to report
     for k, message in (
         ("1", "has more than 1 rows"),
-        ("0", "k must be positive"),
-        ("-5", "k must be positive"),
+        ("0", "need k >= 1, got 0"),
+        ("-5", "need k >= 1, got -5"),
     ):
         code, out, err = run(capsys, "core", "--partition", "3,2,1", "--n", "2", "--k", k)
         assert code == 2 and out == ""

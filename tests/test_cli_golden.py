@@ -131,6 +131,11 @@ GOLDEN = [
         'S[3,1,2]\n',
         '[{"coeff": 1, "perm": [3, 1, 2]}]\n',
     ),
+    (  # '' is the identity, as '' is the empty partition
+        ["monk", "--w", "", "--k", "1"],
+        'S[2,1]\n',
+        '[{"coeff": 1, "perm": [2, 1]}]\n',
+    ),
     (
         ["schubert-expand", "--poly", "-2*x1 - x1*x2 + 3*x1^2"],
         '-2*S[2,1] - S[2,3,1] + 3*S[3,1,2]\n',

@@ -30,6 +30,7 @@ ORACLES = [
 SHARED = {
     "partitions.validate_partition": "checks a partition argument",
     "partitions.require_fits": "checks that a partition has at most k rows",
+    "partitions.require_int": "reads an integer argument, with its least value",
     "partitions._require_rows": "checks a row count against ROW_LIMIT",
     "perm.canonical": "checks one-line notation and trims fixed points",
     "perm.require_support": "checks a word length against SUPPORT_LIMIT",

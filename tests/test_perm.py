@@ -325,7 +325,7 @@ LIMIT = perm.SUPPORT_LIMIT
         # bound raises instead of truncating
         ((1.0, 2), LIMIT, 1, "entries must be integers, got (1.0, 2)"),
         ((1, 1), 0, 1, "not a permutation of 1..2: (1, 1)"),
-        ((2, 1), 0, 1, "k must be positive, got 0"),
+        ((2, 1), 0, 1, "need k >= 1, got 0"),
         ((2, 1), LIMIT, 1, f"needs words of {LIMIT + 1} letters, over the limit of {LIMIT}"),
         ((2, 1), 1, 2, "max_support=2 is below max(len(w), k) + 1 = 3"),
         ((3, 4, 1, 2), 2, 4, "max_support=4 is below max(len(w), k) + 1 = 5"),

@@ -6,7 +6,6 @@ pickled by its fields, and equal to the plain tuple of those fields.
 
 import copy
 import pickle
-from fractions import Fraction
 
 import pytest
 
@@ -102,10 +101,8 @@ class Small(int):
 
 
 def test_grassmannian_takes_only_integers():
-    for k, n in [(1.5, 4), (2, 4.0), ("2", 4), (2, "4"), (None, 4), (Fraction(2), 4)]:
-        with pytest.raises(ValueError) as err:
-            GrContext(k, n)
-        assert str(err.value) == f"k and n must be integers, got k={k!r}, n={n!r}"
+    # the refusals of floats, strings, fractions and None are REFUSALS rows
+    # in test_input_checks.py; integers of any int type are stored as ints
     ctx = GrContext(Small(2), Small(5))
     assert ctx == GrContext(2, 5)
     assert repr(ctx) == "GrContext(k=2, n=5)"
@@ -125,4 +122,4 @@ def test_grassmannian_is_a_checked_named_tuple():
         assert str(err.value).startswith("need 0 < k < n, got k=")
     with pytest.raises(ValueError) as err:
         ctx._replace(k=1.5)
-    assert str(err.value) == "k and n must be integers, got k=1.5, n=5"
+    assert str(err.value) == "k must be an integer, got 1.5"

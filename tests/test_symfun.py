@@ -62,31 +62,6 @@ def test_pieri_matches_monomial_products(lam, size, k):
     assert expansion_poly(pieri_h(lam, size, k), k) == h_poly * sl
 
 
-@pytest.mark.parametrize(
-    "lam, r, k, message",
-    [
-        ((1, 2), 1, 3, "parts must be weakly decreasing, got (1, 2)"),
-        ((1, 2), 0, 600, "parts must be weakly decreasing, got (1, 2)"),
-        ((1.5,), 1, 2, "parts must be positive integers, got (1.5,)"),
-        ((2, -1), 1, 3, "parts must be positive integers, got (2, -1)"),
-        ((2, 1, 1), 0, 2, "(2, 1, 1) has more than 2 rows"),
-        ((1, 1), 1, 1, "(1, 1) has more than 1 rows"),
-        ((), 1, -1, "() has more than -1 rows"),
-        ((3,), -2, -1, "(3,) has more than -1 rows"),
-        ((1,) * 600, 1, 501, f"{(1,) * 600} has more than 501 rows"),
-        ((1,), 0, 501, "need r >= 1, got 0"),
-        ((), 0, 0, "need r >= 1, got 0"),
-        ((1,), 2, 501, "501 rows is over the limit of 500"),
-        ((1,) * 501, 1, 501, "501 rows is over the limit of 500"),
-    ],
-)
-def test_mn_classical_errors_keep_their_messages_and_order(lam, r, k, message):
-    # lam first, then its row count, then r, then the row limit on k
-    with pytest.raises(ValueError) as raised:
-        mn_classical(lam, r, k)
-    assert str(raised.value) == message
-
-
 def test_mn_classical_edge_answers():
     assert mn_classical((), 1, 0) == {}
     assert mn_classical([2, 1, 0, 0], 1, 2) == {(2, 2): 1, (3, 1): 1}

@@ -203,12 +203,15 @@ def cmd_selfcheck(args: argparse.Namespace) -> int:
     return 0 if all_ok else 1
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The parser of every command or, when ``command`` names one, of that
+    command alone: ``main`` passes argv[0], so a run builds only the
+    subparser it uses.  Help, usage and error bytes are the same either way.
+    """
     parser = argparse.ArgumentParser(
         prog="mnrules",
         description="Exact power-sum products in the Schur, Schubert, and quantum Schubert bases.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
     text, number = {"required": True}, {"type": int, "required": True}
     flag = {"action": "store_true"}
     as_json = {**flag, "help": "emit JSON instead of text"}
@@ -242,6 +245,14 @@ def build_parser() -> argparse.ArgumentParser:
         }),
         ("selfcheck", "run the built-in known-answer checks", cmd_selfcheck, {}),
     ]
+    names = [name for name, *_ in commands]
+    if command in names:
+        # the metavar keeps every name in the usage line of an "unrecognized
+        # arguments" error; set always, it would reword "invalid choice"
+        commands = [entry for entry in commands if entry[0] == command]
+        sub = parser.add_subparsers(dest="command", required=True, metavar="{" + ",".join(names) + "}")
+    else:
+        sub = parser.add_subparsers(dest="command", required=True)
     for name, summary, handler, options in commands:
         p = sub.add_parser(name, help=summary)
         for option, keywords in {**options, "--json": as_json}.items():
@@ -251,7 +262,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    if argv is None:
+        argv = sys.argv[1:]
+    args = build_parser(argv[0] if argv else None).parse_args(argv)
     try:
         return args.func(args)
     except ValueError as exc:

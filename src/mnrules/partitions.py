@@ -183,14 +183,18 @@ def add_rim_hooks(lam: Partition, r: int, max_rows: int) -> list[tuple[Partition
     an empty position gives one hook (see :func:`_bead_moves`).  Returns
     (outer shape, hook height) pairs sorted lexicographically by shape (the
     bead order reversed); the shapes are distinct.  ``max_rows`` over
-    ``ROW_LIMIT`` raises ValueError.
+    ``ROW_LIMIT`` raises ValueError.  Plain ints r >= 1 and 0 <= max_rows
+    <= ``ROW_LIMIT`` are not read again; anything else goes through
+    ``require_int`` and ``_require_rows``, which own every message.
 
     >>> add_rim_hooks((1,), 2, 3)
     [((1, 1, 1), 2), ((3,), 1)]
     """
     lam = validate_partition(lam)
-    r = require_int(r, "r", 1)
-    max_rows = _require_rows(require_int(max_rows, "max_rows", 0))
+    # called once per mn_classical call, so the readers run only off this fast path
+    if type(r) is not int or r < 1 or type(max_rows) is not int or not 0 <= max_rows <= ROW_LIMIT:
+        r = require_int(r, "r", 1)
+        max_rows = _require_rows(require_int(max_rows, "max_rows", 0))
     if len(lam) > max_rows:
         return []
     return _bead_moves(lam, r, max_rows)[::-1]

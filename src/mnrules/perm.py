@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from bisect import bisect_left, insort
 from operator import index, ne
-from typing import Iterable
+from typing import Iterable, Sequence
 
 from .partitions import require_int
 
@@ -51,7 +51,8 @@ def canonical(word: Iterable[int]) -> Permutation:
     >>> canonical([1, 2])
     ()
     """
-    word = tuple(word)
+    if type(word) is not tuple:
+        word = tuple(word)
     try:
         w = tuple(map(index, word))
     except TypeError:
@@ -67,6 +68,12 @@ def canonical(word: Iterable[int]) -> Permutation:
 
 
 def inverse(w: Permutation) -> Permutation:
+    """The inverse permutation, read through :func:`canonical`.
+
+    >>> inverse((3, 1, 2))
+    (2, 3, 1)
+    """
+    w = canonical(w)
     inv = [0] * len(w)
     for i, v in enumerate(w):
         inv[v - 1] = i + 1
@@ -74,18 +81,25 @@ def inverse(w: Permutation) -> Permutation:
 
 
 def length(w: Permutation) -> int:
-    """Number of inversions.
-
-    Reads the word right to left, keeping the values seen in a sorted list:
-    each value is above exactly ``bisect_left`` of them.  With m = len(w)
-    that is O(m log m) comparisons, and the ``insort`` shifts are C memmoves.
+    """Number of inversions of w, read through :func:`canonical`.
 
     >>> length((3, 4, 1, 6, 5, 2))
     7
     """
+    return _inversions(canonical(w))
+
+
+def _inversions(word: Sequence[int]) -> int:
+    """Number of pairs i < j with word[i] > word[j], for distinct values;
+    unchecked, so ``psi_reduce`` counts bead residues with it too.
+
+    Reads the word right to left, keeping the values seen in a sorted list:
+    each value is above exactly ``bisect_left`` of them.  With m letters
+    that is O(m log m) comparisons, and the ``insort`` shifts are C memmoves.
+    """
     seen: list[int] = []
     count = 0
-    for v in reversed(w):
+    for v in reversed(word):
         count += bisect_left(seen, v)
         insort(seen, v)
     return count
@@ -131,10 +145,10 @@ def k_bruhat_covers(w: Permutation, k: int, max_support: int) -> list[Permutatio
     # called once per search state, so require_int reads only a k or bound off this fast path
     if type(k) is not int or k < 1 or type(max_support) is not int:
         k, max_support = require_int(k, "k", 1), require_int(max_support, "max_support")
-    need = require_support(max(len(w), k) + 1)
+    size = len(w)
+    need = require_support((size if size > k else k) + 1)
     if max_support < need:
         raise ValueError(f"max_support={max_support} is below max(len(w), k) + 1 = {need}")
-    size = len(w)
     if k > size:
         return [w + tuple(range(size + 1, k)) + (k + 1, k)]
     ends: list[Permutation] = []

@@ -116,6 +116,8 @@ class SparsePoly:
     def __add__(self, other: "SparsePoly | int") -> "SparsePoly":
         if isinstance(other, int):
             other = SparsePoly.constant(other)
+        elif not isinstance(other, SparsePoly):
+            return NotImplemented
         return SparsePoly._from_clean(_add(dict(self.terms), other.terms))
 
     def __sub__(self, other: "SparsePoly | int") -> "SparsePoly":
@@ -126,6 +128,8 @@ class SparsePoly:
             if other == 0:
                 return SparsePoly.zero()
             return SparsePoly._from_clean({e: c * other for e, c in self.terms.items()})
+        if not isinstance(other, SparsePoly):
+            return NotImplemented
         data: dict[Exponents, int] = {}
         for ea, ca in self.terms.items():
             row = {}  # x^ea times other: distinct eb give distinct products

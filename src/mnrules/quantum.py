@@ -14,6 +14,7 @@ from collections import namedtuple
 from typing import Callable, Iterable
 
 from .partitions import (
+    ROW_LIMIT,
     Partition,
     _splice,
     box_partition,
@@ -22,7 +23,7 @@ from .partitions import (
     require_int,
     validate_partition,
 )
-from .perm import length
+from .perm import _inversions
 from .poly import _add
 from .symfun import mn_classical
 
@@ -34,15 +35,19 @@ GENERATOR_SAMPLES = 20
 
 class GrContext(namedtuple("GrContext", "k n")):
     """The Grassmannian Gr(k, n) of k-planes in n-space: 0 < k < n, and k at
-    most ``ROW_LIMIT``, both checked once here by ``box_partition``, which
-    reads k and n with ``partitions.require_int``; an int subclass is stored
-    as a plain int.  ``_make``, and so ``_replace``, goes through the same
-    checks.
+    most ``ROW_LIMIT``.  Plain ints in range are stored as they are; anything
+    else (a bool, an int subclass, every refusal) goes through
+    ``box_partition``, which reads k and n with ``partitions.require_int``
+    and owns every message, and an int subclass is stored as a plain int.
+    ``_make``, and so ``_replace``, goes through the same checks.
     """
 
     __slots__ = ()
 
     def __new__(cls, k: int, n: int) -> GrContext:
+        # built once per quantum call, so box_partition checks only off this fast path
+        if type(k) is int and type(n) is int and 0 < k < n and k <= ROW_LIMIT:
+            return tuple.__new__(cls, (k, n))
         box_partition(k, n)
         return tuple.__new__(cls, (operator.index(k), operator.index(n)))
 
@@ -53,8 +58,11 @@ class GrContext(namedtuple("GrContext", "k n")):
 
 def _require_args(lam: Partition, r: int, ctx: GrContext) -> tuple[Partition, int]:
     """Validate ``lam`` and read ``r``, check lam against the k x (n-k) box,
-    then 1 <= r < n, and return ``lam`` and ``r``."""
-    lam, r = validate_partition(lam), require_int(r, "r")
+    then 1 <= r < n, and return ``lam`` and ``r``.  A plain int r is not
+    read again: the range check below is all it needs."""
+    lam = validate_partition(lam)
+    if type(r) is not int:
+        r = require_int(r, "r")
     k, n = ctx
     if len(lam) > k or part(lam, 0) > n - k:
         raise ValueError(f"{lam} does not fit in the {k} x {n - k} box")
@@ -80,7 +88,7 @@ def psi_reduce(lam: Partition, ctx: GrContext) -> QuantumClass:
         return {}
     core = tuple(c - j for j, c in enumerate(sorted(residues)) if c > j)[::-1]
     s = (sum(lam) - sum(core)) // n
-    flips = k * (k - 1) // 2 - length(residues)  # the bead pairs that pass each other
+    flips = k * (k - 1) // 2 - _inversions(residues)  # the bead pairs that pass each other
     return {(s, core): -1 if ((k - 1) * s + flips) % 2 else 1}
 
 

@@ -14,9 +14,9 @@ from fractions import Fraction
 import pytest
 
 from mnrules.partitions import add_rim_hooks, box_partition, n_core, remove_rim_hooks, strips
-from mnrules.perm import canonical, chain_endpoints, k_bruhat_covers
+from mnrules.perm import SUPPORT_LIMIT, canonical, chain_endpoints, inverse, k_bruhat_covers, length
 from mnrules.poly import SparsePoly
-from mnrules.quantum import GrContext, quantum_mn, quantum_mn_extended
+from mnrules.quantum import GrContext, oracle_quantum_mn, quantum_mn, quantum_mn_extended
 from mnrules.schubert import grassmannian_permutation, mn_schubert, monk, power_sum_times
 from mnrules.symfun import mn_classical, pieri_e, pieri_h, power_sum_poly
 
@@ -36,6 +36,8 @@ REFUSALS = [
     pytest.param(lambda: add_rim_hooks((1,), 1, -1), "need max_rows >= 0, got -1", id="add_rim_hooks-max_rows-1"),
     *not_integers("add_rim_hooks-r", lambda v: add_rim_hooks((1,), v, 3), "r"),
     *not_integers("add_rim_hooks-max_rows", lambda v: add_rim_hooks((1,), 2, v), "max_rows"),
+    # one past the plain-int fast path, which takes max_rows up to ROW_LIMIT
+    pytest.param(lambda: add_rim_hooks((1,), 2, 501), "501 rows is over the limit of 500", id="add_rim_hooks-max_rows-501"),
     pytest.param(lambda: remove_rim_hooks((2,), 0), "need r >= 1, got 0", id="remove_rim_hooks-r0"),
     *not_integers("remove_rim_hooks-r", lambda v: remove_rim_hooks((3,), v), "r"),
     pytest.param(lambda: n_core((3, 2, 1), 1), "need n >= 2, got 1", id="n_core-n1"),
@@ -53,6 +55,9 @@ REFUSALS = [
     pytest.param(lambda: GrContext(0, 4), "need 0 < k < n, got k=0, n=4", id="GrContext-k0"),
     pytest.param(lambda: GrContext(4, 4), "need 0 < k < n, got k=4, n=4", id="GrContext-k-is-n"),
     pytest.param(lambda: GrContext(5, 3), "need 0 < k < n, got k=5, n=3", id="GrContext-k-over-n"),
+    pytest.param(lambda: GrContext(3, 3), "need 0 < k < n, got k=3, n=3", id="GrContext-k-is-n-3"),
+    # k is the row count of every shape in the box; the fast path takes k up to ROW_LIMIT
+    pytest.param(lambda: GrContext(501, 1000), "501 rows is over the limit of 500", id="GrContext-k-over-row-limit"),
     *not_integers("GrContext-k", lambda v: GrContext(v, 4), "k"),
     *not_integers("GrContext-n", lambda v: GrContext(2, v), "n", 4),
     pytest.param(lambda: GrContext(1.5, 4), "k must be an integer, got 1.5", id="GrContext-k-1.5"),
@@ -60,6 +65,29 @@ REFUSALS = [
     # k is read before n, whatever n is
     pytest.param(lambda: GrContext("2", 4.0), "k must be an integer, got '2'", id="GrContext-k-before-n"),
     *not_integers("quantum_mn-r", lambda v: quantum_mn((1,), v, GrContext(2, 5)), "r"),
+    # quantum_mn: lam against the box first, then 1 <= r < n
+    pytest.param(lambda: quantum_mn((3, 2, 1), 0, GrContext(4, 8)), "need 1 <= r < n=8, got r=0", id="quantum_mn-r0"),
+    pytest.param(lambda: quantum_mn((3, 2, 1), 8, GrContext(4, 8)), "need 1 <= r < n=8, got r=8", id="quantum_mn-r-is-n"),
+    pytest.param(
+        lambda: quantum_mn((5, 2, 1), 3, GrContext(4, 8)), "(5, 2, 1) does not fit in the 4 x 4 box", id="quantum_mn-past-box"
+    ),
+    pytest.param(
+        lambda: quantum_mn((1,) * 5, 3, GrContext(4, 8)),
+        "(1, 1, 1, 1, 1) does not fit in the 4 x 4 box",
+        id="quantum_mn-over-k-rows",
+    ),
+    pytest.param(
+        lambda: quantum_mn((5, 2, 1), 8, GrContext(4, 8)),
+        "(5, 2, 1) does not fit in the 4 x 4 box",
+        id="quantum_mn-box-before-r",
+    ),
+    # the reduction oracle takes any r >= 1 and any lam of at most k rows
+    pytest.param(lambda: oracle_quantum_mn((3, 2, 1), 0, GrContext(4, 8)), "need r >= 1, got 0", id="oracle_quantum_mn-r0"),
+    pytest.param(
+        lambda: oracle_quantum_mn((1,) * 5, 3, GrContext(4, 8)),
+        "(1, 1, 1, 1, 1) has more than 4 rows",
+        id="oracle_quantum_mn-over-k-rows",
+    ),
     *not_integers("quantum_mn_extended-r", lambda v: quantum_mn_extended((1,), v, GrContext(2, 5)), "r", 7),
     # the partition is checked before r, and r before r mod n
     pytest.param(
@@ -101,8 +129,44 @@ REFUSALS = [
     *not_integers("power_sum_poly-k", lambda v: power_sum_poly(2, v), "k"),
     pytest.param(lambda: canonical((1, 1, 2)), "not a permutation of 1..3: (1, 1, 2)", id="canonical-repeat"),
     pytest.param(lambda: canonical([2.7, 1]), "entries must be integers, got (2.7, 1)", id="canonical-float"),
-    # the word is checked before k
+    # a list or a generator is copied to a tuple, so the message shows the same word
+    pytest.param(lambda: canonical([1, 1, 2]), "not a permutation of 1..3: (1, 1, 2)", id="canonical-list"),
+    pytest.param(lambda: canonical(v for v in (1, 1, 2)), "not a permutation of 1..3: (1, 1, 2)", id="canonical-generator"),
+    pytest.param(lambda: canonical(v for v in (2.7, 1)), "entries must be integers, got (2.7, 1)", id="canonical-generator-float"),
+    pytest.param(lambda: inverse((3,)), "not a permutation of 1..1: (3,)", id="inverse-out-of-range"),
+    pytest.param(lambda: inverse((2, 2)), "not a permutation of 1..2: (2, 2)", id="inverse-repeat"),
+    pytest.param(lambda: length((2.5, 1)), "entries must be integers, got (2.5, 1)", id="length-float"),
+    # k_bruhat_covers: the word first, then k, then the support limit, then
+    # the bound; every bound here is below max(len(w), k) + 1, and a low
+    # bound raises instead of truncating
+    pytest.param(
+        lambda: k_bruhat_covers((1.0, 2), SUPPORT_LIMIT, 1), "entries must be integers, got (1.0, 2)", id="k_bruhat_covers-non-integer"
+    ),
+    pytest.param(
+        lambda: k_bruhat_covers((v for v in (1.0, 2)), 1, 3), "entries must be integers, got (1.0, 2)", id="k_bruhat_covers-generator"
+    ),
     pytest.param(lambda: k_bruhat_covers((1, 1), 0, 1), "not a permutation of 1..2: (1, 1)", id="k_bruhat_covers-word-before-k"),
+    pytest.param(lambda: k_bruhat_covers([1, 1], 1, 3), "not a permutation of 1..2: (1, 1)", id="k_bruhat_covers-list"),
+    pytest.param(lambda: k_bruhat_covers((2, 1), 0, 1), "need k >= 1, got 0", id="k_bruhat_covers-k0"),
+    pytest.param(
+        lambda: k_bruhat_covers((2, 1), SUPPORT_LIMIT, 1),
+        "needs words of 100001 letters, over the limit of 100000",
+        id="k_bruhat_covers-over-support-limit",
+    ),
+    pytest.param(
+        lambda: k_bruhat_covers((2, 1), 1, 2), "max_support=2 is below max(len(w), k) + 1 = 3", id="k_bruhat_covers-bound-below-len"
+    ),
+    pytest.param(
+        lambda: k_bruhat_covers((3, 4, 1, 2), 2, 4),
+        "max_support=4 is below max(len(w), k) + 1 = 5",
+        id="k_bruhat_covers-bound-at-len",
+    ),
+    pytest.param(
+        lambda: k_bruhat_covers((), 3, 3), "max_support=3 is below max(len(w), k) + 1 = 4", id="k_bruhat_covers-bound-below-k"
+    ),
+    pytest.param(
+        lambda: k_bruhat_covers((2, 1, 3, 4), 1, 0), "max_support=0 is below max(len(w), k) + 1 = 3", id="k_bruhat_covers-bound-zero"
+    ),
     *not_integers("k_bruhat_covers-k", lambda v: k_bruhat_covers((2, 1), v, 4), "k"),
     *not_integers("k_bruhat_covers-max_support", lambda v: k_bruhat_covers((2, 1), 2, v), "max_support", 4),
     pytest.param(lambda: chain_endpoints((2, 1), 1, -1), "need r >= 0, got -1", id="chain_endpoints-r-1"),

@@ -124,6 +124,15 @@ def test_add_rim_hooks_to_empty_partition_gives_hooks():
     got = add_rim_hooks((), 3, 3)
     assert got == [((1, 1, 1), 3), ((2, 1), 2), ((3,), 1)]
 
+    class Small(int):
+        pass
+
+    # r and max_rows of any int type read as the plain ints they equal, and
+    # max_rows may be as large as ROW_LIMIT
+    assert add_rim_hooks((), Small(3), Small(3)) == got
+    assert add_rim_hooks((), True, True) == add_rim_hooks((), 1, 1) == [((1,), 1)]
+    assert add_rim_hooks((), 1, partitions.ROW_LIMIT) == [((1,), 1)]
+
 
 def test_add_rim_hooks_respects_connectivity():
     got = add_rim_hooks((1,), 2, 3)

@@ -30,6 +30,20 @@ def test_basic_construction():
         hash(x1)
 
 
+def test_arithmetic_with_a_non_polynomial_raises_type_error():
+    # + and * return NotImplemented for an operand that is neither an int nor
+    # a SparsePoly, so Python raises TypeError instead of reading .terms
+    f = SparsePoly.parse("x1")
+    for bad in (2.5, "x1", None):
+        for operate in (f.__add__, f.__mul__, f.__rmul__):
+            assert operate(bad) is NotImplemented
+        for operate in (lambda: f + bad, lambda: bad + f, lambda: f * bad, lambda: bad * f, lambda: f - bad):
+            with pytest.raises(TypeError):
+                operate()
+    assert SparsePoly.__rmul__ is SparsePoly.__mul__
+    assert f + 2 == SparsePoly.parse("x1 + 2") and 2 * f == f * 2 == SparsePoly.parse("2*x1")
+
+
 def test_trailing_zero_exponents_are_trimmed():
     assert SparsePoly({(1, 0, 0): 1}) == variable(1)
     assert SparsePoly({(): 1}) == 1

@@ -87,26 +87,21 @@ def test_pickle_and_copy_round_trip(cls, names, values, text):
         assert repr(clone) == text
 
 
-def test_grassmannian_needs_0_lt_k_lt_n():
-    with pytest.raises(ValueError) as err:
-        GrContext(3, 3)
-    assert str(err.value) == "need 0 < k < n, got k=3, n=3"
-    with pytest.raises(ValueError) as err:
-        GrContext(501, 1000)  # k is the row count of every shape in the box
-    assert str(err.value) == "501 rows is over the limit of 500"
-
-
 class Small(int):
     pass
 
 
 def test_grassmannian_takes_only_integers():
     # the refusals of floats, strings, fractions and None are REFUSALS rows
-    # in test_input_checks.py; integers of any int type are stored as ints
+    # in test_input_checks.py; integers of any int type are stored as ints,
+    # and k may be as large as ROW_LIMIT
     ctx = GrContext(Small(2), Small(5))
     assert ctx == GrContext(2, 5)
     assert repr(ctx) == "GrContext(k=2, n=5)"
     assert GrContext(True, 3) == GrContext(1, 3)
+    for ctx in (GrContext(Small(2), Small(5)), GrContext(True, 3), GrContext(2, Small(5)), GrContext(500, 1000)):
+        assert list(map(type, ctx)) == [int, int], ctx
+    assert GrContext(500, 1000) == (500, 1000)
 
 
 def test_grassmannian_is_a_checked_named_tuple():

@@ -121,6 +121,8 @@ class SparsePoly:
         return SparsePoly._from_clean(_add(dict(self.terms), other.terms))
 
     def __sub__(self, other: "SparsePoly | int") -> "SparsePoly":
+        if not isinstance(other, (int, SparsePoly)):
+            return NotImplemented
         return self + (-other)
 
     def __mul__(self, other: "SparsePoly | int") -> "SparsePoly":

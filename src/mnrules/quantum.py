@@ -110,11 +110,24 @@ def quantum_mn(lam: Partition, r: int, ctx: GrContext) -> QuantumClass:
     {(0, (3, 3, 3, 2)): 1, (0, (4, 4, 3)): 1, (1, (1, 1, 1)): 1, (1, (3,)): 1}
     """
     lam, r = _require_args(lam, r, ctx)
+    return _bead_pass(lam, r, ctx, 0)
+
+
+def _bead_pass(lam: Partition, r: int, ctx: GrContext, full: int) -> QuantumClass:
+    """quantum_mn's pass for checked lam and 1 <= r < n, after ``full``
+    whole turns of every bead: each term's q power rises by ``full`` and its
+    sign is multiplied by (-1)**(k*full), the sign per wrap of
+    :func:`wrap_power_sum`."""
     k, n = ctx
     rows = lam + (0,) * (k - len(lam))
     up = tuple([p + 1 for p in rows])
     dn = tuple([p - 1 for p in lam])
     pos = [p + k - 1 - i for i, p in enumerate(rows)]
+    # q powers and sign exponents of a move that stays in this turn and of
+    # one that wraps: k per whole turn, and for a wrap k + its height
+    d0, d1 = full, full + 1
+    s0 = k * full
+    s1 = s0 + k + 1
     q0, q1 = [], []
     # The top beads wrap and the rest do not.  Within each run c falls as i
     # rises, so ``above``, the beads strictly above c, only grows; it starts
@@ -132,12 +145,26 @@ def quantum_mn(lam: Partition, r: int, ctx: GrContext) -> QuantumClass:
             continue
         if wraps:  # moving down, the bead itself is one of the beads above c
             j = above - 1
-            q1.append(((1, _splice(lam, up, dn, k, i, j, c)), -1 if (k + j - i + 1) % 2 else 1))
+            q1.append(((d1, _splice(lam, up, dn, k, i, j, c)), -1 if (s1 + j - i) % 2 else 1))
         else:
-            q0.append(((0, _splice(lam, up, dn, k, i, above, c)), -1 if (i - above) % 2 else 1))
+            q0.append(((d0, _splice(lam, up, dn, k, i, above, c)), -1 if (s0 + i - above) % 2 else 1))
     # bead order lists the moves down in increasing order of shape and the
     # moves up in decreasing order (see _bead_moves)
     return dict(q0[::-1] + q1)
+
+
+def _turns(lam: Partition, r: int, n: int) -> tuple[int, int]:
+    """Read r >= 1 not divisible by n and split it into whole turns and the
+    rest, ``divmod(r, n)``.  r divisible by n is rejected: the recursion
+    would bottom out at p_0, which is not a power sum.  Off the plain-int
+    fast path lam is validated first, so its own errors come before r's;
+    on it, the rule that takes the rest checks lam."""
+    if type(r) is not int or r < 1 or r % n == 0:
+        validate_partition(lam)
+        r = require_int(r, "r", 1)
+        if r % n == 0:
+            raise ValueError(f"r divisible by n={n} is not supported")
+    return divmod(r, n)
 
 
 def wrap_power_sum(
@@ -146,36 +173,43 @@ def wrap_power_sum(
     r: int,
     ctx: GrContext,
 ) -> QuantumClass:
-    """Extend a p_r ``rule`` for 1 <= r < n to any r >= 1 not divisible by n.
+    """Extend a p_r ``rule`` for 1 <= r < n to any r >= 1 not divisible by n:
+    the rule's result on r mod n, shifted in q with a sign per full wrap.
+    Only ``mn-quantum --verify`` calls it, to wrap the psi route
+    (:func:`oracle_quantum_mn`); :func:`quantum_mn_extended` signs and
+    shifts its wraps inside its own bead pass.
 
-    The result is the base case shifted in q with a sign per full wrap.  r
-    divisible by n is rejected: the recursion would bottom out at p_0, which
-    is not a power sum.
-
-    Known defect: the sign per wrap used here is (-1)**k, but for r > n the
-    power sum p_r acts as (-1)**(k-1) q times p_(r-n), so an odd number of
-    wraps gives the wrong sign.  In qH*(P^1) this returns -q**2 for
+    Known defect, shared with quantum_mn_extended: the sign per wrap used
+    here is (-1)**k, but for r > n the power sum p_r acts as (-1)**(k-1) q
+    times p_(r-n), so an odd number of wraps gives the wrong sign, and
+    ``--verify`` prints MATCH on it.  In qH*(P^1) this returns -q**2 for
     sigma_1 * p_3 = sigma_1**4, which is q**2.  The benchmark's recorded
-    digests hold the current sign, so the fix waits for a benchmark change.
+    digests hold the current sign, so the fix waits for a benchmark change
+    (ROADMAP item 10).
     """
-    k, n = ctx
-    if type(r) is not int or r < 1 or r % n == 0:  # else ``rule`` checks lam
-        validate_partition(lam)  # lam's own errors come first
-        r = require_int(r, "r", 1)
-        if r % n == 0:
-            raise ValueError(f"r divisible by n={n} is not supported")
-    wraps, base = divmod(r, n)
-    sign = 1 if (k * wraps) % 2 == 0 else -1
+    full, base = _turns(lam, r, ctx.n)
+    sign = 1 if (ctx.k * full) % 2 == 0 else -1
     return {
-        (d + wraps, mu): sign * c
+        (d + full, mu): sign * c
         for (d, mu), c in rule(lam, base, ctx).items()
     }
 
 
 def quantum_mn_extended(lam: Partition, r: int, ctx: GrContext) -> QuantumClass:
-    """quantum_mn extended to any r >= 1 not divisible by n (see
-    :func:`wrap_power_sum`)."""
-    return wrap_power_sum(quantum_mn, lam, r, ctx)
+    """quantum_mn extended to any r >= 1 not divisible by n, in one bead
+    pass: every bead makes ``r // n`` whole turns, each adding a power of q
+    and the sign (-1)**k, then steps r mod n places as in
+    :func:`quantum_mn`.  Checks lam, then r, then that n does not divide r,
+    then lam against the box.  The sign per turn is the known defect of
+    :func:`wrap_power_sum`, which ``mn-quantum --verify`` wraps the psi
+    route with, so ``--verify`` prints MATCH on it (ROADMAP item 10).
+
+    >>> quantum_mn_extended((3, 2, 1), 13, GrContext(4, 8))
+    {(1, (3, 3, 3, 2)): 1, (1, (4, 4, 3)): 1, (2, (1, 1, 1)): 1, (2, (3,)): 1}
+    """
+    full, r = _turns(lam, r, ctx.n)
+    lam, r = _require_args(lam, r, ctx)
+    return _bead_pass(lam, r, ctx, full)
 
 
 def oracle_quantum_mn(lam: Partition, r: int, ctx: GrContext) -> QuantumClass:
@@ -183,9 +217,10 @@ def oracle_quantum_mn(lam: Partition, r: int, ctx: GrContext) -> QuantumClass:
     box or not: the terms of mn_classical in k variables, each pushed
     through psi_reduce and collected.  psi is a ring map, so no r needs a
     wrap, and mn_classical and psi_reduce check the arguments.
-    ``mn-quantum --verify`` still calls it for r mod n only, wrapped by the
-    rule's own ``wrap_power_sum``, so that check cannot see a wrong sign
-    per wrap.
+    ``mn-quantum --verify`` still calls it for r mod n only, wrapped by
+    :func:`wrap_power_sum`.  The rule signs its wraps inside its own bead
+    pass, but both use the sign (-1)**k per wrap, so that check cannot see
+    the wrong sign per wrap (ROADMAP item 10).
 
     >>> oracle_quantum_mn((3, 2, 1), 8, GrContext(4, 8))
     {(1, (3, 2, 1)): -4}

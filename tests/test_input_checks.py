@@ -89,7 +89,8 @@ REFUSALS = [
         id="oracle_quantum_mn-over-k-rows",
     ),
     *not_integers("quantum_mn_extended-r", lambda v: quantum_mn_extended((1,), v, GrContext(2, 5)), "r", 7),
-    # the partition is checked before r, and r before r mod n
+    # the partition is checked before r, r before r mod n, and r mod n
+    # before lam against the box
     pytest.param(
         lambda: quantum_mn_extended((1, 2), 0, GrContext(2, 5)),
         "parts must be weakly decreasing, got (1, 2)",
@@ -98,6 +99,16 @@ REFUSALS = [
     pytest.param(lambda: quantum_mn_extended((1,), 0, GrContext(2, 5)), "need r >= 1, got 0", id="quantum_mn_extended-r0"),
     pytest.param(
         lambda: quantum_mn_extended((1,), 10, GrContext(2, 5)), "r divisible by n=5 is not supported", id="quantum_mn_extended-r-mod-n"
+    ),
+    pytest.param(
+        lambda: quantum_mn_extended((5, 2, 1), 11, GrContext(4, 8)),
+        "(5, 2, 1) does not fit in the 4 x 4 box",
+        id="quantum_mn_extended-past-box",
+    ),
+    pytest.param(
+        lambda: quantum_mn_extended((5, 2, 1), 16, GrContext(4, 8)),
+        "r divisible by n=8 is not supported",
+        id="quantum_mn_extended-r-mod-n-before-box",
     ),
     # mn_classical: lam, then r, then k with its row limit, then lam's row count
     pytest.param(lambda: mn_classical((1, 2), 1, 3), "parts must be weakly decreasing, got (1, 2)", id="mn_classical-lam"),

@@ -31,15 +31,18 @@ def test_basic_construction():
 
 
 def test_arithmetic_with_a_non_polynomial_raises_type_error():
-    # + and * return NotImplemented for an operand that is neither an int nor
-    # a SparsePoly, so Python raises TypeError instead of reading .terms
+    # +, - and * return NotImplemented for an operand that is neither an int
+    # nor a SparsePoly, so Python raises TypeError naming the operator used,
+    # instead of reading .terms or negating the operand
     f = SparsePoly.parse("x1")
     for bad in (2.5, "x1", None):
-        for operate in (f.__add__, f.__mul__, f.__rmul__):
+        for operate in (f.__add__, f.__sub__, f.__mul__, f.__rmul__):
             assert operate(bad) is NotImplemented
-        for operate in (lambda: f + bad, lambda: bad + f, lambda: f * bad, lambda: bad * f, lambda: f - bad):
+        for operate in (lambda: f + bad, lambda: bad + f, lambda: f * bad, lambda: bad * f):
             with pytest.raises(TypeError):
                 operate()
+        with pytest.raises(TypeError, match="for -: 'SparsePoly' and"):
+            f - bad
     assert SparsePoly.__rmul__ is SparsePoly.__mul__
     assert f + 2 == SparsePoly.parse("x1 + 2") and 2 * f == f * 2 == SparsePoly.parse("2*x1")
 

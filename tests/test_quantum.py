@@ -256,9 +256,21 @@ def test_psi_route_wraps_with_sign_k_minus_1():
     assert cases == 6040
 
 
+def test_quantum_mn_extended_is_the_wrapped_rule():
+    # the bead pass signs and shifts its whole turns itself; it must give
+    # what wrap_power_sum builds from quantum_mn on r mod n, and in the same
+    # term order, which the docstrings print
+    cases = 0
+    for lam, r, ctx in wrap_cases():
+        want = quantum.wrap_power_sum(quantum_mn, lam, r, ctx)
+        assert list(quantum_mn_extended(lam, r, ctx).items()) == list(want.items()), (lam, r, ctx)
+        cases += 1
+    assert cases == 6040
+
+
 @pytest.mark.xfail(
     strict=True,
-    reason="wrap_power_sum signs each wrap (-1)**k, not (-1)**(k-1); "
+    reason="quantum_mn_extended signs each wrap (-1)**k, not (-1)**(k-1); "
     "the fix re-records the benchmark digests (ROADMAP item 10)",
 )
 def test_quantum_mn_extended_is_the_psi_route():

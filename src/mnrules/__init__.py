@@ -20,65 +20,78 @@ covers), and the ``mnrules`` command-line tool (see ``cli``), whose
 one variable for Schubert products, the reduction map psi for quantum ones.
 The package holds no code that only tests call; the brute-force oracles the
 test suite checks against live in ``tests/oracles.py``.
+
+Submodules load on first use.  ``import mnrules`` runs none of them: it puts
+a lazy module for each in ``sys.modules["mnrules.<name>"]`` and on the
+package, and the first attribute read on that module, or on one of its
+exports such as ``mnrules.quantum_mn``, runs it.  Until then ``type()`` of
+the lazy module is not ``types.ModuleType``.  A first touch from several
+threads at once is not safe: ``importlib.util.LazyLoader`` takes a lock
+around the load only from Python 3.13 on.
 """
 
-from .partitions import (
-    CoreResult,
-    Partition,
-    add_rim_hooks,
-    box_partition,
-    n_core,
-    remove_rim_hooks,
-    strips,
-    validate_partition,
-)
-from .perm import (
-    Permutation,
-    canonical,
-    inverse,
-    k_bruhat_covers,
-    length,
-)
-from .poly import SparsePoly
-from .quantum import GrContext, psi_reduce, quantum_mn, quantum_mn_extended
-from .schubert import (
-    expand_in_schubert,
-    grassmannian_permutation,
-    mn_schubert,
-    monk,
-    schubert_poly,
-)
-from .symfun import mn_classical, pieri_e, pieri_h, power_sum_poly
+import importlib.util
+import sys
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "CoreResult",
-    "GrContext",
-    "Partition",
-    "Permutation",
-    "SparsePoly",
-    "add_rim_hooks",
-    "box_partition",
-    "canonical",
-    "expand_in_schubert",
-    "grassmannian_permutation",
-    "inverse",
-    "k_bruhat_covers",
-    "length",
-    "mn_classical",
-    "mn_schubert",
-    "monk",
-    "n_core",
-    "pieri_e",
-    "pieri_h",
-    "power_sum_poly",
-    "psi_reduce",
-    "quantum_mn",
-    "quantum_mn_extended",
-    "remove_rim_hooks",
-    "schubert_poly",
-    "strips",
-    "validate_partition",
-    "__version__",
-]
+# Each library submodule and the names the package exports from it.
+_EXPORTS = {
+    "partitions": (
+        "CoreResult",
+        "Partition",
+        "add_rim_hooks",
+        "box_partition",
+        "n_core",
+        "remove_rim_hooks",
+        "strips",
+        "validate_partition",
+    ),
+    "perm": ("Permutation", "canonical", "inverse", "k_bruhat_covers", "length"),
+    "poly": ("SparsePoly",),
+    "quantum": ("GrContext", "psi_reduce", "quantum_mn", "quantum_mn_extended"),
+    "schubert": (
+        "expand_in_schubert",
+        "grassmannian_permutation",
+        "mn_schubert",
+        "monk",
+        "schubert_poly",
+    ),
+    "symfun": ("mn_classical", "pieri_e", "pieri_h", "power_sum_poly"),
+}
+
+__all__ = [*sorted(name for names in _EXPORTS.values() for name in names), "__version__"]
+
+
+class _ExportingLoader:
+    """Runs a submodule through its own loader, then binds the module's
+    exports in the package namespace.  Bound there, not cached by
+    ``__getattr__``, each export is a plain attribute: a tracer that rebinds
+    one and later restores it leaves no copy of its wrapper behind."""
+
+    def __init__(self, loader, names: tuple[str, ...]) -> None:
+        self.loader, self.names = loader, names
+
+    def exec_module(self, module) -> None:
+        self.loader.exec_module(module)
+        space = vars(module)
+        globals().update((name, space[name]) for name in self.names)
+
+
+def _lazy(name: str):
+    """The submodule ``name``, registered in ``sys.modules`` but not yet run."""
+    spec = importlib.util.find_spec(f"{__name__}.{name}")
+    module = sys.modules[spec.name] = importlib.util.module_from_spec(spec)
+    importlib.util.LazyLoader(_ExportingLoader(spec.loader, _EXPORTS[name])).exec_module(module)
+    return module
+
+
+globals().update((name, _lazy(name)) for name in _EXPORTS)
+
+
+def __getattr__(name: str):
+    """An export not bound yet: load its submodule, which binds it here."""
+    for module, names in _EXPORTS.items():
+        if name in names:
+            return getattr(globals()[module], name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -5,9 +5,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from . import partitions, perm, quantum, schubert, symfun
-from .poly import SparsePoly, join_signed
-from .quantum import GrContext
+from . import partitions, perm, poly, quantum, schubert, symfun
 
 
 def parse_partition_arg(text: str) -> partitions.Partition:
@@ -49,14 +47,14 @@ def render_schur(expansion: symfun.SchurExpansion, as_json: bool = False):
     order = sorted(expansion)
     if as_json:
         return [{"coeff": expansion[lam], "partition": list(lam)} for lam in order]
-    return join_signed([(expansion[lam], f"s{fmt_partition(lam)}") for lam in order])
+    return poly.join_signed([(expansion[lam], f"s{fmt_partition(lam)}") for lam in order])
 
 
 def render_schubert(expansion: schubert.SchubertExpansion, as_json: bool = False):
     order = [u for _, u in sorted((perm.length(u), u) for u in expansion)]
     if as_json:
         return [{"coeff": expansion[u], "perm": list(u)} for u in order]
-    return join_signed([(expansion[u], f"S{fmt_partition(u)}") for u in order])
+    return poly.join_signed([(expansion[u], f"S{fmt_partition(u)}") for u in order])
 
 
 def render_quantum(qc: quantum.QuantumClass, as_json: bool = False):
@@ -67,7 +65,7 @@ def render_quantum(qc: quantum.QuantumClass, as_json: bool = False):
     for d, lam in order:
         q = "" if d == 0 else ("q " if d == 1 else f"q^{d} ")
         items.append((qc[d, lam], f"{q}σ{fmt_partition(lam)}"))
-    return join_signed(items, mag_sep=" ")
+    return poly.join_signed(items, mag_sep=" ")
 
 
 def _emit(args: argparse.Namespace, out) -> None:
@@ -110,7 +108,7 @@ def cmd_mn_schubert(args: argparse.Namespace) -> int:
 
 def cmd_mn_quantum(args: argparse.Namespace) -> int:
     lam = parse_partition_arg(args.partition)
-    ctx = GrContext(args.k, args.n)
+    ctx = quantum.GrContext(args.k, args.n)
     result = quantum.quantum_mn_extended(lam, args.r, ctx)
     _emit(args, render_quantum(result, args.json))
     if args.verify:
@@ -135,7 +133,7 @@ def cmd_monk(args: argparse.Namespace) -> int:
 
 
 def cmd_schubert_expand(args: argparse.Namespace) -> int:
-    f = SparsePoly.parse(args.poly)
+    f = poly.SparsePoly.parse(args.poly)
     result = schubert.expand_in_schubert(f)
     _emit(args, render_schubert(result, args.json))
     return 0
@@ -165,7 +163,7 @@ def cmd_selfcheck(args: argparse.Namespace) -> int:
         (4, 6, 1, 7, 3, 2, 5): 1, (3, 4, 1, 10, 5, 2, 6, 7, 8, 9): 1,
         (3, 4, 6, 7, 2, 1, 5): -1, (3, 4, 6, 8, 1, 2, 5, 7): -1, (3, 6, 1, 8, 4, 2, 5, 7): -1,
     }
-    ctx = GrContext(4, 8)
+    ctx = quantum.GrContext(4, 8)
     got_q = quantum.quantum_mn((3, 2, 1), 5, ctx)
     expected_q = {(0, (3, 3, 3, 2)): 1, (0, (4, 4, 3)): 1, (1, (3,)): 1, (1, (1, 1, 1)): 1}
     res = partitions.n_core((12, 10, 7, 3), 8)

@@ -5,12 +5,16 @@ Each source is parsed once.  A node is a top-level definition, ``mod.name``
 ``mod.Class.member`` (a ``def`` or a class-level assignment).  Annotated
 names without a value bind nothing: in a class they are a record's fields
 and belong to the class node, with its decorators, bases and docstring.
+The rest of a module's top level, the code that runs on import and binds
+no name, is the node ``mod.<module>``.
 
 A name resolves through ``from .x import y``, ``from mnrules.x import y``,
 ``from . import x`` and ``from mnrules import x`` (then ``x.name``), wherever
-in its module the import stands.  In a class body outside a ``def``, a name
-may also be a sibling member: ``__rmul__ = __mul__``.  Matching by name can
-only over-approximate what runs.
+in its module the import stands.  In the package's ``__init__``, each name
+of the ``_EXPORTS`` table, which maps a submodule to the names the package
+exports from it, resolves into that submodule.  In a class body outside a
+``def``, a name may also be a sibling member: ``__rmul__ = __mul__``.
+Matching by name can only over-approximate what runs.
 """
 
 import ast
@@ -59,17 +63,17 @@ def call_graph() -> CallGraph:
     """The graph, built on the first call and shared; callers only read it."""
     code: dict[str, tuple[str, str | None, list[ast.AST]]] = {}  # node -> (mod, class scope, code)
     members: dict[str, list[str]] = {}
-    aliases: dict[str, str] = {}  # mod.bound -> mod.name it was imported from
+    aliases: dict[str, str] = {}  # mod.bound -> mod.name it was imported or exported from
     modules: dict[str, str] = {}  # mod.bound -> the module imported under that name
-    exported: list[str] = []
     for mod, path in SOURCES.items():
         tree = ast.parse(path.read_text())
+        code[f"{mod}.<module>"] = (mod, None, [node for node in tree.body if not _bound(node)])
         for node in tree.body:
             for name in _bound(node):
-                if name == "__all__":
-                    exported = ast.literal_eval(node.value)
-                else:
-                    code[f"{mod}.{name}"] = (mod, None, [node])
+                code[f"{mod}.{name}"] = (mod, None, [node])
+                if (mod, name) == ("__init__", "_EXPORTS"):
+                    for source, names in ast.literal_eval(node.value).items():
+                        aliases.update({f"{mod}.{alias}": f"{source}.{alias}" for alias in names})
             if isinstance(node, ast.ClassDef):
                 key = f"{mod}.{node.name}"
                 rest = [*node.decorator_list, *node.bases, *node.keywords]
@@ -99,7 +103,7 @@ def call_graph() -> CallGraph:
             key = aliases[key]
         return key if key in code else None
 
-    graph = CallGraph({}, {}, {}, members, {name: resolve("__init__", name) for name in exported})
+    graph = CallGraph({}, {}, {}, members, {name: resolve("__init__", name) for name in mnrules.__all__})
     for key, (mod, scope, nodes) in code.items():
         calls, notes, read = set(), set(), set()
         for node in nodes:

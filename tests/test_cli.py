@@ -1,6 +1,7 @@
 import contextlib
 import io
 import os
+import pickle
 import resource
 import shlex
 import subprocess
@@ -12,7 +13,7 @@ from pathlib import Path
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from mnrules import cli, schubert
+from mnrules import GrContext, cli, n_core, schubert
 from mnrules.poly import SparsePoly
 from mnrules.quantum import oracle_quantum_mn
 from mnrules.symfun import mn_classical
@@ -448,22 +449,77 @@ def test_every_command_exits_0_or_2_without_a_traceback(argv, as_json):
         assert err.getvalue().startswith(("error: ", "usage: ")), err.getvalue()
 
 
+def fresh_stdout(code: str) -> str:
+    """What ``code`` prints in a fresh interpreter that imports the package from src/."""
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+    return subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    ).stdout
+
+
 def modules_added_by(statement: str) -> set[str]:
     """Top-level modules a fresh interpreter has loaded after ``statement``
     and a bare one has not, so a module a ``.pth`` file preloads is never
     counted."""
-    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
     show = "import sys; print(' '.join(sorted(sys.modules)))"
-    loaded = []
-    for code in (show, f"{statement}; {show}"):
-        proc = subprocess.run(
-            [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
-        )
-        loaded.append({name.split(".")[0] for name in proc.stdout.split()})
-    return loaded[1] - loaded[0]
+    bare, after = (
+        {name.split(".")[0] for name in fresh_stdout(code).split()} for code in (show, f"{statement}; {show}")
+    )
+    return after - bare
 
 
 def test_cold_import_loads_no_dataclasses_inspect_or_json():
     # dataclasses pulls in inspect, ast and dis; json is needed only for --json
     assert modules_added_by("import mnrules.cli") & {"dataclasses", "inspect", "json"} == set()
     assert modules_added_by("import mnrules") & {"dataclasses", "inspect"} == set()
+
+
+LAYERS = {"partitions", "perm", "poly", "quantum", "schubert", "symfun"}
+
+
+def unexecuted_after(statement: str) -> set[str]:
+    """The submodules of mnrules a fresh interpreter holds but has not run
+    after ``statement``; ``type()`` reads a lazy module without loading it."""
+    show = (
+        "import sys, types; print(' '.join(name.removeprefix('mnrules.') for name, module"
+        " in sys.modules.items() if name.startswith('mnrules.') and type(module) is not types.ModuleType))"
+    )
+    return set(fresh_stdout(f"{statement}\n{show}").splitlines()[-1].split())
+
+
+def test_import_runs_no_submodule():
+    assert unexecuted_after("import mnrules") == LAYERS
+
+
+# (a command, the submodules it leaves unexecuted): each runs only its layers
+COMMAND_LAYERS = [
+    ("core --partition 12,10,7,3 --n 8 --k 4", LAYERS - {"partitions"}),
+    ("mn-schur --partition 3,2,1 --r 5 --k 4", {"quantum", "schubert"}),
+    ("pieri --partition 3,2 --size 2 --kind h --k 3", {"quantum", "schubert"}),
+    ("mn-quantum --partition 3,2,1 --r 5 --k 4 --n 8 --verify", {"schubert"}),
+    ("mn-schubert --w 34165278 --k 4 --r 4 --verify", {"quantum", "symfun"}),
+    ("monk --w 312 --k 2", {"quantum", "symfun"}),
+    ("schubert-expand --poly 'x1^2*x2 + 3*x1*x3'", {"quantum", "symfun"}),
+]
+
+
+def test_the_table_names_every_command_but_selfcheck():
+    commands = {argv[0] for argv in DISPATCH.values()} - {"selfcheck"}
+    assert sorted(line.split()[0] for line, _ in COMMAND_LAYERS) == sorted(commands)
+
+
+@pytest.mark.parametrize("line, unexecuted", COMMAND_LAYERS, ids=[line.split()[0] for line, _ in COMMAND_LAYERS])
+def test_each_command_runs_only_its_layers(line, unexecuted):
+    statement = f"from mnrules import cli; assert cli.main({shlex.split(line)!r}) == 0"
+    assert unexecuted <= unexecuted_after(statement)
+
+
+def test_star_import_and_pickled_records_load_in_a_fresh_interpreter():
+    records = [GrContext(4, 8), n_core((12, 10, 7, 3), 8)]
+    code = (
+        f"import pickle; records = pickle.loads({pickle.dumps(records)!r})\n"
+        "from mnrules import *; import mnrules\n"
+        "assert [type(r) for r in records] == [GrContext, CoreResult]\n"
+        "print(repr(records), sorted(set(mnrules.__all__) - set(globals())))"
+    )
+    assert fresh_stdout(code) == f"{records!r} []\n"

@@ -47,14 +47,14 @@ def render_schur(expansion: symfun.SchurExpansion, as_json: bool = False):
     order = sorted(expansion)
     if as_json:
         return [{"coeff": expansion[lam], "partition": list(lam)} for lam in order]
-    return poly.join_signed([(expansion[lam], f"s{fmt_partition(lam)}") for lam in order])
+    return partitions.join_signed([(expansion[lam], f"s{fmt_partition(lam)}") for lam in order])
 
 
 def render_schubert(expansion: schubert.SchubertExpansion, as_json: bool = False):
     order = [u for _, u in sorted((perm.length(u), u) for u in expansion)]
     if as_json:
         return [{"coeff": expansion[u], "perm": list(u)} for u in order]
-    return poly.join_signed([(expansion[u], f"S{fmt_partition(u)}") for u in order])
+    return partitions.join_signed([(expansion[u], f"S{fmt_partition(u)}") for u in order])
 
 
 def render_quantum(qc: quantum.QuantumClass, as_json: bool = False):
@@ -65,7 +65,7 @@ def render_quantum(qc: quantum.QuantumClass, as_json: bool = False):
     for d, lam in order:
         q = "" if d == 0 else ("q " if d == 1 else f"q^{d} ")
         items.append((qc[d, lam], f"{q}σ{fmt_partition(lam)}"))
-    return poly.join_signed(items, mag_sep=" ")
+    return partitions.join_signed(items, mag_sep=" ")
 
 
 def _emit(args: argparse.Namespace, out) -> None:
@@ -206,10 +206,6 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
     command alone: ``main`` passes argv[0], so a run builds only the
     subparser it uses.  Help, usage and error bytes are the same either way.
     """
-    parser = argparse.ArgumentParser(
-        prog="mnrules",
-        description="Exact power-sum products in the Schur, Schubert, and quantum Schubert bases.",
-    )
     text, number = {"required": True}, {"type": int, "required": True}
     flag = {"action": "store_true"}
     as_json = {**flag, "help": "emit JSON instead of text"}
@@ -244,13 +240,19 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
         ("selfcheck", "run the built-in known-answer checks", cmd_selfcheck, {}),
     ]
     names = [name for name, *_ in commands]
+    # given in full, the usage line is the bytes Python 3.11 prints at 80
+    # columns, on every release and at any width, and it names every command
+    # even when one subparser is built; add_subparsers would derive its prog
+    # from this usage, so prog is given too
+    indent = "\n" + " " * len("usage: mnrules ")
+    parser = argparse.ArgumentParser(
+        prog="mnrules",
+        usage="mnrules [-h]" + indent + "{" + ",".join(names) + "}" + indent + "...",
+        description="Exact power-sum products in the Schur, Schubert, and quantum Schubert bases.",
+    )
     if command in names:
-        # the metavar keeps every name in the usage line of an "unrecognized
-        # arguments" error; set always, it would reword "invalid choice"
         commands = [entry for entry in commands if entry[0] == command]
-        sub = parser.add_subparsers(dest="command", required=True, metavar="{" + ",".join(names) + "}")
-    else:
-        sub = parser.add_subparsers(dest="command", required=True)
+    sub = parser.add_subparsers(dest="command", required=True, prog=parser.prog)
     for name, summary, handler, options in commands:
         p = sub.add_parser(name, help=summary)
         for option, keywords in {**options, "--json": as_json}.items():

@@ -13,14 +13,21 @@ height is the index difference |i - j| + 1.  The shifted rows come from two
 tables built once per call in O(m), so each move is a few C-level slices
 of O(m) entries.  :func:`n_core` strips down to the n-core on a bead list
 of its own, a run of hooks at a time.
+
+Every layer imports this module, for ``require_int`` and the size limits,
+so it also holds the three helpers that belong to no one layer: ``_add``,
+the one accumulator of signed sums; ``join_signed``, the one writer of
+their text; and ``_inversions``, the inversion count of a word, which
+``perm.length`` and ``quantum.psi_reduce`` share.  A command then runs
+only the layers it computes with.
 """
 
 from __future__ import annotations
 
 import operator
-from bisect import bisect_left
+from bisect import bisect_left, insort
 from collections import namedtuple
-from typing import Iterable, Literal
+from typing import Iterable, Literal, Sequence
 
 Partition = tuple[int, ...]
 
@@ -51,6 +58,53 @@ def require_int(value: int, name: str, least: int | None = None) -> int:
     if least is not None and value < least:
         raise ValueError(f"need {name} >= {least}, got {value}")
     return value
+
+
+def _add(a: dict, b: dict, scale: int = 1) -> dict:
+    """a + scale * b for dicts of nonzero ints, written into a.  A zero
+    addend is safe: a key it would leave at 0 is dropped whether or not a
+    held it.  Every expansion in the package is such a dict, whatever its
+    keys, and this is the one place that adds into one."""
+    for u, c in b.items():
+        c = a.get(u, 0) + scale * c
+        if c:
+            a[u] = c
+        else:
+            a.pop(u, None)
+    return a
+
+
+def join_signed(items: list[tuple[int, str]], mag_sep: str = "*") -> str:
+    """Write (coefficient, body) terms as a signed sum: the leading term
+    unsigned when positive, a magnitude other than 1 before its body."""
+    if not items:
+        return "0"
+    bits = []
+    for idx, (coeff, body) in enumerate(items):
+        mag = abs(coeff)
+        text = body if mag == 1 else f"{mag}{mag_sep}{body}"
+        if idx == 0:
+            bits.append(text if coeff > 0 else f"-{text}")
+        else:
+            bits.append(f"+ {text}" if coeff > 0 else f"- {text}")
+    return " ".join(bits)
+
+
+def _inversions(word: Sequence[int]) -> int:
+    """Number of pairs i < j with word[i] > word[j], for distinct values;
+    unchecked, so ``perm.length`` counts permutations with it and
+    ``psi_reduce`` bead residues.
+
+    Reads the word right to left, keeping the values seen in a sorted list:
+    each value is above exactly ``bisect_left`` of them.  With m letters
+    that is O(m log m) comparisons, and the ``insort`` shifts are C memmoves.
+    """
+    seen: list[int] = []
+    count = 0
+    for v in reversed(word):
+        count += bisect_left(seen, v)
+        insort(seen, v)
+    return count
 
 
 def validate_partition(parts: Iterable[int]) -> Partition:

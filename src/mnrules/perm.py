@@ -10,11 +10,10 @@ positions i and j swapped.
 
 from __future__ import annotations
 
-from bisect import bisect_left, insort
 from operator import index, ne
-from typing import Iterable, Sequence
+from typing import Iterable
 
-from .partitions import require_int
+from .partitions import _inversions, require_int
 
 Permutation = tuple[int, ...]
 
@@ -87,22 +86,6 @@ def length(w: Permutation) -> int:
     7
     """
     return _inversions(canonical(w))
-
-
-def _inversions(word: Sequence[int]) -> int:
-    """Number of pairs i < j with word[i] > word[j], for distinct values;
-    unchecked, so ``psi_reduce`` counts bead residues with it too.
-
-    Reads the word right to left, keeping the values seen in a sorted list:
-    each value is above exactly ``bisect_left`` of them.  With m letters
-    that is O(m log m) comparisons, and the ``insort`` shifts are C memmoves.
-    """
-    seen: list[int] = []
-    count = 0
-    for v in reversed(word):
-        count += bisect_left(seen, v)
-        insort(seen, v)
-    return count
 
 
 def default_max_support(w: Permutation, k: int, steps: int) -> int:

@@ -6,7 +6,9 @@ matter how many variables its polynomial mentions.  Variables are 1-indexed
 in the textual form: x1, x2, x3, ...
 
 Every expansion in the package is such a dict of nonzero ints, whatever its
-keys, and ``_add`` is the one place that adds into one and drops the zeros.
+keys.  The one accumulator of such dicts, ``_add``, and the one writer of
+their signed sums, ``join_signed``, live in ``partitions``, which every
+layer imports; this module imports both, so ``poly._add`` still resolves.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ import operator
 import re
 from typing import Iterable, Mapping
 
-from .partitions import require_int
+from .partitions import _add, join_signed, require_int
 from .perm import SUPPORT_LIMIT
 
 Exponents = tuple[int, ...]
@@ -27,35 +29,6 @@ def _trim(exps: Iterable[int]) -> Exponents:
     while n and e[n - 1] == 0:
         n -= 1
     return e[:n]
-
-
-def _add(a: dict, b: dict, scale: int = 1) -> dict:
-    """a + scale * b for dicts of nonzero ints, written into a.  A zero
-    addend is safe: a key it would leave at 0 is dropped whether or not a
-    held it."""
-    for u, c in b.items():
-        c = a.get(u, 0) + scale * c
-        if c:
-            a[u] = c
-        else:
-            a.pop(u, None)
-    return a
-
-
-def join_signed(items: list[tuple[int, str]], mag_sep: str = "*") -> str:
-    """Write (coefficient, body) terms as a signed sum: the leading term
-    unsigned when positive, a magnitude other than 1 before its body."""
-    if not items:
-        return "0"
-    bits = []
-    for idx, (coeff, body) in enumerate(items):
-        mag = abs(coeff)
-        text = body if mag == 1 else f"{mag}{mag_sep}{body}"
-        if idx == 0:
-            bits.append(text if coeff > 0 else f"-{text}")
-        else:
-            bits.append(f"+ {text}" if coeff > 0 else f"- {text}")
-    return " ".join(bits)
 
 
 class SparsePoly:

@@ -16,6 +16,8 @@ from typing import Callable, Iterable
 from .partitions import (
     ROW_LIMIT,
     Partition,
+    _add,
+    _inversions,
     _splice,
     box_partition,
     part,
@@ -23,8 +25,6 @@ from .partitions import (
     require_int,
     validate_partition,
 )
-from .perm import _inversions
-from .poly import _add
 from .symfun import mn_classical
 
 QuantumClass = dict[tuple[int, Partition], int]

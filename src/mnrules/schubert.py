@@ -5,14 +5,16 @@ expansion, by Monk's rule for one variable.  A Schubert polynomial is that
 rule solved for its top term, an expansion folds a polynomial onto the
 identity one variable at a time, and ``mn-schubert --verify`` adds up
 x_i^r S_w over i <= k.  Expansions in the Schubert basis are dicts mapping
-canonical permutations to nonzero integers, summed with ``poly._add``.
+canonical permutations to nonzero integers, summed with ``partitions._add``.
+Only ``schubert_poly`` builds a polynomial, so only it imports ``poly``.
 """
 
 from __future__ import annotations
 
 from operator import indexOf, ne
+from typing import TYPE_CHECKING
 
-from .partitions import Partition, part, require_fits, require_int
+from .partitions import Partition, _add, part, require_fits, require_int
 from .perm import (
     Permutation,
     canonical,
@@ -22,7 +24,9 @@ from .perm import (
     k_bruhat_covers,
     require_support,
 )
-from .poly import Exponents, SparsePoly, _add
+
+if TYPE_CHECKING:
+    from .poly import Exponents, SparsePoly
 
 SchubertExpansion = dict[Permutation, int]
 
@@ -85,6 +89,8 @@ def schubert_poly(w: Permutation) -> SparsePoly:
     S_len(w).  One loop over an explicit stack fills a memo scoped to the
     call; over ``LETTER_LIMIT`` letters of words it raises ValueError.
     """
+    from .poly import SparsePoly
+
     w = canonical(w)
     memo = {(): SparsePoly.constant(1)}
     letters = 0

@@ -7,6 +7,8 @@ x_1..x_k, so partitions with more than k rows never appear.
 
 from __future__ import annotations
 
+from typing import TYPE_CHECKING
+
 from .partitions import (
     Partition,
     add_rim_hooks,
@@ -15,7 +17,9 @@ from .partitions import (
     strips,
     validate_partition,
 )
-from .poly import SparsePoly
+
+if TYPE_CHECKING:
+    from .poly import SparsePoly
 
 SchurExpansion = dict[Partition, int]
 
@@ -57,5 +61,7 @@ def mn_classical(lam: Partition, r: int, k: int) -> SchurExpansion:
 
 def power_sum_poly(r: int, k: int) -> SparsePoly:
     """p_r(x_1..x_k) = x_1^r + ... + x_k^r."""
+    from .poly import SparsePoly
+
     r, k = require_int(r, "r", 1), require_int(k, "k", 1)
     return SparsePoly({(0,) * i + (r,): 1 for i in range(k)})

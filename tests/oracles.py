@@ -74,6 +74,7 @@ from mnrules import perm, schubert
 from mnrules.partitions import (
     CoreResult,
     Partition,
+    _add,
     box_partition,
     n_core,
     part,
@@ -81,7 +82,7 @@ from mnrules.partitions import (
     require_fits,
     validate_partition,
 )
-from mnrules.poly import SparsePoly, _add, _trim
+from mnrules.poly import SparsePoly, _trim
 from mnrules.quantum import GrContext, QuantumClass, _require_args, psi_reduce
 from mnrules.symfun import mn_classical, power_sum_poly
 

@@ -494,24 +494,59 @@ def test_import_runs_no_submodule():
 # (a command, the submodules it leaves unexecuted): each runs only its layers
 COMMAND_LAYERS = [
     ("core --partition 12,10,7,3 --n 8 --k 4", LAYERS - {"partitions"}),
-    ("mn-schur --partition 3,2,1 --r 5 --k 4", {"quantum", "schubert"}),
-    ("pieri --partition 3,2 --size 2 --kind h --k 3", {"quantum", "schubert"}),
-    ("mn-quantum --partition 3,2,1 --r 5 --k 4 --n 8 --verify", {"schubert"}),
-    ("mn-schubert --w 34165278 --k 4 --r 4 --verify", {"quantum", "symfun"}),
-    ("monk --w 312 --k 2", {"quantum", "symfun"}),
+    ("mn-schur --partition 3,2,1 --r 5 --k 4", LAYERS - {"partitions", "symfun"}),
+    ("pieri --partition 3,2 --size 2 --kind h --k 3", LAYERS - {"partitions", "symfun"}),
+    ("mn-quantum --partition 3,2,1 --r 5 --k 4 --n 8 --verify", {"perm", "poly", "schubert"}),
+    ("mn-schubert --w 34165278 --k 4 --r 4 --verify", {"poly", "quantum", "symfun"}),
+    ("mn-schubert --w 34165278 --k 4 --r 4 --json", {"poly", "quantum", "symfun"}),
+    ("monk --w 312 --k 2", {"poly", "quantum", "symfun"}),
     ("schubert-expand --poly 'x1^2*x2 + 3*x1*x3'", {"quantum", "symfun"}),
 ]
 
 
 def test_the_table_names_every_command_but_selfcheck():
     commands = {argv[0] for argv in DISPATCH.values()} - {"selfcheck"}
-    assert sorted(line.split()[0] for line, _ in COMMAND_LAYERS) == sorted(commands)
+    assert sorted({line.split()[0] for line, _ in COMMAND_LAYERS}) == sorted(commands)
 
 
-@pytest.mark.parametrize("line, unexecuted", COMMAND_LAYERS, ids=[line.split()[0] for line, _ in COMMAND_LAYERS])
+def _layers_id(line: str) -> str:
+    """The command's name, and ``-json`` for the row that runs it with --json."""
+    words = line.split()
+    return words[0] + "-json" * ("--json" in words)
+
+
+@pytest.mark.parametrize("line, unexecuted", COMMAND_LAYERS, ids=[_layers_id(line) for line, _ in COMMAND_LAYERS])
 def test_each_command_runs_only_its_layers(line, unexecuted):
     statement = f"from mnrules import cli; assert cli.main({shlex.split(line)!r}) == 0"
     assert unexecuted <= unexecuted_after(statement)
+
+
+def test_a_first_library_call_runs_only_its_layers():
+    statement = "import mnrules; mnrules.quantum_mn((3, 2, 1), 5, mnrules.GrContext(4, 8))"
+    assert {"perm", "poly", "schubert"} <= unexecuted_after(statement)
+
+
+@pytest.mark.xfail(
+    sys.version_info < (3, 13),
+    reason="importlib.util.LazyLoader locks the first load only from 3.13 on (ROADMAP item 16)",
+    strict=True,
+)
+def test_a_first_touch_from_several_threads_raises_nothing():
+    code = (
+        "import threading, mnrules\n"
+        "barrier, errors = threading.Barrier(8), []\n"
+        "def touch():\n"
+        "    barrier.wait()\n"
+        "    try:\n"
+        "        mnrules.mn_schubert, mnrules.quantum_mn\n"
+        "    except Exception as exc:\n"
+        "        errors.append(repr(exc))\n"
+        "threads = [threading.Thread(target=touch, daemon=True) for _ in range(8)]\n"
+        "for thread in threads: thread.start()\n"
+        "for thread in threads: thread.join(timeout=60)\n"
+        "print(sum(thread.is_alive() for thread in threads), errors)"
+    )
+    assert fresh_stdout(code) == "0 []\n"
 
 
 def test_star_import_and_pickled_records_load_in_a_fresh_interpreter():

@@ -38,7 +38,7 @@ SHARED = {
     "quantum._require_args": "checks lam, r and the box of Gr(k, n)",
     "partitions.CoreResult": "record of an n-core",
     "quantum.GrContext": "record of (k, n), checked when built",
-    "poly._add": "the one accumulator for signed sums",
+    "partitions._add": "the one accumulator for signed sums",
 }
 
 

@@ -27,8 +27,10 @@ a lazy module for each in ``sys.modules["mnrules.<name>"]`` and on the
 package, and the first attribute read on that module, or on one of its
 exports such as ``mnrules.quantum_mn``, runs it.  Until then ``type()`` of
 the lazy module is not ``types.ModuleType``.  A first touch from several
-threads at once is not safe: ``importlib.util.LazyLoader`` takes a lock
-around the load only from Python 3.13 on.
+threads at once is safe only where ``importlib.util.LazyLoader`` takes a
+lock around the load.  CPython added that lock for 3.13 (gh-114763); 3.10.13,
+3.11.7 and 3.12.1 lack it, and a later patch release of 3.11 or 3.12 may
+carry it.
 """
 
 import importlib.util

@@ -12,7 +12,6 @@ Only ``schubert_poly`` builds a polynomial, so only it imports ``poly``.
 from __future__ import annotations
 
 from operator import indexOf, ne
-from typing import TYPE_CHECKING
 
 from .partitions import Partition, _add, part, require_fits, require_int
 from .perm import (
@@ -24,9 +23,6 @@ from .perm import (
     k_bruhat_covers,
     require_support,
 )
-
-if TYPE_CHECKING:
-    from .poly import Exponents, SparsePoly
 
 SchubertExpansion = dict[Permutation, int]
 

@@ -7,8 +7,6 @@ x_1..x_k, so partitions with more than k rows never appear.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING
-
 from .partitions import (
     Partition,
     add_rim_hooks,
@@ -17,9 +15,6 @@ from .partitions import (
     strips,
     validate_partition,
 )
-
-if TYPE_CHECKING:
-    from .poly import SparsePoly
 
 SchurExpansion = dict[Partition, int]
 

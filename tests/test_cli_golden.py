@@ -402,8 +402,25 @@ PARSER_GOLDEN = [
     ids=[" ".join(["mnrules", *argv]) for argv, _, _, _ in PARSER_GOLDEN],
 )
 def test_help_and_usage_bytes_are_pinned(argv, out, err, code):
-    env = {**os.environ, "COLUMNS": "80", "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+    assert mnrules_child(argv, columns=80) == (out.encode(), err.encode(), code)
+
+
+def mnrules_child(argv: list[str], columns: int) -> tuple[bytes, bytes, int]:
+    """stdout, stderr and exit code of ``mnrules`` in a child with COLUMNS set."""
+    env = {**os.environ, "COLUMNS": str(columns), "PYTHONPATH": str(Path(cli.__file__).parents[1])}
     proc = subprocess.run(
         [sys.executable, "-m", "mnrules.cli", *argv], env=env, capture_output=True, timeout=60
     )
-    assert (proc.stdout, proc.stderr, proc.returncode) == (out.encode(), err.encode(), code)
+    return proc.stdout, proc.stderr, proc.returncode
+
+
+# the top-level usage is given in full, so at 120 columns it still takes the
+# three lines it takes at 80, where argparse alone would fit it on one
+TOP_LEVEL = [row for row in PARSER_GOLDEN if row[0] in ([], ["--help"], ["bogus"])]
+
+
+@pytest.mark.parametrize(
+    "argv, out, err, code", TOP_LEVEL, ids=[" ".join(["mnrules", *argv]) for argv, _, _, _ in TOP_LEVEL]
+)
+def test_top_level_usage_bytes_are_the_same_on_a_wide_terminal(argv, out, err, code):
+    assert mnrules_child(argv, columns=120) == (out.encode(), err.encode(), code)

@@ -31,19 +31,20 @@ def require_support(letters: int) -> int:
     return letters
 
 
-# _IDENTITIES[m] is the list [1, ..., m], which ``canonical`` compares with
-# a sorted word of m letters; longer words build their own.  Read only.
-_IDENTITIES = tuple(list(range(1, m + 1)) for m in range(32))
+# The bytes 1..255.  A word of m < 256 byte-sized letters is a permutation
+# of 1..m exactly when deleting its bytes from _LETTERS[:m] leaves nothing.
+# From 256 letters on this fails: 300 letters can cover 1..255.
+_LETTERS = bytes(range(1, 256))
 
 
 def canonical(word: Iterable[int]) -> Permutation:
     """Validate one-line notation and trim trailing fixed points.
 
     Entries must be integers (``operator.index``); floats, strings and
-    fractions raise ValueError instead of being truncated.  With m letters
-    the check sorts the word, O(m log m), on every call; only the list
-    [1, ..., m] it is compared with is cached, for m below 32.  A word whose
-    last letter is moved comes back as it is, with no trim.
+    fractions raise ValueError instead of being truncated.  A word of m < 256
+    letters, each in 0..255, is read and checked in C, O(m); any other word
+    is sorted, O(m log m).  A word whose last letter is moved comes back as
+    it is, with no trim.
 
     >>> canonical([3, 4, 1, 6, 5, 2, 7, 8])
     (3, 4, 1, 6, 5, 2)
@@ -52,12 +53,24 @@ def canonical(word: Iterable[int]) -> Permutation:
     """
     if type(word) is not tuple:
         word = tuple(word)
+    m = len(word)
     try:
-        w = tuple(map(index, word))
+        # bytes() reads each letter through __index__, as index() does
+        letters = bytes(word) if m < 256 else None
+    except ValueError:  # a letter outside 0..255
+        letters = None
     except TypeError:
         raise ValueError(f"entries must be integers, got {word}") from None
-    m = len(w)
-    if sorted(w) != (_IDENTITIES[m] if m < 32 else list(range(1, m + 1))):
+    if letters is not None:
+        w = tuple(letters)
+        bad = _LETTERS[:m].translate(None, letters)
+    else:
+        try:
+            w = tuple(map(index, word))
+        except TypeError:
+            raise ValueError(f"entries must be integers, got {word}") from None
+        bad = sorted(w) != list(range(1, m + 1))
+    if bad:
         raise ValueError(f"not a permutation of 1..{m}: {w}")
     if not m or w[-1] != m:
         return w
@@ -113,7 +126,8 @@ def k_bruhat_covers(w: Permutation, k: int, max_support: int) -> list[Permutatio
     the scan saw nothing above w(i).  When k > m, every j > k is past that
     fixed point, which leaves the one cover (k, k + 1).  A call costs
     O(k * m) scan steps plus O(m) to build each endpoint, and no padded copy
-    of w is made.  Validating w costs O(m log m).
+    of w is made.  Validating w costs O(m) below 256 letters and
+    O(m log m) from there on (see :func:`canonical`).
 
     Every endpoint has at most need = max(m, k) + 1 letters.  ``max_support``
     must be at least need, and the whole cover set is returned: a smaller

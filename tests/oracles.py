@@ -408,8 +408,9 @@ def removal_observables(lam: Partition, n: int) -> frozenset[tuple[Partition, in
 
 
 def oracle_canonical(word) -> perm.Permutation:
-    """``perm.canonical`` as it was before its identity table: the list
-    [1, ..., m] built on every call, and the trim loop run on every word."""
+    """``perm.canonical`` read through ``operator.index`` and checked by a
+    sort on every word, whatever its length or letters, with the list
+    [1, ..., m] built on every call and the trim loop run on every word."""
     word = tuple(word)
     try:
         w = tuple(map(operator.index, word))

@@ -21,6 +21,10 @@ from mnrules.schubert import grassmannian_permutation, mn_schubert, monk, power_
 from mnrules.symfun import mn_classical, pieri_e, pieri_h, power_sum_poly
 
 
+# 300 byte-sized letters that cover 1..255 but are no permutation
+BYTES_COVERED = tuple(range(1, 256)) + (1,) * 45
+
+
 def not_integers(label, call, name, value=2):
     """Rows that pass ``value`` as a float, a string and a fraction for the
     argument ``name`` of ``call``: each is refused, never truncated, carried
@@ -144,6 +148,9 @@ REFUSALS = [
     pytest.param(lambda: canonical([1, 1, 2]), "not a permutation of 1..3: (1, 1, 2)", id="canonical-list"),
     pytest.param(lambda: canonical(v for v in (1, 1, 2)), "not a permutation of 1..3: (1, 1, 2)", id="canonical-generator"),
     pytest.param(lambda: canonical(v for v in (2.7, 1)), "entries must be integers, got (2.7, 1)", id="canonical-generator-float"),
+    # a letter outside 0..255, and 256 letters or more, take the sort
+    pytest.param(lambda: canonical((300, 1)), "not a permutation of 1..2: (300, 1)", id="canonical-wide-letter"),
+    pytest.param(lambda: canonical(BYTES_COVERED), f"not a permutation of 1..300: {BYTES_COVERED}", id="canonical-300-letters"),
     pytest.param(lambda: inverse((3,)), "not a permutation of 1..1: (3,)", id="inverse-out-of-range"),
     pytest.param(lambda: inverse((2, 2)), "not a permutation of 1..2: (2, 2)", id="inverse-repeat"),
     pytest.param(lambda: length((2.5, 1)), "entries must be integers, got (2.5, 1)", id="length-float"),

@@ -115,6 +115,16 @@ def corrupted(word):
             yield word[:p] + (bad,) + word[p + 1 :]
 
 
+class Letter:
+    """A letter that is no int but reads as one through ``__index__``."""
+
+    def __init__(self, value):
+        self.value = value
+
+    def __index__(self):
+        return self.value
+
+
 def test_canonical_is_the_oracle():
     words = [
         p + tuple(range(n + 1, n + 1 + fixed))
@@ -124,11 +134,17 @@ def test_canonical_is_the_oracle():
     ]
     words += [bad for word in words for bad in corrupted(word)]
     rng = random.Random(27)
-    for m in (31, 32, 33, 200):
-        # around the end of the cached identity lists: valid, with a fixed
-        # last letter, and with a gap
+    for m in (31, 32, 33, 200, 254, 255, 256, 257, 300):
+        # valid, with a fixed last letter, and with a gap, on both sides of
+        # the byte check's limits: 256 letters, and a letter of 256
         long = tuple(rng.sample(range(1, m + 1), m))
         words += [long, long + (m + 1,), tuple(v + (v == m) for v in long)]
+    # letters outside 0..255 in short words, alone and before or after a
+    # non-integer, and letters read through __index__
+    words += [(256, 1), (2, 1, 300), (2**70, 1), (-1,), (1, -2), (300, 2.5), (2.5, 300)]
+    words += [(Letter(2), Letter(1)), (Letter(300), 1), (1, Letter(-1)), (Letter(1), 1)]
+    # 300 byte-sized letters that cover 1..255 but are no permutation
+    words.append(tuple(range(1, 256)) + (1,) * 45)
     for word in words:
         want = canonical_outcome(oracle_canonical, word)
         assert canonical_outcome(canonical, word) == want, word

@@ -9,6 +9,7 @@ Every expansion in the package is such a dict of nonzero ints, whatever its
 keys.  The one accumulator of such dicts, ``_add``, and the one writer of
 their signed sums, ``join_signed``, live in ``partitions``, which every
 layer imports; this module imports both, so ``poly._add`` still resolves.
+Only ``SparsePoly.parse`` runs ``perm``, on reading its ``SUPPORT_LIMIT``.
 """
 
 from __future__ import annotations
@@ -17,8 +18,8 @@ import operator
 import re
 from typing import Iterable, Mapping
 
+from . import perm
 from .partitions import _add, join_signed, require_int
-from .perm import SUPPORT_LIMIT
 
 Exponents = tuple[int, ...]
 
@@ -160,8 +161,8 @@ class SparsePoly:
                     i = int(m.group(1))
                     if i < 1:
                         raise ValueError(f"variables are 1-indexed: {factor!r}")
-                    if i > SUPPORT_LIMIT:
-                        raise ValueError(f"variable x{i} is over the limit of {SUPPORT_LIMIT}")
+                    if i > perm.SUPPORT_LIMIT:
+                        raise ValueError(f"variable x{i} is over the limit of {perm.SUPPORT_LIMIT}")
                     exps[i - 1] = exps.get(i - 1, 0) + int(m.group(2) or 1)
                 elif factor.isdigit():
                     coeff *= int(factor)

@@ -13,6 +13,7 @@ import operator
 from collections import namedtuple
 from typing import Callable, Iterable
 
+from . import symfun
 from .partitions import (
     ROW_LIMIT,
     Partition,
@@ -25,7 +26,6 @@ from .partitions import (
     require_int,
     validate_partition,
 )
-from .symfun import mn_classical
 
 QuantumClass = dict[tuple[int, Partition], int]
 
@@ -226,7 +226,7 @@ def oracle_quantum_mn(lam: Partition, r: int, ctx: GrContext) -> QuantumClass:
     {(1, (3, 2, 1)): -4}
     """
     out: QuantumClass = {}
-    for mu, coeff in mn_classical(lam, r, ctx.k).items():
+    for mu, coeff in symfun.mn_classical(lam, r, ctx.k).items():
         _add(out, psi_reduce(mu, ctx), coeff)
     return out
 

@@ -6,13 +6,14 @@ rule solved for its top term, an expansion folds a polynomial onto the
 identity one variable at a time, and ``mn-schubert --verify`` adds up
 x_i^r S_w over i <= k.  Expansions in the Schubert basis are dicts mapping
 canonical permutations to nonzero integers, summed with ``partitions._add``.
-Only ``schubert_poly`` builds a polynomial, so only it imports ``poly``.
+``poly`` runs on its first attribute read, which only ``schubert_poly`` makes.
 """
 
 from __future__ import annotations
 
 from operator import indexOf, ne
 
+from . import poly
 from .partitions import Partition, _add, part, require_fits, require_int
 from .perm import (
     Permutation,
@@ -76,7 +77,7 @@ def _times_x(expansion: SchubertExpansion, i: int) -> SchubertExpansion:
     return out
 
 
-def schubert_poly(w: Permutation) -> SparsePoly:
+def schubert_poly(w: Permutation) -> poly.SparsePoly:
     """Schubert polynomial of w, by Monk's rule solved for its top term.
 
     With r the last descent of w and v = w(r, s) for the last s > r with
@@ -85,10 +86,8 @@ def schubert_poly(w: Permutation) -> SparsePoly:
     S_len(w).  One loop over an explicit stack fills a memo scoped to the
     call; over ``LETTER_LIMIT`` letters of words it raises ValueError.
     """
-    from .poly import SparsePoly
-
     w = canonical(w)
-    memo = {(): SparsePoly.constant(1)}
+    memo = {(): poly.SparsePoly.constant(1)}
     letters = 0
     stack = [w]
     while stack:
@@ -113,12 +112,12 @@ def schubert_poly(w: Permutation) -> SparsePoly:
             data[e[: r - 1] + (e[r - 1] + 1,) + e[r:]] = c
         for t, c in others.items():
             _add(data, memo[t].terms, -c)
-        memo[u] = SparsePoly._from_clean(data)
+        memo[u] = poly.SparsePoly._from_clean(data)
         stack.pop()
     return memo[w]
 
 
-def expand_in_schubert(f: SparsePoly) -> SchubertExpansion:
+def expand_in_schubert(f: poly.SparsePoly) -> SchubertExpansion:
     """Write an integer polynomial in the Schubert basis: f folded onto
     S_() = 1 by Horner's rule from x_1 up.  With n variables and largest
     degree d, words of n + d letters over ``perm.SUPPORT_LIMIT``, or d (n + d)
@@ -136,7 +135,7 @@ def expand_in_schubert(f: SparsePoly) -> SchubertExpansion:
     _require_letters(d * (n + d), f"expanding degree {d} with words of {n + d} letters")
     rows = {e: {(): c} for e, c in f.terms.items()}
     for i in sorted({i for e in f.terms for i, p in enumerate(e, 1) if p}):
-        groups: dict[Exponents, dict[int, SchubertExpansion]] = {}
+        groups: dict[poly.Exponents, dict[int, SchubertExpansion]] = {}
         for e in [e for e in rows if len(e) >= i and e[i - 1]]:
             rest = (0,) * i + e[i:] if len(e) > i else ()
             groups.setdefault(rest, {})[e[i - 1]] = rows.pop(e)

@@ -7,6 +7,7 @@ x_1..x_k, so partitions with more than k rows never appear.
 
 from __future__ import annotations
 
+from . import poly
 from .partitions import (
     Partition,
     add_rim_hooks,
@@ -54,9 +55,7 @@ def mn_classical(lam: Partition, r: int, k: int) -> SchurExpansion:
     return {mu: 1 if height % 2 else -1 for mu, height in hooks}
 
 
-def power_sum_poly(r: int, k: int) -> SparsePoly:
+def power_sum_poly(r: int, k: int) -> poly.SparsePoly:
     """p_r(x_1..x_k) = x_1^r + ... + x_k^r."""
-    from .poly import SparsePoly
-
     r, k = require_int(r, "r", 1), require_int(k, "k", 1)
-    return SparsePoly({(0,) * i + (r,): 1 for i in range(k)})
+    return poly.SparsePoly({(0,) * i + (r,): 1 for i in range(k)})

@@ -1,3 +1,4 @@
+import ast
 import contextlib
 import importlib.machinery
 import importlib.util
@@ -181,8 +182,9 @@ def flipped_cycle_sign(*args):
         ),
         (
             # only the q**0 half of the psi route reads the box-fitting
-            # terms, so this catches a quantum_mn that shares mn_classical
-            "mnrules.quantum.mn_classical",
+            # terms, so this catches a quantum_mn that shares mn_classical;
+            # the psi route reads it through the symfun module
+            "mnrules.symfun.mn_classical",
             lambda lam, r, k: {
                 mu: -c if leq(mu, (4,) * 4) else c for mu, c in mn_classical(lam, r, k).items()
             },
@@ -493,39 +495,64 @@ def test_import_runs_no_submodule():
     assert unexecuted_after("import mnrules") == LAYERS
 
 
-# (a command, the submodules it leaves unexecuted): each runs only its layers
-COMMAND_LAYERS = [
-    ("core --partition 12,10,7,3 --n 8 --k 4", LAYERS - {"partitions"}),
-    ("mn-schur --partition 3,2,1 --r 5 --k 4", LAYERS - {"partitions", "symfun"}),
-    ("pieri --partition 3,2 --size 2 --kind h --k 3", LAYERS - {"partitions", "symfun"}),
-    ("mn-quantum --partition 3,2,1 --r 5 --k 4 --n 8 --verify", {"perm", "poly", "schubert"}),
-    ("mn-schubert --w 34165278 --k 4 --r 4 --verify", {"poly", "quantum", "symfun"}),
-    ("mn-schubert --w 34165278 --k 4 --r 4 --json", {"poly", "quantum", "symfun"}),
-    ("monk --w 312 --k 2", {"poly", "quantum", "symfun"}),
-    ("schubert-expand --poly 'x1^2*x2 + 3*x1*x3'", {"quantum", "symfun"}),
-]
+# row id -> (a command, the submodules it leaves unexecuted): each runs only its layers
+COMMAND_LAYERS = {
+    "core": ("core --partition 12,10,7,3 --n 8 --k 4", LAYERS - {"partitions"}),
+    "mn-schur": ("mn-schur --partition 3,2,1 --r 5 --k 4", LAYERS - {"partitions", "symfun"}),
+    "pieri": ("pieri --partition 3,2 --size 2 --kind h --k 3", LAYERS - {"partitions", "symfun"}),
+    "mn-quantum": ("mn-quantum --partition 3,2,1 --r 5 --k 4 --n 8 --verify", {"perm", "poly", "schubert"}),
+    "mn-quantum-no-verify": ("mn-quantum --partition 3,2,1 --r 5 --k 4 --n 8", LAYERS - {"partitions", "quantum"}),
+    "mn-schubert": ("mn-schubert --w 34165278 --k 4 --r 4 --verify", {"poly", "quantum", "symfun"}),
+    "mn-schubert-json": ("mn-schubert --w 34165278 --k 4 --r 4 --json", {"poly", "quantum", "symfun"}),
+    "monk": ("monk --w 312 --k 2", {"poly", "quantum", "symfun"}),
+    "schubert-expand": ("schubert-expand --poly 'x1^2*x2 + 3*x1*x3'", {"quantum", "symfun"}),
+    "selfcheck": ("selfcheck", {"poly", "symfun"}),
+}
 
 
-def test_the_table_names_every_command_but_selfcheck():
-    commands = {argv[0] for argv in DISPATCH.values()} - {"selfcheck"}
-    assert sorted({line.split()[0] for line, _ in COMMAND_LAYERS}) == sorted(commands)
+def test_the_table_names_every_command():
+    commands = {argv[0] for argv in DISPATCH.values()}
+    assert sorted({line.split()[0] for line, _ in COMMAND_LAYERS.values()}) == sorted(commands)
 
 
-def _layers_id(line: str) -> str:
-    """The command's name, and ``-json`` for the row that runs it with --json."""
-    words = line.split()
-    return words[0] + "-json" * ("--json" in words)
-
-
-@pytest.mark.parametrize("line, unexecuted", COMMAND_LAYERS, ids=[_layers_id(line) for line, _ in COMMAND_LAYERS])
+@pytest.mark.parametrize("line, unexecuted", COMMAND_LAYERS.values(), ids=COMMAND_LAYERS)
 def test_each_command_runs_only_its_layers(line, unexecuted):
     statement = f"from mnrules import cli; assert cli.main({shlex.split(line)!r}) == 0"
     assert unexecuted <= unexecuted_after(statement)
 
 
-def test_a_first_library_call_runs_only_its_layers():
-    statement = "import mnrules; mnrules.quantum_mn((3, 2, 1), 5, mnrules.GrContext(4, 8))"
-    assert {"perm", "poly", "schubert"} <= unexecuted_after(statement)
+# (a first call of an export, the submodules it leaves unexecuted)
+LIBRARY_LAYERS = [
+    ("quantum_mn((3, 2, 1), 5, mnrules.GrContext(4, 8))", LAYERS - {"partitions", "quantum"}),
+    ("psi_reduce((6, 3, 1), mnrules.GrContext(3, 7))", LAYERS - {"partitions", "quantum"}),
+    ("power_sum_poly(3, 4)", {"perm", "quantum", "schubert"}),
+    ("mn_classical((3, 2, 1), 5, 4)", LAYERS - {"partitions", "symfun"}),
+    ("mn_schubert((3, 4, 1, 6, 5, 2, 7, 8), 4, 4)", {"poly", "quantum", "symfun"}),
+    ("schubert_poly((2, 4, 1, 3))", {"quantum", "symfun"}),
+]
+
+
+@pytest.mark.parametrize(
+    "call, unexecuted", LIBRARY_LAYERS, ids=[call.partition("(")[0] for call, _ in LIBRARY_LAYERS]
+)
+def test_a_first_library_call_runs_only_its_layers(call, unexecuted):
+    assert unexecuted <= unexecuted_after(f"import mnrules; mnrules.{call}")
+
+
+def test_a_layer_imports_names_only_from_a_layer_it_always_runs():
+    # partitions runs on every path of every layer, and perm on every path
+    # of schubert; any other layer is bound as a module, at module level,
+    # so that it runs only on the first read of one of its attributes
+    package = Path(cli.__file__).parent
+    found = set()  # (module, the layer it imports names from or None for ``from . import``, at top level)
+    for path in package.glob("*.py"):
+        tree = ast.parse(path.read_text())
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.level:
+                found.add((path.stem, node.module, node in tree.body))
+    assert {(mod, source) for mod, source, top in found if not top} == set(), "imported below module level"
+    direct = {(mod, source) for mod, source, _ in found if source not in (None, "partitions")}
+    assert direct == {("schubert", "perm")}
 
 
 def lazy_loader_locks() -> bool:

@@ -15,8 +15,15 @@ Because an export counts as reached, the walk runs a second time from
 ``cli.main`` alone.  Every name in ``__all__`` must resolve to a definition,
 and each one this walk does not reach is library API only: ``LIBRARY_API``
 says why it is public.
+
+Every export's annotations must also resolve at run time: a name an
+annotation uses has to be bound in the module that defines the function.
 """
 
+import types
+import typing
+
+import mnrules
 from callgraph import call_graph
 
 # Members that are called by syntax or by the runtime, never by name.
@@ -94,3 +101,24 @@ def test_every_export_is_used_by_the_cli_or_listed_as_library_api():
     library_only = {name for name, key in exports.items() if key not in reached}
     assert sorted(library_only - set(LIBRARY_API)) == []
     assert sorted(set(LIBRARY_API) - library_only) == [], "listed names no longer exported, or used by the CLI"
+
+
+def exported_functions() -> list[types.FunctionType]:
+    """Each function in ``mnrules.__all__`` and each function defined in the
+    body of an exported class; a classmethod gives its underlying function."""
+    found = []
+    for name in mnrules.__all__:
+        obj = getattr(mnrules, name)
+        members = vars(obj).values() if type(obj) is type else [obj]  # not an alias such as tuple[int, ...]
+        found += [f for f in (getattr(m, "__func__", m) for m in members) if isinstance(f, types.FunctionType)]
+    return found
+
+
+def test_every_exported_function_has_annotations_that_resolve():
+    unresolved = {}
+    for function in exported_functions():
+        try:
+            typing.get_type_hints(function)
+        except (NameError, AttributeError, TypeError) as exc:  # unbound, missing, or not a type
+            unresolved[f"{function.__module__}.{function.__qualname__}"] = repr(exc)
+    assert unresolved == {}

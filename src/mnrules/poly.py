@@ -1,9 +1,9 @@
 """Sparse multivariate polynomials with exact integer coefficients.
 
-A polynomial is a dict from exponent tuples to nonzero ints.  Exponent tuples
-never carry trailing zeros, so each monomial has a single stored form no
-matter how many variables its polynomial mentions.  Variables are 1-indexed
-in the textual form: x1, x2, x3, ...
+A polynomial holds a dict from exponent tuples to nonzero ints in ``terms``.
+Exponent tuples never carry trailing zeros, so each monomial has a single
+stored form no matter how many variables its polynomial mentions.  Variables
+are 1-indexed in the textual form: x1, x2, x3, ...
 
 Every expansion in the package is such a dict of nonzero ints, whatever its
 keys.  The one accumulator of such dicts, ``_add``, and the one writer of

@@ -83,11 +83,11 @@ def schubert_poly(w: Permutation) -> poly.SparsePoly:
     With r the last descent of w and v = w(r, s) for the last s > r with
     w(s) < w(r), S_w = x_r S_v minus the other terms of x_r S_v, which are as
     long as w and lexicographically greater: every word needed lies in
-    S_len(w).  One loop over an explicit stack fills a memo scoped to the
-    call; over ``LETTER_LIMIT`` letters of words it raises ValueError.
+    S_len(w).  One loop over an explicit stack fills a call-scoped memo of
+    term dicts; over ``LETTER_LIMIT`` letters of words it raises ValueError.
     """
     w = canonical(w)
-    memo = {(): poly.SparsePoly.constant(1)}
+    memo = {(): {(): 1}}
     letters = 0
     stack = [w]
     while stack:
@@ -107,14 +107,14 @@ def schubert_poly(w: Permutation) -> poly.SparsePoly:
         letters += len(u)
         _require_letters(letters, f"the Schubert polynomial of a word of {len(w)} letters")
         data = {}  # x_r S_v: each exponent of x_r one higher
-        for e, c in memo[v].terms.items():
+        for e, c in memo[v].items():
             e += (0,) * (r - len(e))
             data[e[: r - 1] + (e[r - 1] + 1,) + e[r:]] = c
         for t, c in others.items():
-            _add(data, memo[t].terms, -c)
-        memo[u] = poly.SparsePoly._from_clean(data)
+            _add(data, memo[t], -c)
+        memo[u] = data
         stack.pop()
-    return memo[w]
+    return poly.SparsePoly._from_clean(memo[w])
 
 
 def expand_in_schubert(f: poly.SparsePoly) -> SchubertExpansion:
@@ -239,9 +239,7 @@ def grassmannian_permutation(lam: Partition, k: int) -> Permutation:
     ValueError before it is built.
     """
     lam, k = require_fits(lam, k)
-    require_support(k + part(lam, 0))
-    if not lam:
-        return ()
+    top = require_support(k + part(lam, 0))
     head = [part(lam, k - i) + i for i in range(1, k + 1)]
-    tail = sorted(set(range(1, k + lam[0] + 1)) - set(head))
+    tail = sorted(set(range(1, top + 1)) - set(head))
     return canonical(head + tail)

@@ -10,6 +10,7 @@ from __future__ import annotations
 from . import poly
 from .partitions import (
     Partition,
+    _require_rows,
     add_rim_hooks,
     require_fits,
     require_int,
@@ -56,6 +57,6 @@ def mn_classical(lam: Partition, r: int, k: int) -> SchurExpansion:
 
 
 def power_sum_poly(r: int, k: int) -> poly.SparsePoly:
-    """p_r(x_1..x_k) = x_1^r + ... + x_k^r."""
-    r, k = require_int(r, "r", 1), require_int(k, "k", 1)
-    return poly.SparsePoly({(0,) * i + (r,): 1 for i in range(k)})
+    """p_r(x_1..x_k) = x_1^r + ... + x_k^r, for k at most ``ROW_LIMIT``."""
+    r, k = require_int(r, "r", 1), _require_rows(require_int(k, "k", 1))
+    return poly.SparsePoly._from_clean({(0,) * i + (r,): 1 for i in range(k)})

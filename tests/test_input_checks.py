@@ -140,6 +140,7 @@ REFUSALS = [
     *not_integers("pieri_h-k", lambda v: pieri_h((1,), 2, v), "k", 3),
     pytest.param(lambda: power_sum_poly(0, 2), "need r >= 1, got 0", id="power_sum_poly-r0"),
     pytest.param(lambda: power_sum_poly(2, 0), "need k >= 1, got 0", id="power_sum_poly-k0"),
+    pytest.param(lambda: power_sum_poly(2, 501), "501 rows is over the limit of 500", id="power_sum_poly-k-over-row-limit"),
     *not_integers("power_sum_poly-r", lambda v: power_sum_poly(v, 2), "r"),
     *not_integers("power_sum_poly-k", lambda v: power_sum_poly(2, v), "k"),
     pytest.param(lambda: canonical((1, 1, 2)), "not a permutation of 1..3: (1, 1, 2)", id="canonical-repeat"),

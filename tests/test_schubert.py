@@ -13,7 +13,7 @@ from mnrules.schubert import (
     monk,
     schubert_poly,
 )
-from mnrules.symfun import mn_classical
+from mnrules.symfun import mn_classical, power_sum_poly
 import oracles
 from oracles import (
     all_perms,
@@ -127,6 +127,34 @@ def test_grassmannian_schubert_is_schur():
     assert grassmannian_permutation((2, 1), 2) == (2, 4, 1, 3)
     with pytest.raises(ValueError):
         grassmannian_permutation((1, 1, 1), 2)
+
+
+def test_grassmannian_permutation_of_the_empty_shape_is_the_identity():
+    # the general path: head is 1..k, tail is empty, and canonical trims the
+    # word to (); at the limit the 100,000 letters take canonical's sort
+    for k in (0, 1, 5, perm.SUPPORT_LIMIT):
+        assert grassmannian_permutation((), k) == ()
+
+
+def test_library_polynomials_are_wrapped_once(monkeypatch):
+    # power_sum_poly and schubert_poly build plain term dicts and wrap the
+    # answer once; the checking constructor is left to outside input
+    wrapped = []
+    from_clean = SparsePoly._from_clean.__func__
+
+    def counted(cls, data):
+        wrapped.append(data)
+        return from_clean(cls, data)
+
+    def refused(self, terms=None):
+        raise AssertionError("the library sent its own terms through the constructor")
+
+    monkeypatch.setattr(SparsePoly, "_from_clean", classmethod(counted))
+    monkeypatch.setattr(SparsePoly, "__init__", refused)
+    for build in (lambda: power_sum_poly(3, 4), lambda: schubert_poly((1, 5, 2, 4, 3))):
+        wrapped.clear()
+        got = build()
+        assert len(wrapped) == 1 and got.terms is wrapped[0]
 
 
 def test_grassmannian_permutation_refuses_words_over_the_support_limit():

@@ -33,7 +33,7 @@ PROTOCOL_MEMBERS = {
     "__init__._ExportingLoader.__init__": "the constructor, in _lazy",
     "__init__._ExportingLoader.exec_module": "called by importlib's lazy module on the first attribute read",
     "poly.SparsePoly.__slots__": "instance layout: ``terms`` is the only attribute",
-    "poly.SparsePoly.__init__": "the constructor, SparsePoly({...}) in power_sum_poly",
+    "poly.SparsePoly.__init__": "the constructor of an exported class, which checks outside terms; the library wraps its own with _from_clean",
     "poly.SparsePoly.__bool__": "value protocol of an exported class: a polynomial is false when zero",
     "poly.SparsePoly.__eq__": "value protocol of an exported class",
     "poly.SparsePoly.__neg__": "``-other`` in __sub__",

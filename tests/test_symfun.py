@@ -130,6 +130,13 @@ def test_power_sum_poly():
     assert power_sum_poly(1, 2) == x1 + x2
     assert power_sum_poly(3, 1) == x1 * x1 * x1
     assert power_sum_poly(2, 3) == x1 * x1 + x2 * x2 + x3 * x3
+    # k is bounded at ROW_LIMIT = 500, as mn_classical's is, and one past it
+    # is a REFUSALS row.  The terms are wrapped as they are built, so they
+    # must equal what the checking constructor makes of them.
+    for r in (1, 5):
+        got = power_sum_poly(r, 500)
+        assert len(got.terms) == 500
+        assert got == SparsePoly({(0,) * i + (r,): 1 for i in range(500)})
 
 
 @given(small_partitions, st.integers(1, 4), st.integers(1, 4))

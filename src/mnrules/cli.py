@@ -156,7 +156,8 @@ def cmd_core(args: argparse.Namespace) -> int:
 
 
 def cmd_selfcheck(args: argparse.Namespace) -> int:
-    """Known-answer checks over every layer of the library."""
+    """Known-answer checks of the ``partitions``, ``perm`` and ``schubert``,
+    and ``quantum`` layers; ``poly`` and ``symfun`` do not run."""
     got = schubert.mn_schubert((3, 4, 1, 6, 5, 2, 7, 8), 4, 4)
     expected = {
         (3, 5, 6, 7, 1, 2, 4): 1, (3, 6, 4, 7, 1, 2, 5): 1, (4, 5, 3, 6, 2, 1): 1,

@@ -332,9 +332,10 @@ def strips(lam: Partition, size: int, kind: StripKind, max_rows: int) -> list[Pa
     """Partitions obtained by adding a strip of ``size`` cells to ``lam``.
 
     A horizontal strip has at most one new cell per column, a vertical strip
-    at most one per row.  Only results with at most ``max_rows`` rows are
-    returned, sorted lexicographically.  ``max_rows`` over ``ROW_LIMIT``
-    raises ValueError.
+    at most one per row.  Results have at most ``max_rows`` rows (at most
+    ``ROW_LIMIT``, else ValueError) and are found in lexicographic order.  The
+    search enters only rows that can still finish a strip, so its work grows
+    with the strips returned, times the rows for a vertical strip.
 
     >>> strips((1,), 2, "horizontal", 3)
     [(2, 1), (3,)]
@@ -344,28 +345,27 @@ def strips(lam: Partition, size: int, kind: StripKind, max_rows: int) -> list[Pa
     if kind not in ("horizontal", "vertical"):
         raise ValueError(f"kind must be 'horizontal' or 'vertical', got {kind!r}")
     max_rows = _require_rows(require_int(max_rows, "max_rows", 0))
-    if len(lam) > max_rows:
+    if max_rows < max(len(lam), 1):
         return []
     horizontal = kind == "horizontal"
     found: list[Partition] = []
 
     def grow(i: int, budget: int, mu: list[int]) -> None:
-        # Row i grows from lam_i by up to ``budget`` cells and stays within
-        # lam_(i-1) (horizontal), or by up to one cell and stays within
-        # mu_(i-1) (vertical).  With no budget left the rest of lam stays.
+        # Row i grows from lam_i by up to ``budget`` cells within lam_(i-1)
+        # (horizontal) or one within mu_(i-1) (vertical), to at least what the
+        # rows below cannot hold (lam_i - lam_(max_rows-1), or one each).
         if budget == 0:
             found.append(tuple(mu) + lam[i:])
             return
-        if i == max_rows:
-            return
         lo = part(lam, i)
         hi = lo + (budget if horizontal else 1)
+        least = budget + part(lam, max_rows - 1) if horizontal else lo + budget + i + 1 - max_rows
         if i:
             hi = min(hi, part(lam, i - 1) if horizontal else mu[i - 1])
-        for v in range(lo, hi + 1):
+        for v in range(max(lo, least), hi + 1):
             mu.append(v)
             grow(i + 1, budget - (v - lo), mu)
             mu.pop()
 
     grow(0, size, [])
-    return sorted(found)
+    return found

@@ -397,7 +397,22 @@ def test_strips_examples():
         strips((1,), 1, "diagonal", 2)
 
 
-@given(small_partitions, st.integers(1, 4), st.integers(1, 5))
+def test_strips_enter_only_rows_that_can_finish_a_strip():
+    # A search that walks into rows that cannot finish a strip takes time
+    # linear in the size and 4x per two rows of the staircase: 5 to 8 s for
+    # these three on a 2-vCPU host.
+    start = time.perf_counter()
+    one_box = strips((1,), 10**6, "horizontal", 3)
+    staircase = strips((3, 2, 1), 10**5, "horizontal", 6)
+    too_tall = strips(tuple(range(20, 0, -1)), 22, "vertical", 21)
+    elapsed = time.perf_counter() - start
+    assert one_box == [(10**6, 1), (10**6 + 1,)]
+    assert len(staircase) == 8
+    assert too_tall == []
+    assert elapsed < 0.5, f"the three strip searches took {elapsed:.2f} s"
+
+
+@given(small_partitions, st.integers(1, 6), st.integers(0, 7))
 @settings(max_examples=60, deadline=None)
 def test_strips_against_brute_force(lam, size, max_rows):
     def is_horizontal(nu, mu):

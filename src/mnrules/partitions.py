@@ -9,10 +9,10 @@ Adding a rim hook and removing one run on one beta-number (abacus) kernel,
 and an r-hook is one bead moving r places to an empty position (James-Kerber,
 The Representation Theory of the Symmetric Group, ch. 2).  The bead moving
 from row i to row j shifts the rows between by one place, and the hook's
-height is the index difference |i - j| + 1.  The shifted rows come from two
-tables built once per call in O(m), so each move is a few C-level slices
-of O(m) entries.  :func:`n_core` strips down to the n-core on a bead list
-of its own, a run of hooks at a time.
+height is the index difference |i - j| + 1.  An add or a removal builds
+the one shifted-row table its moves read, once in O(m), so each move is a
+few C-level slices of O(m) entries.  :func:`n_core` strips down to the
+n-core on a bead list of its own, a run of hooks at a time.
 
 Every layer imports this module, for ``require_int`` and the size limits,
 so it also holds the three helpers that belong to no one layer: ``_add``,
@@ -162,25 +162,25 @@ def box_partition(k: int, n: int) -> Partition:
 
 
 def _splice(
-    lam: Partition, up: Partition, dn: Partition, beads: int, i: int, j: int, c: int
+    lam: Partition, shifted: Partition, beads: int, i: int, j: int, c: int
 ) -> Partition:
     """The shape after the bead of row i moves to the empty position c and
     lands in row j (see :func:`_bead_moves`).
 
-    ``up`` is lam padded with zeros to ``beads`` rows, each row one longer,
-    and ``dn`` is lam with each row one shorter.  A bead moving up (j < i)
-    passes rows j..i-1, which each grow by one cell and move down a row; a
-    bead moving down (j >= i) passes rows i+1..j, which each lose a cell and
-    move up a row.  Either way row j becomes x = c - beads + 1 + j, and the
-    shape is four slices, O(beads) C-level work.  The padding beads fill
-    0..beads-1-len(lam) and c is empty, so j <= len(lam) and moving down
-    also j < len(lam): slicing lam instead of the padded rows drops the
-    padding, and only a move down with x = 0 leaves trailing zeros.
+    A bead moving up (j < i) passes rows j..i-1, which each grow by one cell
+    and move down a row, so ``shifted`` is lam padded with zeros to ``beads``
+    rows, each one longer.  A bead moving down (j >= i) passes rows i+1..j,
+    which each lose a cell and move up a row, so ``shifted`` is lam, each row
+    one shorter, unread at j = i.  Row j becomes x = c - beads + 1 + j, and
+    the shape is four slices, O(beads) C-level work.  The padding beads fill
+    0..beads-1-len(lam) and c is empty, so j <= len(lam) and moving down also
+    j < len(lam): slicing lam instead of the padded rows drops the padding,
+    and only a move down with x = 0 leaves trailing zeros.
     """
     x = c - beads + 1 + j
     if j < i:
-        return lam[:j] + (x,) + up[j:i] + lam[i + 1:]
-    shape = lam[:i] + dn[i + 1:j + 1] + (x,) + lam[j + 1:]
+        return lam[:j] + (x,) + shifted[j:i] + lam[i + 1:]
+    shape = lam[:i] + shifted[i + 1:j + 1] + (x,) + lam[j + 1:]
     if x:
         return shape
     n = len(shape) - 1
@@ -198,9 +198,9 @@ def _bead_moves(lam: Partition, shift: int, beads: int) -> list[tuple[Partition,
     moving to an empty c = lam_i + m - 1 - i + shift >= 0 adds (shift > 0)
     or removes (shift < 0) a rim hook of |shift| cells.  The bead lands in
     row j, the number of other beads above c, and the rows it passes each
-    shift by one place, so the new shape is one splice of the rows
-    (:func:`_splice`) from the shifted-row tables, built once here in O(m).
-    The hook's height is the number of rows it spans, |i - j| + 1.
+    shift by one place, so the new shape is one splice (:func:`_splice`)
+    from the one table its direction reads, built once here in O(m).  The
+    hook's height is the number of rows it spans, |i - j| + 1.
 
     Moves come largest bead first, which is the hook whose top row is
     highest, so :func:`add_rim_hooks` and :func:`remove_rim_hooks` need no
@@ -211,12 +211,11 @@ def _bead_moves(lam: Partition, shift: int, beads: int) -> list[tuple[Partition,
     in the same row j set it to c - m + 1 + j, which falls with c.
     """
     rows = lam + (0,) * (beads - len(lam))
-    up = tuple([p + 1 for p in rows])
-    dn = tuple([p - 1 for p in lam])
+    down = shift < 0  # moving down, the bead itself is one of the beads above c
+    shifted = tuple([p - 1 for p in lam]) if down else tuple([p + 1 for p in rows])
     pos = [p + beads - 1 - i for i, p in enumerate(rows)]
     moves = []
     above = 0  # beads strictly above c; c falls as i rises, so this only grows
-    down = shift < 0  # moving down, the bead itself is one of the beads above c
     for i, b in enumerate(pos):
         c = b + shift
         if c < 0:
@@ -226,7 +225,7 @@ def _bead_moves(lam: Partition, shift: int, beads: int) -> list[tuple[Partition,
         if above < beads and pos[above] == c:
             continue
         j = above - down
-        moves.append((_splice(lam, up, dn, beads, i, j, c), abs(i - j) + 1))
+        moves.append((_splice(lam, shifted, beads, i, j, c), abs(i - j) + 1))
     return moves
 
 

@@ -189,8 +189,8 @@ def chain_endpoints(w: Permutation, k: int, r: int) -> set[Permutation]:
     C-level count against w padded with fixed points.  A state outside it
     lies on no counting chain, and at t = r the window is #moved = r + 1.
 
-    Each state the search expands costs one call of the module-level
-    ``k_bruhat_covers``: tracing that call accounts for the whole search.
+    Tracing the module-level ``k_bruhat_covers`` counts the states expanded,
+    one call each; the window count and the level union run outside them.
     """
     w = canonical(w)
     k, r = require_int(k, "k", 1), require_int(r, "r", 0)

@@ -100,10 +100,10 @@ def quantum_mn(lam: Partition, r: int, ctx: GrContext) -> QuantumClass:
     empty one.  A bead landing at c = b + r < n adds an r-hook inside the
     box: a q**0 term with sign (-1)**(beads passed).  A bead that wraps to
     c = b + r - n removes an (n - r)-hook: a q**1 term with sign
-    (-1)**(k + height).  One pass over the k beads; the shifted-row tables
-    of :func:`partitions._splice` cost O(k) once, and each term a few
-    C-level slices of O(k) entries.  The q**0 terms come first, each half in
-    increasing order of shape.
+    (-1)**(k + height).  One pass over the k beads builds both tables of
+    :func:`partitions._splice` once in O(k) and hands each splice the one
+    it reads, so each term is a few C-level slices of O(k) entries.  The
+    q**0 terms come first, each half in increasing order of shape.
     Requires 1 <= r < n.
 
     >>> quantum_mn((3, 2, 1), 5, GrContext(4, 8))
@@ -145,9 +145,9 @@ def _bead_pass(lam: Partition, r: int, ctx: GrContext, full: int) -> QuantumClas
             continue
         if wraps:  # moving down, the bead itself is one of the beads above c
             j = above - 1
-            q1.append(((d1, _splice(lam, up, dn, k, i, j, c)), -1 if (s1 + j - i) % 2 else 1))
+            q1.append(((d1, _splice(lam, dn, k, i, j, c)), -1 if (s1 + j - i) % 2 else 1))
         else:
-            q0.append(((d0, _splice(lam, up, dn, k, i, above, c)), -1 if (s0 + i - above) % 2 else 1))
+            q0.append(((d0, _splice(lam, up, k, i, above, c)), -1 if (s0 + i - above) % 2 else 1))
     # bead order lists the moves down in increasing order of shape and the
     # moves up in decreasing order (see _bead_moves)
     return dict(q0[::-1] + q1)

@@ -160,6 +160,13 @@ GOLDEN = [
         '[{"coeff": 1, "perm": [1, 3, 2]}, {"coeff": -1, "perm": [2, 1]}]\n',
     ),
     (
+        # a value that starts with "-" and has no space must follow "=":
+        # argparse reads "--poly -x1^2" as an option with no value
+        ["schubert-expand", "--poly=-x1^2"],
+        '-S[3,1,2]\n',
+        '[{"coeff": -1, "perm": [3, 1, 2]}]\n',
+    ),
+    (
         ["core", "--partition", "12,10,7,3", "--n", "8"],
         'core [4,2,2]  hooks_removed=3  height_sum=10\n',
         '{"core": [4, 2, 2], "hooks_removed": 3, "height_sum": 10}\n',
